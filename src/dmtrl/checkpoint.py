@@ -179,8 +179,44 @@ def save_network(ckpt_path, net: MultiTaskNetwork, extra: dict | None = None):
         f.write("\n")
 
 
+def _stored(arrays: dict, name: str, shape=None) -> np.ndarray:
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint lacks tensor '{name}' that the manifest's spec needs")
+    a = arrays[name]
+    if shape is not None and a.shape != tuple(shape):
+        raise CheckpointError(f"tensor '{name}' has shape {a.shape}, the spec needs {tuple(shape)}")
+    return a
+
+
+def _stored_factors(arrays: dict, layer):
+    n, n_way = layer.name, len(layer.stacked_shape)
+    try:
+        if layer.mode is SharingMode.SOFT_LAF:
+            f = LAFFactors(_stored(arrays, f"{n}.laf.l"), _stored(arrays, f"{n}.laf.s"))
+        elif layer.mode is SharingMode.SOFT_TUCKER:
+            f = TuckerFactors(_stored(arrays, f"{n}.tucker.core"),
+                              [_stored(arrays, f"{n}.tucker.u{j}") for j in range(n_way)])
+        else:
+            f = TTFactors(_stored(arrays, f"{n}.tt.head"),
+                          [_stored(arrays, f"{n}.tt.core{j}") for j in range(n_way - 2)],
+                          _stored(arrays, f"{n}.tt.tail"))
+    except CheckpointError:
+        raise
+    except ValueError as e:  # the factor records' own consistency checks
+        raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
+    if tuple(f.out_shape) != layer.stacked_shape:
+        raise CheckpointError(
+            f"{n}: stored factors compose to {f.out_shape}, the spec needs {layer.stacked_shape}"
+        )
+    return f
+
+
 def load_network(ckpt_path):
-    """Rebuild a network (and its manifest) from a checkpoint pair."""
+    """Rebuild a network (and its manifest) from a checkpoint pair.
+
+    The stored tensors must be exactly the parameters the manifest's spec
+    describes, each with the shape the spec implies; anything else raises
+    :class:`CheckpointError`."""
     arrays = load_checkpoint(ckpt_path)
     with open(manifest_path(ckpt_path), "r", encoding="utf-8") as f:
         manifest = json.load(f)
@@ -188,31 +224,25 @@ def load_network(ckpt_path):
         raise CheckpointError(
             f"manifest version {manifest.get('format_version')}, reader supports {VERSION}"
         )
-    spec = spec_from_json(manifest["spec"])
+    try:
+        spec = spec_from_json(manifest["spec"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"manifest holds no valid network spec: {e!r}") from e
     net = MultiTaskNetwork(spec)
-    for i, layer in net.param_layers.items():
+    for layer in net.param_layers.values():
         n = layer.name
         if layer.mode is SharingMode.TIED:
-            layer.weights = arrays[f"{n}.w"].copy()
-            layer.biases = arrays[f"{n}.b"].copy()
+            layer.weights = _stored(arrays, f"{n}.w", layer.weight_shape(0))
+            layer.biases = _stored(arrays, f"{n}.b", (layer.bias_width(0),))
             continue
         if layer.mode is SharingMode.INDEPENDENT:
-            layer.weights = [arrays[f"{n}.w{t}"].copy() for t in range(net.tasks)]
-        elif layer.mode is SharingMode.SOFT_LAF:
-            layer.factors = LAFFactors(arrays[f"{n}.laf.l"], arrays[f"{n}.laf.s"])
-        elif layer.mode is SharingMode.SOFT_TUCKER:
-            u = []
-            j = 0
-            while f"{n}.tucker.u{j}" in arrays:
-                u.append(arrays[f"{n}.tucker.u{j}"])
-                j += 1
-            layer.factors = TuckerFactors(arrays[f"{n}.tucker.core"], u)
+            layer.weights = [_stored(arrays, f"{n}.w{t}", layer.weight_shape(t))
+                             for t in range(net.tasks)]
         else:
-            cores = []
-            j = 0
-            while f"{n}.tt.core{j}" in arrays:
-                cores.append(arrays[f"{n}.tt.core{j}"])
-                j += 1
-            layer.factors = TTFactors(arrays[f"{n}.tt.head"], cores, arrays[f"{n}.tt.tail"])
-        layer.biases = [arrays[f"{n}.b{t}"].copy() for t in range(net.tasks)]
+            layer.factors = _stored_factors(arrays, layer)
+        layer.biases = [_stored(arrays, f"{n}.b{t}", (layer.bias_width(t),))
+                        for t in range(net.tasks)]
+    unexpected = sorted(set(arrays) - set(net.parameters()))
+    if unexpected:
+        raise CheckpointError(f"checkpoint holds tensors the spec does not use: {unexpected}")
     return net, manifest

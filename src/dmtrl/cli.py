@@ -79,13 +79,15 @@ def _fit_heads(tasks, head_dims):
     return out
 
 
-def _digit_pools(data):
+def _digit_pool(data, split: str):
+    """The synthetic digit pool of one split ("train" or "test")."""
     cs = int(data.get("class_seed", 11))
-    kw = {"noise": float(data.get("noise", 0.35)),
-          "jitter": int(data.get("jitter", 3)), "class_seed": cs}
-    train_pool = synth_digits(_TRAIN_POOL_SEED + cs, int(data.get("n_train", 60000)), **kw)
-    test_pool = synth_digits(_TEST_POOL_SEED + cs, int(data.get("n_test", 2000)), **kw)
-    return train_pool, test_pool
+    if split == "train":
+        seed, n = _TRAIN_POOL_SEED + cs, int(data.get("n_train", 60000))
+    else:
+        seed, n = _TEST_POOL_SEED + cs, int(data.get("n_test", 2000))
+    return synth_digits(seed, n, noise=float(data.get("noise", 0.35)),
+                        jitter=int(data.get("jitter", 3)), class_seed=cs)
 
 
 def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None):
@@ -96,8 +98,7 @@ def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None):
         sampled = sample_fraction(pool, fraction, seed)
         return make_suite(sampled).tasks
     if source == "synthetic_digits":
-        pool, _ = _digit_pools(data)
-        sampled = sample_fraction(pool, fraction, seed)
+        sampled = sample_fraction(_digit_pool(data, "train"), fraction, seed)
         return make_suite(sampled).tasks
     binary, multi = synth_heterogeneous(
         _TRAIN_POOL_SEED + seed,
@@ -118,8 +119,7 @@ def build_eval_payload(data: dict, head_dims=None):
         pool = load_idx(data["test_images"], data["test_labels"])
         return make_suite(pool, split="test")
     if source == "synthetic_digits":
-        _, pool = _digit_pools(data)
-        return make_suite(pool, split="test")
+        return make_suite(_digit_pool(data, "test"), split="test")
     binary, multi = synth_heterogeneous(
         _TEST_POOL_SEED,
         int(data.get("n_test_per_task", 512)),

@@ -143,17 +143,25 @@ def write_idx(images_path, labels_path, ds: LabeledImages):
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def make_one_vs_all(raw: LabeledImages, digit: int, split: str = "train") -> TaskDataset:
-    """Binary task: +1 where the class equals ``digit``, -1 elsewhere."""
+def _one_vs_all(raw: LabeledImages, digit: int, inputs: np.ndarray, split: str) -> TaskDataset:
     if not 0 <= digit < raw.n_classes:
         raise ValueError(f"digit {digit} outside [0, {raw.n_classes})")
     labels = np.where(raw.labels == digit, 1, -1)
-    return TaskDataset(digit, raw.float_inputs(), labels, None, split)
+    return TaskDataset(digit, inputs, labels, None, split)
+
+
+def make_one_vs_all(raw: LabeledImages, digit: int, split: str = "train") -> TaskDataset:
+    """Binary task: +1 where the class equals ``digit``, -1 elsewhere."""
+    return _one_vs_all(raw, digit, raw.float_inputs(), split)
 
 
 def make_suite(raw: LabeledImages, split: str = "train") -> OneVsAllSuite:
+    """One one-vs-all task per class.  The pixels are converted once: every
+    task's ``inputs`` is the same read-only array."""
+    inputs = raw.float_inputs()
+    inputs.flags.writeable = False
     return OneVsAllSuite(
-        [make_one_vs_all(raw, d, split) for d in range(raw.n_classes)], raw
+        [_one_vs_all(raw, d, inputs, split) for d in range(raw.n_classes)], raw
     )
 
 

@@ -9,6 +9,14 @@ for initialisation only, with ranks selected by a relative-error budget).
 gradients for every factor, which is all that standard backpropagation needs
 since the compositions are multilinear.
 
+The last axis of a composed tensor indexes tasks, and training touches one
+task slice at a time, so each structure also has a per-task pair:
+``compose_task(f, t)`` builds slice ``t`` alone by contracting the task's row
+of the last factor into the rest first (the mode-N product for Tucker, the
+tail contraction of a TT layer for TT), and ``compose_backward(f, g, task=t)``
+maps a gradient with respect to that slice onto the full-shaped factor
+gradients.  Neither ever builds the other T - 1 slices.
+
 Rank-selection convention: ``epsilon`` bounds the relative Frobenius
 reconstruction error.  Tucker truncates each mode at ``epsilon`` (overall
 bound sqrt(N) * epsilon); TT truncates each sweep step at
@@ -32,6 +40,7 @@ __all__ = [
     "compose_laf",
     "compose_tucker",
     "compose_tt",
+    "compose_task",
     "laf_decompose",
     "tucker_decompose",
     "tt_decompose",
@@ -249,53 +258,114 @@ def _tucker_grads(f: TuckerFactors, grad_w: np.ndarray):
     return grad_core, grad_u
 
 
-def compose_backward(f, grad_w: np.ndarray):
+def _check_task(f, task: int) -> None:
+    shape = f.out_shape
+    if len(shape) < 3:
+        raise ValueError(
+            f"per-task composition needs a stack of at least 3 axes, got {shape}"
+        )
+    if not 0 <= task < shape[-1]:
+        raise ValueError(f"task {task} out of range [0, {shape[-1]})")
+
+
+def _fold_task(f, task: int):
+    """Tucker or TT record with the task's row of the last factor contracted
+    into the core next to it; it composes to slice ``task`` alone."""
+    if isinstance(f, TuckerFactors):
+        core_t = tensor_dot(f.core, f.u[-1][task], -1, 1)
+        return TuckerFactors(core_t, f.u[:-1])
+    tail_t = tensor_dot(f.cores[-1], f.tail[:, task], -1, 1)
+    return TTFactors(f.head, f.cores[:-1], tail_t)
+
+
+def compose_task(f, task: int) -> np.ndarray:
+    """Slice ``task`` of the composed tensor (its last axis removed), built
+    without composing the other slices."""
+    _check_task(f, task)
+    if isinstance(f, LAFFactors):
+        return tensor_dot(f.l, f.s[:, task], -1, 1)
+    folded = _fold_task(f, task)
+    if isinstance(folded, TuckerFactors):
+        return compose_tucker(folded)
+    return compose_tt(folded)
+
+
+def _task_backward(f, grad_w: np.ndarray, task: int):
+    """Full-shaped factor gradients from the gradient of one task slice.
+
+    The folded record's own backward gives every factor it keeps; the chain
+    rule through the fold gives the absorbed core the outer product with the
+    task row, and that row alone of the last factor a gradient."""
+    if isinstance(f, LAFFactors):
+        lead = list(range(f.l.ndim - 1))
+        grad_s = np.zeros_like(f.s)
+        grad_s[:, task] = np.tensordot(f.l, grad_w, axes=(lead, lead))
+        return LAFFactors(np.multiply.outer(grad_w, f.s[:, task]), grad_s)
+    g = compose_backward(_fold_task(f, task), grad_w)
+    if isinstance(f, TuckerFactors):
+        row = f.u[-1][task]
+        grad_last = np.zeros_like(f.u[-1])
+        lead = list(range(g.core.ndim))
+        grad_last[task] = np.tensordot(g.core, f.core, axes=(lead, lead))
+        return TuckerFactors(np.multiply.outer(g.core, row), g.u + [grad_last])
+    col = f.tail[:, task]
+    grad_tail = np.zeros_like(f.tail)
+    grad_tail[:, task] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
+    return TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, col)], grad_tail)
+
+
+def compose_backward(f, grad_w: np.ndarray, task: int | None = None):
     """Gradients of a scalar loss with respect to every factor, given the
     gradient ``grad_w`` with respect to the composed tensor.
 
     Returns a factor record of the same type as ``f`` whose fields hold the
     gradients.  Because composition is multilinear, each factor's gradient is
-    ``grad_w`` contracted with all the other factors.
+    ``grad_w`` contracted with all the other factors.  With ``task`` given,
+    ``grad_w`` is the gradient with respect to :func:`compose_task`'s slice
+    ``task``; the result equals the full backward of that gradient padded
+    with zeros for every other slice.
     """
+    if not isinstance(f, (LAFFactors, TuckerFactors, TTFactors)):
+        raise TypeError(f"unknown factor record: {type(f).__name__}")
     grad_w = tensor(grad_w)
+    want = f.out_shape
+    if task is not None:
+        _check_task(f, task)
+        want = want[:-1]
+    if grad_w.shape != want:
+        raise ValueError(f"gradient shape {grad_w.shape} != composed {want}")
+    if task is not None:
+        return _task_backward(f, grad_w, task)
     if isinstance(f, LAFFactors):
-        if grad_w.shape != f.out_shape:
-            raise ValueError(f"gradient shape {grad_w.shape} != composed {f.out_shape}")
         grad_l = tensor_dot(grad_w, f.s, -1, 2)
         lead = list(range(f.l.ndim - 1))
         grad_s = np.tensordot(f.l, grad_w, axes=(lead, lead))
         return LAFFactors(grad_l, grad_s)
     if isinstance(f, TuckerFactors):
-        if grad_w.shape != f.out_shape:
-            raise ValueError(f"gradient shape {grad_w.shape} != composed {f.out_shape}")
         grad_core, grad_u = _tucker_grads(f, grad_w)
         return TuckerFactors(grad_core, grad_u)
-    if isinstance(f, TTFactors):
-        if grad_w.shape != f.out_shape:
-            raise ValueError(f"gradient shape {grad_w.shape} != composed {f.out_shape}")
-        n_way = grad_w.ndim
-        # left[i]: chain up to and including piece i, shape (D1..D_{i+1}, K)
-        left = [f.head]
-        for c in f.cores:
-            left.append(tensor_dot(left[-1], c, -1, 1))
-        # right[i]: chain from piece i to the end, shape (K, D..DN)
-        right = [f.tail]
-        for c in reversed(f.cores):
-            right.insert(0, tensor_dot(c, right[0], 3, 1))
-        grad_head = np.tensordot(grad_w, right[0],
-                                 axes=(list(range(1, n_way)), list(range(1, n_way))))
-        grad_cores = []
-        for i in range(len(f.cores)):
-            lt = left[i]          # (D1..D_{i+1}, K_{i+1})
-            rt = right[i + 1]     # (K_{i+2}, D_{i+3}..DN)
-            n_left = lt.ndim - 1
-            g = np.tensordot(lt, grad_w, axes=(list(range(n_left)), list(range(n_left))))
-            # g axes: (K_{i+1}, D_{i+2}, .., DN)
-            g = np.tensordot(g, rt, axes=(list(range(2, g.ndim)), list(range(1, rt.ndim))))
-            grad_cores.append(np.ascontiguousarray(g))
-        lt = left[-1]
+    n_way = grad_w.ndim
+    # left[i]: chain up to and including piece i, shape (D1..D_{i+1}, K)
+    left = [f.head]
+    for c in f.cores:
+        left.append(tensor_dot(left[-1], c, -1, 1))
+    # right[i]: chain from piece i to the end, shape (K, D..DN)
+    right = [f.tail]
+    for c in reversed(f.cores):
+        right.insert(0, tensor_dot(c, right[0], 3, 1))
+    grad_head = np.tensordot(grad_w, right[0],
+                             axes=(list(range(1, n_way)), list(range(1, n_way))))
+    grad_cores = []
+    for i in range(len(f.cores)):
+        lt = left[i]          # (D1..D_{i+1}, K_{i+1})
+        rt = right[i + 1]     # (K_{i+2}, D_{i+3}..DN)
         n_left = lt.ndim - 1
-        grad_tail = np.tensordot(lt, grad_w,
-                                 axes=(list(range(n_left)), list(range(n_left))))
-        return TTFactors(grad_head, grad_cores, grad_tail)
-    raise TypeError(f"unknown factor record: {type(f).__name__}")
+        g = np.tensordot(lt, grad_w, axes=(list(range(n_left)), list(range(n_left))))
+        # g axes: (K_{i+1}, D_{i+2}, .., DN)
+        g = np.tensordot(g, rt, axes=(list(range(2, g.ndim)), list(range(1, rt.ndim))))
+        grad_cores.append(np.ascontiguousarray(g))
+    lt = left[-1]
+    n_left = lt.ndim - 1
+    grad_tail = np.tensordot(lt, grad_w,
+                             axes=(list(range(n_left)), list(range(n_left))))
+    return TTFactors(grad_head, grad_cores, grad_tail)

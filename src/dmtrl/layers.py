@@ -63,7 +63,8 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray):
     if b.shape != (m,):
         raise ValueError(f"bias shape {b.shape} != ({m},)")
     p = _patches(x, hk, wk)
-    out = p @ k.reshape(-1, m) + b
+    out = p @ k.reshape(-1, m)
+    out += b
     return out, (x.shape, p, k)
 
 
@@ -72,7 +73,7 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     hk, wk, cin, m = k.shape
     b_, ho, wo, _ = grad_out.shape
     gf = grad_out.reshape(-1, m)
-    grad_b = gf.sum(axis=0)
+    grad_b = np.ones(gf.shape[0]) @ gf  # a BLAS product beats a column sum here
     grad_k = (p.reshape(-1, hk * wk * cin).T @ gf).reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
@@ -100,25 +101,37 @@ def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# winner code of each slot of a 2x2 window, as a (1, 1, 2, 1, 2, 1) view
+# that broadcasts against gradients laid out as (B, Ho, 2, Wo, 2, C)
+_POOL_SLOTS = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
+
+
 def maxpool2_forward(x: np.ndarray):
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
-    bsz, hi, wi, c = x.shape
-    ho, wo = hi // 2, wi // 2
-    win = x[:, : 2 * ho, : 2 * wo, :].reshape(bsz, ho, 2, wo, 2, c)
-    win = win.transpose(0, 1, 3, 2, 4, 5).reshape(bsz, ho, wo, 4, c)
-    arg = win.argmax(axis=3)  # first max wins in (r0c0, r0c1, r1c0, r1c1) order
-    out = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, (x.shape, arg)
+    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped.
+
+    The cache holds a uint8 winner code per output: 0..3 for r0c0, r0c1,
+    r1c0, r1c1, with the first maximum in that order winning ties."""
+    ho, wo = x.shape[1] // 2, x.shape[2] // 2
+    r0c0, r0c1 = x[:, 0 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 0 : 2 * ho : 2, 1 : 2 * wo : 2]
+    r1c0, r1c1 = x[:, 1 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 1 : 2 * ho : 2, 1 : 2 * wo : 2]
+    top, bottom = np.maximum(r0c0, r0c1), np.maximum(r1c0, r1c1)
+    out = np.maximum(top, bottom)
+    top_code = (r0c0 != top).view(np.uint8)
+    bottom_code = (r1c0 != bottom).view(np.uint8) + 2
+    # top_code where the top row holds the maximum, else bottom_code
+    code = top_code + (bottom_code - top_code) * (top != out).view(np.uint8)
+    return out, (x.shape, code)
 
 
 def maxpool2_backward(grad_out: np.ndarray, cache):
-    x_shape, arg = cache
+    x_shape, code = cache
     bsz, ho, wo, c = grad_out.shape
-    scat = np.zeros((bsz, ho, wo, 4, c))
-    np.put_along_axis(scat, arg[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    scat = scat.reshape(bsz, ho, wo, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    win = (code[:, :, None, :, None, :] == _POOL_SLOTS) * grad_out[:, :, None, :, None, :]
+    win = win.reshape(bsz, 2 * ho, 2 * wo, c)
+    if win.shape == x_shape:
+        return win
     grad_x = np.zeros(x_shape)
-    grad_x[:, : 2 * ho, : 2 * wo, :] = scat.reshape(bsz, 2 * ho, 2 * wo, c)
+    grad_x[:, : 2 * ho, : 2 * wo, :] = win
     return grad_x
 
 

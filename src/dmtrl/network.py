@@ -4,10 +4,15 @@ per-layer sharing structure.
 A network holds T task heads over common storage.  Each fully connected or
 convolutional layer is either Independent (T private weight tensors), Tied
 (one tensor reused by every task), or softly shared: the T per-task weights
-are slices of a single stacked tensor composed on demand from LAF, Tucker or
-TT factors.  Forward passes synthesise the stacked tensor once per
-optimisation step and slice out the requested task; backward passes
-accumulate slice gradients and map them back onto the factors.
+are slices of a single stacked tensor defined by LAF, Tucker or TT factors.
+A softly shared layer never builds that stacked tensor during training: a
+forward pass composes only the requested task's slice straight from the
+factors (cached until the factors change), and a backward pass keeps one
+slice gradient per task and maps each back onto the factors on its own.
+
+``forward`` records the tape that ``backward`` consumes; ``predict`` runs the
+same layers without keeping one, so scoring holds no activations or patch
+matrices beyond the layer being computed.
 
 Biases are per-task everywhere except Tied layers, which share one bias.
 """
@@ -27,6 +32,7 @@ from .factorization import (
     TuckerFactors,
     compose_backward,
     compose_laf,
+    compose_task,
     compose_tt,
     compose_tucker,
     laf_decompose,
@@ -170,8 +176,24 @@ def _weight_shape(kind, d_out=None):
     return (kind.h, kind.w, kind.in_ch, kind.out_ch)
 
 
+def _factor_items(prefix, f):
+    """Named tensors of a factor record (parameters or their gradients)."""
+    if isinstance(f, LAFFactors):
+        yield f"{prefix}.laf.l", f.l
+        yield f"{prefix}.laf.s", f.s
+    elif isinstance(f, TuckerFactors):
+        yield f"{prefix}.tucker.core", f.core
+        for i, u in enumerate(f.u):
+            yield f"{prefix}.tucker.u{i}", u
+    else:
+        yield f"{prefix}.tt.head", f.head
+        for i, c in enumerate(f.cores):
+            yield f"{prefix}.tt.core{i}", c
+        yield f"{prefix}.tt.tail", f.tail
+
+
 class _ParamLayer:
-    """Storage, gradient accumulators and composition cache for one layer."""
+    """Storage, gradient accumulators and per-task weight cache for one layer."""
 
     def __init__(self, index, kind, mode, tasks, head_dim_of=None):
         self.index = index
@@ -183,7 +205,7 @@ class _ParamLayer:
         self.factors = None          # soft modes
         self.weights = None          # list (independent) or single array (tied)
         self.biases = None           # list of per-task arrays, or one array (tied)
-        self._composed = None
+        self._slices = {}            # soft modes: task -> composed weight slice
         self.zero_grads()
 
     # -- shapes ---------------------------------------------------------
@@ -200,32 +222,33 @@ class _ParamLayer:
 
     # -- parameter access -----------------------------------------------
     def composed(self) -> np.ndarray:
-        if self._composed is None:
-            if self.mode is SharingMode.SOFT_LAF:
-                self._composed = compose_laf(self.factors)
-            elif self.mode is SharingMode.SOFT_TUCKER:
-                self._composed = compose_tucker(self.factors)
-            else:
-                self._composed = compose_tt(self.factors)
-        return self._composed
+        """The full stacked tensor of a softly shared layer (not cached)."""
+        if self.mode is SharingMode.SOFT_LAF:
+            return compose_laf(self.factors)
+        if self.mode is SharingMode.SOFT_TUCKER:
+            return compose_tucker(self.factors)
+        return compose_tt(self.factors)
 
     def weight_for(self, task) -> np.ndarray:
         if self.mode is SharingMode.INDEPENDENT:
             return self.weights[task]
         if self.mode is SharingMode.TIED:
             return self.weights
-        return np.ascontiguousarray(self.composed()[..., task])
+        w = self._slices.get(task)
+        if w is None:
+            w = self._slices[task] = compose_task(self.factors, task)
+        return w
 
     def bias_for(self, task) -> np.ndarray:
         return self.biases if self.mode is SharingMode.TIED else self.biases[task]
 
     def invalidate(self):
-        self._composed = None
+        self._slices = {}
 
     # -- gradients --------------------------------------------------------
     def zero_grads(self):
         if self.mode.soft:
-            self._gw = np.zeros(self.stacked_shape)
+            self._gw = {}  # task -> gradient of that task's weight slice
             self._gb = [np.zeros(self.bias_width(t)) for t in range(self.tasks)]
         elif self.mode is SharingMode.TIED:
             self._gw = np.zeros(self.weight_shape(0))
@@ -235,15 +258,15 @@ class _ParamLayer:
             self._gb = [np.zeros(self.bias_width(t)) for t in range(self.tasks)]
 
     def accumulate(self, task, grad_w, grad_b):
-        if self.mode.soft:
-            self._gw[..., task] += grad_w
-            self._gb[task] += grad_b
-        elif self.mode is SharingMode.TIED:
+        if self.mode is SharingMode.TIED:
             self._gw += grad_w
             self._gb += grad_b
+            return
+        if self.mode.soft and task not in self._gw:
+            self._gw[task] = np.array(grad_w, dtype=np.float64)
         else:
             self._gw[task] += grad_w
-            self._gb[task] += grad_b
+        self._gb[task] += grad_b
 
     # -- named parameter / gradient maps ---------------------------------
     def param_items(self):
@@ -255,18 +278,8 @@ class _ParamLayer:
         if self.mode is SharingMode.INDEPENDENT:
             for t in range(self.tasks):
                 yield f"{n}.w{t}", self.weights[t]
-        elif self.mode is SharingMode.SOFT_LAF:
-            yield f"{n}.laf.l", self.factors.l
-            yield f"{n}.laf.s", self.factors.s
-        elif self.mode is SharingMode.SOFT_TUCKER:
-            yield f"{n}.tucker.core", self.factors.core
-            for i, u in enumerate(self.factors.u):
-                yield f"{n}.tucker.u{i}", u
         else:
-            yield f"{n}.tt.head", self.factors.head
-            for i, c in enumerate(self.factors.cores):
-                yield f"{n}.tt.core{i}", c
-            yield f"{n}.tt.tail", self.factors.tail
+            yield from _factor_items(n, self.factors)
         for t in range(self.tasks):
             yield f"{n}.b{t}", self.biases[t]
 
@@ -279,19 +292,21 @@ class _ParamLayer:
             return
         if self.mode is SharingMode.INDEPENDENT:
             yield f"{n}.w{task}"
-        elif self.mode is SharingMode.SOFT_LAF:
-            yield f"{n}.laf.l"
-            yield f"{n}.laf.s"
-        elif self.mode is SharingMode.SOFT_TUCKER:
-            yield f"{n}.tucker.core"
-            for i in range(len(self.factors.u)):
-                yield f"{n}.tucker.u{i}"
         else:
-            yield f"{n}.tt.head"
-            for i in range(len(self.factors.cores)):
-                yield f"{n}.tt.core{i}"
-            yield f"{n}.tt.tail"
+            for name, _ in _factor_items(n, self.factors):
+                yield name
         yield f"{n}.b{task}"
+
+    def _factor_grads(self) -> dict:
+        """Factor gradients summed over the tasks with an accumulated slice."""
+        out = {}
+        for t in sorted(self._gw):
+            g = compose_backward(self.factors, self._gw[t], task=t)
+            for name, a in _factor_items(self.name, g):
+                out[name] = out[name] + a if name in out else a
+        if not out:
+            out = {name: np.zeros_like(p) for name, p in _factor_items(self.name, self.factors)}
+        return out
 
     def grad_items(self):
         n = self.name
@@ -303,19 +318,7 @@ class _ParamLayer:
             for t in range(self.tasks):
                 yield f"{n}.w{t}", self._gw[t]
         else:
-            g = compose_backward(self.factors, self._gw)
-            if self.mode is SharingMode.SOFT_LAF:
-                yield f"{n}.laf.l", g.l
-                yield f"{n}.laf.s", g.s
-            elif self.mode is SharingMode.SOFT_TUCKER:
-                yield f"{n}.tucker.core", g.core
-                for i, u in enumerate(g.u):
-                    yield f"{n}.tucker.u{i}", u
-            else:
-                yield f"{n}.tt.head", g.head
-                for i, c in enumerate(g.cores):
-                    yield f"{n}.tt.core{i}", c
-                yield f"{n}.tt.tail", g.tail
+            yield from self._factor_grads().items()
         for t in range(self.tasks):
             yield f"{n}.b{t}", self._gb[t]
 
@@ -359,16 +362,29 @@ class MultiTaskNetwork:
 
     # -- forward / backward ----------------------------------------------
     def forward(self, task: int, x: np.ndarray) -> np.ndarray:
+        """Task output for a batch, recording the tape :meth:`backward` needs."""
+        h, tape = self._run(task, x, record=True)
+        self._tape = (task, tape)
+        return h
+
+    def predict(self, task: int, x: np.ndarray) -> np.ndarray:
+        """Task output for a batch, equal to :meth:`forward`'s, without a tape.
+
+        Each layer's cache is dropped as soon as the next layer runs, and any
+        tape a previous :meth:`forward` recorded is left as it was."""
+        return self._run(task, x, record=False)[0]
+
+    def _run(self, task, x, record):
         if not 0 <= task < self.tasks:
             raise ValueError(f"task {task} out of range [0, {self.tasks})")
         h = np.asarray(x, dtype=np.float64)
-        tape = []
+        tape = [] if record else None
         for i, ls in enumerate(self.spec.layers):
             kind = ls.kind
             if isinstance(kind, Conv):
                 layer = self.param_layers[i]
                 h, cache = nn.conv2d_forward(h, layer.weight_for(task), layer.bias_for(task))
-                tape.append(("conv", i, cache))
+                op = "conv"
             elif isinstance(kind, FC):
                 layer = self.param_layers[i]
                 folded = None
@@ -376,18 +392,19 @@ class MultiTaskNetwork:
                     folded = h.shape
                     h = h.reshape(h.shape[0], -1)
                 h, cache = nn.fc_forward(h, layer.weight_for(task), layer.bias_for(task))
-                tape.append(("fc", i, (cache, folded)))
+                op, cache = "fc", (cache, folded)
             elif isinstance(kind, MaxPool):
                 h, cache = nn.maxpool2_forward(h)
-                tape.append(("pool", i, cache))
+                op = "pool"
             else:
                 if kind.fn == "relu":
                     h, cache = nn.relu_forward(h)
                 else:
                     h, cache = nn.tanh_forward(h)
-                tape.append(("act:" + kind.fn, i, cache))
-        self._tape = (task, tape)
-        return h
+                op = "act:" + kind.fn
+            if record:
+                tape.append((op, i, cache))
+        return h, tape
 
     def backward(self, task: int, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients from one forward pass.
@@ -516,16 +533,6 @@ def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:
     return net
 
 
-def _factor_param_count(layer: _ParamLayer) -> int:
-    if layer.mode is SharingMode.SOFT_LAF:
-        return layer.factors.l.size + layer.factors.s.size
-    if layer.mode is SharingMode.SOFT_TUCKER:
-        return layer.factors.core.size + sum(u.size for u in layer.factors.u)
-    return (layer.factors.head.size
-            + sum(c.size for c in layer.factors.cores)
-            + layer.factors.tail.size)
-
-
 def count_parameters(net: MultiTaskNetwork) -> dict:
     """Exact learnable-scalar counts, per layer and total, plus the ratio
     against an all-Independent network of the same architecture."""
@@ -543,7 +550,7 @@ def count_parameters(net: MultiTaskNetwork) -> dict:
         elif layer.mode is SharingMode.TIED:
             n = int(np.prod(layer.weight_shape(0))) + layer.bias_width(0)
         else:
-            n = _factor_param_count(layer) + sum(
+            n = sum(p.size for _, p in _factor_items(layer.name, layer.factors)) + sum(
                 layer.bias_width(t) for t in range(net.tasks)
             )
         by_layer[layer.name] = n

@@ -21,7 +21,7 @@ tasks with identical data see identical batch orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,9 +238,8 @@ def _all_independent(spec: NetworkSpec) -> NetworkSpec:
 def pretrain_stl(spec: NetworkSpec, datasets, config: TrainConfig) -> MultiTaskNetwork:
     """Train one independent network per task (same architecture, shared
     random starting point); the result feeds :func:`init_from_stl`."""
-    cfg = replace(config, epochs=config.epochs)
-    net = build_network(_all_independent(spec), PlainRandom(), cfg.seed)
-    train(net, datasets, cfg)
+    net = build_network(_all_independent(spec), PlainRandom(), config.seed)
+    train(net, datasets, config)
     return net
 
 
@@ -304,14 +303,13 @@ def evaluate_tasks(net: MultiTaskNetwork, datasets, batch: int = 512):
         wrong = 0
         for lo in range(0, len(ds), batch):
             idx = np.arange(lo, min(lo + batch, len(ds)))
-            out = net.forward(t, ds.inputs[idx])
+            out = net.predict(t, ds.inputs[idx])
             if ds.binary:
                 pred = np.where(out[:, 0] > 0, 1, -1)
             else:
                 pred = out.argmax(1)
             wrong += int(np.sum(pred != ds.labels[idx]))
         errors.append(wrong / len(ds))
-    net._tape = None
     return errors
 
 
@@ -325,10 +323,9 @@ def multiclass_ranking_error(net: MultiTaskNetwork, raw, batch: int = 512) -> fl
     for lo in range(0, n, batch):
         x = inputs[lo : min(lo + batch, n)]
         scores = np.column_stack(
-            [net.forward(t, x)[:, 0] for t in range(net.tasks)]
+            [net.predict(t, x)[:, 0] for t in range(net.tasks)]
         )
         wrong += int(np.sum(scores.argmax(1) != raw.labels[lo : lo + len(x)]))
-    net._tape = None
     return wrong / n
 
 
@@ -345,8 +342,7 @@ def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite, batch: int = 512
     for lo in range(0, n, batch):
         x = inputs[lo : min(lo + batch, n)]
         for t in range(net.tasks):
-            scores[lo : lo + len(x), t] = net.forward(t, x)[:, 0]
-    net._tape = None
+            scores[lo : lo + len(x), t] = net.predict(t, x)[:, 0]
     per_task = [
         float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
         for t in range(net.tasks)

@@ -94,6 +94,59 @@ class TestCheckpointFormat:
         assert "layer0.fc" in manifest["ranks"]
 
 
+class TestLoadNetworkValidation:
+    """A checkpoint pair loads only when its tensors are exactly what the
+    manifest's spec describes."""
+
+    def save_pair(self, tmp_path, mode):
+        from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec
+        from dmtrl.training import PlainRandom
+
+        spec = NetworkSpec(
+            (6,),
+            [LayerSpec(FC(6, 4), mode), LayerSpec(Activation("relu")),
+             LayerSpec(FC(4, 1), SharingMode.INDEPENDENT)],
+            2,
+        )
+        init = PlainRandom() if mode is SharingMode.INDEPENDENT else RandomDecompose(0.3)
+        path = tmp_path / "net.ckpt"
+        save_network(path, build_network(spec, init, 4))
+        return path
+
+    @pytest.mark.parametrize("mode", [SharingMode.INDEPENDENT, SharingMode.SOFT_TUCKER,
+                                      SharingMode.SOFT_TT, SharingMode.SOFT_LAF])
+    def test_manifest_declaring_other_widths_rejected(self, tmp_path, mode):
+        path = self.save_pair(tmp_path, mode)
+        mpath = tmp_path / "net.ckpt.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["spec"]["layers"][0]["d_out"] = 5   # 6->4->1 stored, 6->5->1 declared
+        manifest["spec"]["layers"][2]["d_in"] = 5
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError):
+            load_network(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        arrays = load_checkpoint(path)
+        del arrays["layer0.fc.tucker.u1"]
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointError, match="tucker.u1"):
+            load_network(path)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        path = self.save_pair(tmp_path, SharingMode.INDEPENDENT)
+        arrays = load_checkpoint(path)
+        arrays["layer0.fc.w9"] = np.zeros((6, 4))
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointError, match="w9"):
+            load_network(path)
+
+    def test_unedited_pair_still_loads(self, tmp_path):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
+        net, _ = load_network(path)
+        assert sorted(net.parameters()) == sorted(load_checkpoint(path))
+
+
 BASE_CONFIG = {
     "tasks": 10,
     "input_shape": [28, 28, 1],
@@ -259,6 +312,22 @@ class TestCliCommands:
         rc = self.run("measure", "--checkpoint", str(out / "stl_f1_r0.ckpt"),
                       "--out", str(tmp_path / "m.json"))
         assert rc != 0
+
+    def test_sweep_cell_generates_each_digit_pool_once(self, tmp_path, monkeypatch):
+        import dmtrl.cli as cli
+
+        calls = []
+        real = cli.synth_digits
+
+        def counting(seed, n, **kw):
+            calls.append(n)
+            return real(seed, n, **kw)
+
+        monkeypatch.setattr(cli, "synth_digits", counting)
+        cfg = write_config(tmp_path, {"sharing": "stl", "init": {"policy": "plain_random"}})
+        assert self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+        data = BASE_CONFIG["data"]
+        assert sorted(calls) == sorted([data["n_train"], data["n_test"]])
 
     def test_sweep_grid_and_merged_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DMTRL_THREADS", "2")

@@ -99,6 +99,15 @@ class TestOneVsAll:
         positives = np.stack([t.labels == 1 for t in suite.tasks])
         assert_array_equal(positives.sum(axis=0), np.ones(30))
 
+    def test_suite_tasks_share_one_read_only_input_array(self, rng):
+        ds = LabeledImages(rng.integers(0, 256, (30, 2, 2), dtype=np.uint8),
+                           rng.integers(0, 10, 30), 10)
+        suite = make_suite(ds)
+        assert np.shares_memory(suite.tasks[0].inputs, suite.tasks[-1].inputs)
+        assert_array_equal(suite.tasks[0].inputs, ds.float_inputs())
+        with pytest.raises(ValueError):
+            suite.tasks[0].inputs[0, 0, 0, 0] = 1.0
+
     def test_digit_out_of_range(self):
         ds = LabeledImages(np.zeros((1, 2, 2), np.uint8), [0], 10)
         with pytest.raises(ValueError):

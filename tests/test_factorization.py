@@ -10,6 +10,7 @@ from dmtrl.factorization import (
     TuckerFactors,
     compose_backward,
     compose_laf,
+    compose_task,
     compose_tt,
     compose_tucker,
     laf_decompose,
@@ -279,6 +280,68 @@ class TestComposeBackward:
         f = LAFFactors(rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 4)))
         with pytest.raises(ValueError):
             compose_backward(f, np.zeros((3, 2, 5)))
+
+
+SCHEMES = [
+    ("laf", laf_decompose, compose_laf),
+    ("tucker", tucker_decompose, compose_tucker),
+    ("tt", tt_decompose, compose_tt),
+]
+
+
+def factor_fields(f):
+    """Every tensor of a factor record, in a fixed order."""
+    out = []
+    for v in vars(f).values():
+        out.extend(v if isinstance(v, list) else [v])
+    return out
+
+
+class TestComposeTask:
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=[s[0] for s in SCHEMES])
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (2, 3, 2, 3, 4)])
+    def test_slice_and_backward_match_full_stack(self, rng, scheme, shape):
+        _, decompose, compose = scheme
+        f = decompose(rng.normal(size=shape), 0.2)
+        full = compose(f)
+        n_tasks = shape[-1]
+        for t in (0, n_tasks // 2, n_tasks - 1):
+            assert_allclose(compose_task(f, t), full[..., t], rtol=1e-12, atol=1e-12)
+            grad_t = rng.normal(size=shape[:-1])
+            padded = np.zeros(shape)
+            padded[..., t] = grad_t
+            got = factor_fields(compose_backward(f, grad_t, task=t))
+            want = factor_fields(compose_backward(f, padded))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_task_backward_finite_differences(self, rng):
+        f = TTFactors(rng.normal(size=(3, 2)),
+                      [rng.normal(size=(2, 4, 3)), rng.normal(size=(3, 2, 2))],
+                      rng.normal(size=(2, 3)))
+        grad_t = rng.normal(size=(3, 4, 2))
+        loss = lambda: float(np.sum(compose_task(f, 1) * grad_t))
+        g = compose_backward(f, grad_t, task=1)
+        for analytic, p in zip(factor_fields(g), factor_fields(f)):
+            assert_grads_close(analytic, central_difference(loss, p))
+
+    def test_only_the_task_row_of_the_last_factor_moves(self, rng):
+        f = tucker_decompose(rng.normal(size=(3, 4, 5)), 1e-12)
+        g = compose_backward(f, rng.normal(size=(3, 4)), task=2)
+        assert np.any(g.u[-1][2])
+        assert not np.any(np.delete(g.u[-1], 2, axis=0))
+
+    def test_rejects_bad_task_and_shapes(self, rng):
+        f = laf_decompose(rng.normal(size=(3, 2, 4)), 0.1)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError):
+                compose_task(f, bad)
+        with pytest.raises(ValueError):
+            compose_backward(f, np.zeros((3, 2, 4)), task=0)
+        with pytest.raises(ValueError):
+            compose_task(tt_decompose(rng.normal(size=(3, 4)), 0.1), 0)
 
 
 class TestStructuralProperties:

@@ -131,6 +131,29 @@ class TestMaxPool:
         assert_grads_close(g, central_difference(loss, x))
 
 
+    def test_tie_heavy_input_matches_window_loop(self, rng):
+        # integer inputs in a small range tie often; the first maximum in
+        # r0c0, r0c1, r1c0, r1c1 order must win, odd extents included
+        x = rng.integers(-2, 3, size=(3, 7, 6, 2)).astype(np.float64)
+        co = rng.normal(size=(3, 3, 3, 2))
+        out, cache = maxpool2_forward(x)
+        g = maxpool2_backward(co, cache)
+        want_out = np.zeros_like(out)
+        want_g = np.zeros_like(x)
+        for n in range(3):
+            for i in range(3):
+                for j in range(3):
+                    for c in range(2):
+                        slots = [(2 * i, 2 * j), (2 * i, 2 * j + 1),
+                                 (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)]
+                        vals = [x[n, r, q, c] for r, q in slots]
+                        r, q = slots[int(np.argmax(vals))]
+                        want_out[n, i, j, c] = x[n, r, q, c]
+                        want_g[n, r, q, c] = co[n, i, j, c]
+        assert_array_equal(out, want_out)
+        assert_array_equal(g, want_g)
+
+
 class TestActivations:
     def test_relu_values(self):
         out, _ = relu_forward(np.array([-1.0, 0.0, 2.0]))

@@ -146,6 +146,48 @@ class TestForward:
             net.forward(5, np.zeros((1, 6)))
 
 
+    @pytest.mark.parametrize("mode", [I, T, LAF, TUK, TT])
+    def test_predict_bit_equal_to_forward(self, rng, mode):
+        init = PlainRandom() if mode in (I, T) else RandomDecompose(0.3)
+        net = build_network(conv_spec(mode, tasks=3), init, 5)
+        x = rng.normal(size=(4, 8, 8, 1))
+        for t in range(net.tasks):
+            assert_array_equal(net.predict(t, x), net.forward(t, x))
+
+    def test_backward_after_predict_raises(self, rng):
+        net = build_network(conv_spec(TUK), RandomDecompose(0.3), 5)
+        out = net.predict(0, rng.normal(size=(2, 8, 8, 1)))
+        with pytest.raises(RuntimeError):
+            net.backward(0, np.ones_like(out))
+
+    def test_step_composes_only_the_task_slice(self, rng, monkeypatch):
+        import dmtrl.network as network_module
+
+        calls = []
+        real = network_module.compose_task
+
+        def counting(f, task):
+            calls.append(task)
+            return real(f, task)
+
+        def forbidden(f):
+            raise AssertionError("the stacked tensor was composed")
+
+        monkeypatch.setattr(network_module, "compose_task", counting)
+        for name in ("compose_laf", "compose_tucker", "compose_tt"):
+            monkeypatch.setattr(network_module, name, forbidden)
+        net = build_network(conv_spec(TUK, tasks=4), RandomDecompose(0.3), 5)
+        x = rng.normal(size=(2, 8, 8, 1))
+        out = net.forward(2, x)
+        net.predict(2, x)  # served from the per-task cache
+        net.backward(2, np.ones_like(out))
+        net.gradients()
+        assert calls == [2, 2]  # one slice per soft layer
+        net.invalidate()
+        net.forward(2, x)
+        assert calls == [2, 2, 2, 2]
+
+
 class TestBackward:
     def test_requires_forward(self):
         net = build_network(vector_spec(I, I), PlainRandom(), 0)
@@ -158,6 +200,13 @@ class TestBackward:
         net.backward(1, np.zeros_like(out))
         for name, g in net.gradients().items():
             assert not g.any(), name
+
+    def test_soft_gradients_zero_before_any_backward(self):
+        net = build_network(vector_spec(TT, LAF), RandomDecompose(0.3), 2)
+        grads = net.gradients()
+        for name, p in net.parameters().items():
+            assert grads[name].shape == p.shape
+            assert not grads[name].any(), name
 
     def test_two_task_accumulation_is_sum(self, rng):
         spec = vector_spec(LAF, I, tasks=2)

@@ -239,9 +239,8 @@ class TestEvaluate:
         def __init__(self, fn, tasks):
             self.fn = fn
             self.tasks = tasks
-            self._tape = None
 
-        def forward(self, task, x):
+        def predict(self, task, x):
             return self.fn(task, x)
 
     def test_perfect_scorer_zero_error(self, rng):
@@ -266,9 +265,8 @@ class TestEvaluate:
         class Scorer:
             def __init__(self):
                 self.tasks = tasks
-                self._tape = None
 
-            def forward(self, task, x):
+            def predict(self, task, x):
                 base = np.flatnonzero(np.ones(n))  # all rows
                 # match the batch slice by comparing lengths
                 return scores[Scorer.offset:Scorer.offset + len(x), task][:, None]
