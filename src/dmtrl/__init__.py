@@ -36,7 +36,6 @@ from .training import (
     evaluate_tasks,
     init_from_stl,
     init_random_decompose,
-    multiclass_ranking_error,
     pretrain_stl,
     train,
 )

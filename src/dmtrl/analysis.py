@@ -42,12 +42,7 @@ def extract_mixing(net: MultiTaskNetwork, layer_index: int) -> MixingMatrix:
         raise ValueError(
             f"layer {layer_index} is {layer.mode.value}: no mixing matrix exists"
         )
-    if layer.mode is SharingMode.SOFT_LAF:
-        s = layer.factors.s
-    elif layer.mode is SharingMode.SOFT_TUCKER:
-        s = layer.factors.u[-1].T
-    else:
-        s = layer.factors.tail
+    s = layer.mode.scheme.mixing(layer.factors)
     return MixingMatrix(np.array(s, dtype=np.float64), layer_index, layer.mode)
 
 

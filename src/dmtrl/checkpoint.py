@@ -21,8 +21,8 @@ import zlib
 
 import numpy as np
 
-from .factorization import LAFFactors, TTFactors, TuckerFactors
-from .network import FC, Activation, Conv, MaxPool, LayerSpec, MultiTaskNetwork, NetworkSpec, SharingMode
+from .config import layer_from_json, layer_to_json
+from .network import MultiTaskNetwork, NetworkSpec, SharingMode
 
 __all__ = [
     "CheckpointError", "save_checkpoint", "load_checkpoint",
@@ -101,67 +101,27 @@ def manifest_path(ckpt_path) -> str:
     return f"{ckpt_path}.manifest.json"
 
 
-_KIND_TAG = {FC: "fc", Conv: "conv", MaxPool: "maxpool"}
-
-
-def _kind_to_json(kind):
-    if isinstance(kind, FC):
-        return {"kind": "fc", "d_in": kind.d_in, "d_out": kind.d_out}
-    if isinstance(kind, Conv):
-        return {"kind": "conv", "h": kind.h, "w": kind.w,
-                "in_ch": kind.in_ch, "out_ch": kind.out_ch}
-    if isinstance(kind, MaxPool):
-        return {"kind": "maxpool"}
-    return {"kind": kind.fn}
-
-
-def _kind_from_json(entry):
-    kind = entry["kind"]
-    if kind == "fc":
-        return FC(entry["d_in"], entry["d_out"])
-    if kind == "conv":
-        return Conv(entry["h"], entry["w"], entry["in_ch"], entry["out_ch"])
-    if kind == "maxpool":
-        return MaxPool()
-    return Activation(kind)
-
-
 def spec_to_json(spec: NetworkSpec) -> dict:
     return {
         "input_shape": list(spec.input_shape),
         "tasks": spec.tasks,
         "head_dims": list(spec.head_dims) if spec.head_dims is not None else None,
-        "layers": [
-            {"mode": ls.mode.value if ls.mode else None, **_kind_to_json(ls.kind)}
-            for ls in spec.layers
-        ],
+        "layers": [layer_to_json(ls) for ls in spec.layers],
     }
 
 
 def spec_from_json(obj: dict) -> NetworkSpec:
-    layers = [
-        LayerSpec(_kind_from_json(e), SharingMode(e["mode"]) if e["mode"] else None)
-        for e in obj["layers"]
-    ]
+    layers = [layer_from_json(e, f"layers[{i}]", with_mode=True)
+              for i, e in enumerate(obj["layers"])]
     return NetworkSpec(tuple(obj["input_shape"]), layers, obj["tasks"], obj["head_dims"])
 
 
 def layer_ranks(net: MultiTaskNetwork) -> dict:
     """Factorisation ranks per softly shared layer, for the manifest."""
-    out = {}
-    for i in sorted(net.param_layers):
-        layer = net.param_layers[i]
-        if not layer.mode.soft:
-            continue
-        f = layer.factors
-        if layer.mode is SharingMode.SOFT_LAF:
-            ranks = [int(f.s.shape[0])]
-        elif layer.mode is SharingMode.SOFT_TUCKER:
-            ranks = [int(k) for k in f.core.shape]
-        else:
-            ranks = [int(f.head.shape[1])] + [int(c.shape[2]) for c in f.cores]
-        out[layer.name] = {"scheme": layer.mode.value, "ranks": ranks}
-    return out
+    return {
+        layer.name: {"scheme": layer.mode.value, "ranks": layer.mode.scheme.ranks(layer.factors)}
+        for _, layer in sorted(net.param_layers.items()) if layer.mode.soft
+    }
 
 
 def save_network(ckpt_path, net: MultiTaskNetwork, extra: dict | None = None):
@@ -189,19 +149,10 @@ def _stored(arrays: dict, name: str, shape=None) -> np.ndarray:
 
 
 def _stored_factors(arrays: dict, layer):
-    n, n_way = layer.name, len(layer.stacked_shape)
+    n, scheme = layer.name, layer.mode.scheme
+    tensors = [_stored(arrays, f"{n}.{name}") for name in scheme.names(len(layer.stacked_shape))]
     try:
-        if layer.mode is SharingMode.SOFT_LAF:
-            f = LAFFactors(_stored(arrays, f"{n}.laf.l"), _stored(arrays, f"{n}.laf.s"))
-        elif layer.mode is SharingMode.SOFT_TUCKER:
-            f = TuckerFactors(_stored(arrays, f"{n}.tucker.core"),
-                              [_stored(arrays, f"{n}.tucker.u{j}") for j in range(n_way)])
-        else:
-            f = TTFactors(_stored(arrays, f"{n}.tt.head"),
-                          [_stored(arrays, f"{n}.tt.core{j}") for j in range(n_way - 2)],
-                          _stored(arrays, f"{n}.tt.tail"))
-    except CheckpointError:
-        raise
+        f = scheme.unpack(tensors)
     except ValueError as e:  # the factor records' own consistency checks
         raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
     if tuple(f.out_shape) != layer.stacked_shape:
@@ -215,7 +166,8 @@ def load_network(ckpt_path):
     """Rebuild a network (and its manifest) from a checkpoint pair.
 
     The stored tensors must be exactly the parameters the manifest's spec
-    describes, each with the shape the spec implies; anything else raises
+    describes, each with the shape the spec implies, and the manifest's
+    ``ranks`` must be those of the stored factors; anything else raises
     :class:`CheckpointError`."""
     arrays = load_checkpoint(ckpt_path)
     with open(manifest_path(ckpt_path), "r", encoding="utf-8") as f:
@@ -245,4 +197,9 @@ def load_network(ckpt_path):
     unexpected = sorted(set(arrays) - set(net.parameters()))
     if unexpected:
         raise CheckpointError(f"checkpoint holds tensors the spec does not use: {unexpected}")
+    ranks = layer_ranks(net)
+    if manifest.get("ranks") != ranks:
+        raise CheckpointError(
+            f"manifest ranks {manifest.get('ranks')!r} differ from the stored factors' {ranks!r}"
+        )
     return net, manifest

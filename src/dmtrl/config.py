@@ -1,16 +1,23 @@
 """Experiment configuration: strict JSON parsing and preset expansion.
 
 Configs are UTF-8 JSON with exactly the documented fields; unknown fields
-are rejected by name so a typo cannot silently change an experiment.  The
-``sharing`` entry is either an explicit list with one mode per parametrised
-layer or a named preset:
+are rejected by name so a typo cannot silently change an experiment, and a
+field of the wrong type or range raises :class:`ConfigError` naming it.
+Integer fields must be JSON integers: a float, a bool or a numeric string is
+rejected, never rounded.  The ``sharing`` entry is either an explicit list
+with one mode per parametrised layer (``independent``, ``tied`` or
+``soft_<tag>``) or a named preset:
 
 * ``stl``: every layer independent (one private network per task).
 * ``udmtl-N``: the first N parametrised layers tied across tasks, the rest
   independent (user-defined hard sharing); needs 1 <= N < layer count.
-* ``dmtrl-laf`` / ``dmtrl-tucker`` / ``dmtrl-tt``: every parametrised layer
-  softly shared with the named structure (the head stays independent when
-  tasks have different output widths).
+* ``dmtrl-<tag>``, one per factor scheme of ``factorization.SCHEMES``
+  (``dmtrl-laf``, ``dmtrl-tucker``, ``dmtrl-tt``): every parametrised layer
+  softly shared with that structure (the head stays independent when tasks
+  have different output widths).
+
+Layer objects are read by one strict codec, :func:`layer_from_json`, which
+checkpoint manifests share with configs; :func:`layer_to_json` writes them.
 """
 
 from __future__ import annotations
@@ -21,22 +28,17 @@ from dataclasses import dataclass, field
 from .network import FC, Activation, Conv, LayerSpec, MaxPool, NetworkSpec, SharingMode
 from .training import PlainRandom, RandomDecompose, StlInit, TrainConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config",
+           "layer_from_json", "layer_to_json"]
 
-PRESETS = ("stl", "udmtl", "dmtrl-laf", "dmtrl-tucker", "dmtrl-tt")
+_SOFT_OF = {f"dmtrl-{mode.scheme.tag}": mode for mode in SharingMode if mode.soft}
 
-_SOFT_OF = {
-    "dmtrl-laf": SharingMode.SOFT_LAF,
-    "dmtrl-tucker": SharingMode.SOFT_TUCKER,
-    "dmtrl-tt": SharingMode.SOFT_TT,
-}
-
-_MODE_NAMES = {
-    "independent": SharingMode.INDEPENDENT,
-    "tied": SharingMode.TIED,
-    "soft_laf": SharingMode.SOFT_LAF,
-    "soft_tucker": SharingMode.SOFT_TUCKER,
-    "soft_tt": SharingMode.SOFT_TT,
+_LAYER_FIELDS = {
+    "fc": (FC, ("d_in", "d_out")),
+    "conv": (Conv, ("h", "w", "in_ch", "out_ch")),
+    "maxpool": (MaxPool, ()),
+    "relu": (Activation, ()),
+    "tanh": (Activation, ()),
 }
 
 
@@ -45,6 +47,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(obj: dict, where: str, required, optional=()):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in {where}")
@@ -53,23 +57,63 @@ def _require_keys(obj: dict, where: str, required, optional=()):
         raise ConfigError(f"missing field '{sorted(missing)[0]}' in {where}")
 
 
-def _parse_layer(entry: dict, i: int):
-    if "kind" not in entry:
-        raise ConfigError(f"missing field 'kind' in architecture[{i}]")
-    kind = entry["kind"]
-    if kind == "fc":
-        _require_keys(entry, f"architecture[{i}]", ("kind", "d_in", "d_out"))
-        return FC(int(entry["d_in"]), int(entry["d_out"]))
-    if kind == "conv":
-        _require_keys(entry, f"architecture[{i}]", ("kind", "h", "w", "in_ch", "out_ch"))
-        return Conv(int(entry["h"]), int(entry["w"]), int(entry["in_ch"]), int(entry["out_ch"]))
-    if kind == "maxpool":
-        _require_keys(entry, f"architecture[{i}]", ("kind",))
-        return MaxPool()
-    if kind in ("relu", "tanh"):
-        _require_keys(entry, f"architecture[{i}]", ("kind",))
-        return Activation(kind)
-    raise ConfigError(f"unknown layer kind '{kind}' in architecture[{i}]")
+def _tag(obj, key: str, table: dict, where: str) -> str:
+    """The ``key`` entry of a JSON object; it must name an entry of ``table``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"missing field '{key}' in {where}")
+    tag = obj[key]
+    if not isinstance(tag, str) or tag not in table:
+        raise ConfigError(f"unknown {key} {tag!r} in {where}")
+    return tag
+
+
+def _json_int(value, what: str, least: int) -> int:
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sharing_mode(name, where: str) -> SharingMode:
+    try:
+        return SharingMode(name)
+    except ValueError:
+        raise ConfigError(f"{where}: unknown mode {name!r}") from None
+
+
+def layer_to_json(ls: LayerSpec) -> dict:
+    """A layer as the object :func:`layer_from_json` reads with ``with_mode``."""
+    kind = ls.kind
+    tag = kind.fn if isinstance(kind, Activation) else type(kind).__name__.lower()
+    return {"kind": tag, **{k: getattr(kind, k) for k in _LAYER_FIELDS[tag][1]},
+            "mode": ls.mode.value if ls.mode else None}
+
+
+def layer_from_json(entry, where: str, with_mode: bool = False) -> LayerSpec:
+    """One layer object, read strictly: exactly ``kind`` and that kind's
+    integer fields, plus ``mode`` when ``with_mode``.  A mode may be non-null
+    on fc and conv layers only."""
+    tag = _tag(entry, "kind", _LAYER_FIELDS, where)
+    cls, fields = _LAYER_FIELDS[tag]
+    _require_keys(entry, where, ("kind", *fields) + (("mode",) if with_mode else ()))
+    args = [_json_int(entry[k], f"field '{k}' in {where}", 1) for k in fields]
+    kind = Activation(tag) if cls is Activation else cls(*args)
+    if entry.get("mode") is None:
+        return LayerSpec(kind)
+    if cls not in (FC, Conv):
+        raise ConfigError(f"{where}: a sharing mode is allowed only on fc and conv layers")
+    return LayerSpec(kind, _sharing_mode(entry["mode"], where))
 
 
 def expand_sharing(sharing, n_param_layers: int, heterogeneous: bool):
@@ -100,32 +144,30 @@ def expand_sharing(sharing, n_param_layers: int, heterogeneous: bool):
                 f"field 'sharing': {len(sharing)} modes for {n_param_layers} "
                 f"parametrised layers"
             )
-        try:
-            return [_MODE_NAMES[m] for m in sharing]
-        except KeyError as e:
-            raise ConfigError(f"field 'sharing': unknown mode {e.args[0]!r}")
+        return [_sharing_mode(m, "field 'sharing'") for m in sharing]
     raise ConfigError("field 'sharing' must be a preset name or a list of modes")
 
 
+_INIT_FIELDS = {"stl": ("pretrain_epochs", "epsilon"),
+                "random_decompose": ("epsilon",), "plain_random": ()}
+
+
 def _parse_init(obj: dict):
-    if "policy" not in obj:
-        raise ConfigError("missing field 'policy' in init")
-    policy = obj["policy"]
-    if policy == "stl":
-        _require_keys(obj, "init", ("policy",), ("pretrain_epochs", "epsilon"))
-        return StlInit(int(obj.get("pretrain_epochs", 10)), float(obj.get("epsilon", 0.10)))
-    if policy == "random_decompose":
-        _require_keys(obj, "init", ("policy",), ("epsilon",))
-        return RandomDecompose(float(obj.get("epsilon", 0.10)))
+    policy = _tag(obj, "policy", _INIT_FIELDS, "init")
+    _require_keys(obj, "init", ("policy",), _INIT_FIELDS[policy])
     if policy == "plain_random":
-        _require_keys(obj, "init", ("policy",))
         return PlainRandom()
-    raise ConfigError(f"unknown init policy '{policy}'")
+    epsilon = _json_number(obj.get("epsilon", 0.10), "field 'epsilon' in init")
+    epochs = _json_int(obj.get("pretrain_epochs", 10), "field 'pretrain_epochs' in init", 0)
+    try:
+        return StlInit(epochs, epsilon) if policy == "stl" else RandomDecompose(epsilon)
+    except ValueError as e:  # epsilon outside (0, 1)
+        raise ConfigError(f"bad init settings: {e}") from e
 
 
 def _parse_train(obj: dict) -> TrainConfig:
     allowed = ("optimizer", "lr", "momentum", "beta1", "beta2", "adam_eps",
-               "batch_size", "epochs", "seed", "task_sampling")
+               "batch_size", "epochs", "seed")
     _require_keys(obj, "train", (), allowed)
     try:
         return TrainConfig(**obj)
@@ -143,12 +185,7 @@ _DATA_FIELDS = {
 
 
 def _parse_data(obj: dict) -> dict:
-    if "source" not in obj:
-        raise ConfigError("missing field 'source' in data")
-    source = obj["source"]
-    if source not in _DATA_FIELDS:
-        raise ConfigError(f"unknown data source '{source}'")
-    required, optional = _DATA_FIELDS[source]
+    required, optional = _DATA_FIELDS[_tag(obj, "source", _DATA_FIELDS, "data")]
     _require_keys(obj, "data", required, optional)
     return dict(obj)
 
@@ -191,32 +228,39 @@ def parse_config(obj: dict) -> ExperimentConfig:
         ("tasks", "input_shape", "architecture", "sharing", "init", "train", "data"),
         ("head_dims", "fractions", "repeats", "presets", "name"),
     )
-    if not isinstance(obj["architecture"], list) or not obj["architecture"]:
-        raise ConfigError("field 'architecture' must be a non-empty list")
-    arch = [_parse_layer(e, i) for i, e in enumerate(obj["architecture"])]
+    arch = _json_list(obj["architecture"], "field 'architecture'")
+    head_dims = obj.get("head_dims")
+    presets = obj.get("presets")
+    if presets is not None:
+        _json_list(presets, "field 'presets'")
     cfg = ExperimentConfig(
-        tasks=int(obj["tasks"]),
-        input_shape=tuple(obj["input_shape"]),
-        architecture=arch,
+        tasks=_json_int(obj["tasks"], "field 'tasks'", 1),
+        input_shape=tuple(_json_int(d, "field 'input_shape'", 1)
+                          for d in _json_list(obj["input_shape"], "field 'input_shape'")),
+        architecture=[layer_from_json(e, f"architecture[{i}]").kind for i, e in enumerate(arch)],
         sharing=obj["sharing"],
         init=_parse_init(obj["init"]),
         train=_parse_train(obj["train"]),
         data=_parse_data(obj["data"]),
-        head_dims=obj.get("head_dims"),
-        fractions=[float(f) for f in obj.get("fractions", [1.0])],
-        repeats=int(obj.get("repeats", 1)),
-        presets=obj.get("presets"),
+        head_dims=None if head_dims is None else [
+            _json_int(d, "field 'head_dims'", 1) for d in _json_list(head_dims, "field 'head_dims'")
+        ],
+        fractions=[_json_number(f, "field 'fractions'")
+                   for f in _json_list(obj.get("fractions", [1.0]), "field 'fractions'")],
+        repeats=_json_int(obj.get("repeats", 1), "field 'repeats'", 1),
+        presets=presets,
         name=obj.get("name", "run"),
     )
-    if cfg.repeats < 1:
-        raise ConfigError("field 'repeats' must be at least 1")
     for f in cfg.fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"field 'fractions': {f} outside (0, 1]")
-    cfg.network_spec()  # validates sharing expansion and the shape chain
-    if cfg.presets is not None:
-        for p in cfg.presets:
-            cfg.network_spec(sharing=p)
+    try:  # sharing expansion and the shape chain, for every preset a sweep runs
+        for sharing in [cfg.sharing, *(cfg.presets or ())]:
+            cfg.network_spec(sharing)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"invalid network: {e}") from e
     return cfg
 
 

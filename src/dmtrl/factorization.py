@@ -17,6 +17,16 @@ tail contraction of a TT layer for TT), and ``compose_backward(f, g, task=t)``
 maps a gradient with respect to that slice onto the full-shaped factor
 gradients.  Neither ever builds the other T - 1 slices.
 
+``SCHEMES`` is the one place that knows the three structures apart.  It maps
+each tag (``laf``, ``tucker``, ``tt``) to a :class:`Scheme` record holding the
+structure's factor record type, its full and per-task compose and backward,
+its decomposition, its named-tensor layout (tensor names in storage order,
+with packing and unpacking of a factor record), its ranks and its K x T
+task-mixing matrix.  Every other module looks a structure up in the table
+instead of branching on it, and reaches the algebra through the generic
+public functions ``compose``, ``compose_task``, ``compose_backward`` and
+``decompose(tag, w, epsilon)``, which dispatch through the table.
+
 Rank-selection convention: ``epsilon`` bounds the relative Frobenius
 reconstruction error.  Tucker truncates each mode at ``epsilon`` (overall
 bound sqrt(N) * epsilon); TT truncates each sweep step at
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,10 +48,14 @@ __all__ = [
     "LAFFactors",
     "TuckerFactors",
     "TTFactors",
+    "Scheme",
+    "SCHEMES",
+    "compose",
     "compose_laf",
     "compose_tucker",
     "compose_tt",
     "compose_task",
+    "decompose",
     "laf_decompose",
     "tucker_decompose",
     "tt_decompose",
@@ -240,7 +255,30 @@ def tt_decompose(w: np.ndarray, epsilon: float) -> TTFactors:
     return TTFactors(head, cores, tail)
 
 
-def _tucker_grads(f: TuckerFactors, grad_w: np.ndarray):
+def _check_task(f, task: int) -> None:
+    shape = f.out_shape
+    if len(shape) < 3:
+        raise ValueError(
+            f"per-task composition needs a stack of at least 3 axes, got {shape}"
+        )
+    if not 0 <= task < shape[-1]:
+        raise ValueError(f"task {task} out of range [0, {shape[-1]})")
+
+
+def _laf_backward(f: LAFFactors, grad_w: np.ndarray) -> LAFFactors:
+    grad_l = tensor_dot(grad_w, f.s, -1, 2)
+    lead = list(range(f.l.ndim - 1))
+    return LAFFactors(grad_l, np.tensordot(f.l, grad_w, axes=(lead, lead)))
+
+
+def _laf_task_backward(f: LAFFactors, grad_w: np.ndarray, task: int) -> LAFFactors:
+    lead = list(range(f.l.ndim - 1))
+    grad_s = np.zeros_like(f.s)
+    grad_s[:, task] = np.tensordot(f.l, grad_w, axes=(lead, lead))
+    return LAFFactors(np.multiply.outer(grad_w, f.s[:, task]), grad_s)
+
+
+def _tucker_backward(f: TuckerFactors, grad_w: np.ndarray) -> TuckerFactors:
     n_way = grad_w.ndim
     grad_core = grad_w
     for m in f.u:
@@ -255,95 +293,24 @@ def _tucker_grads(f: TuckerFactors, grad_w: np.ndarray):
         partial = compose_tucker(b)  # axes: D1 .. Kn .. DN
         keep = [a for a in range(n_way) if a != n]
         grad_u.append(np.tensordot(grad_w, partial, axes=(keep, keep)))
-    return grad_core, grad_u
+    return TuckerFactors(grad_core, grad_u)
 
 
-def _check_task(f, task: int) -> None:
-    shape = f.out_shape
-    if len(shape) < 3:
-        raise ValueError(
-            f"per-task composition needs a stack of at least 3 axes, got {shape}"
-        )
-    if not 0 <= task < shape[-1]:
-        raise ValueError(f"task {task} out of range [0, {shape[-1]})")
+def _tucker_fold(f: TuckerFactors, task: int) -> TuckerFactors:
+    """The task's row of the last factor contracted into the core (mode-N
+    product); the result composes to slice ``task`` alone."""
+    return TuckerFactors(tensor_dot(f.core, f.u[-1][task], -1, 1), f.u[:-1])
 
 
-def _fold_task(f, task: int):
-    """Tucker or TT record with the task's row of the last factor contracted
-    into the core next to it; it composes to slice ``task`` alone."""
-    if isinstance(f, TuckerFactors):
-        core_t = tensor_dot(f.core, f.u[-1][task], -1, 1)
-        return TuckerFactors(core_t, f.u[:-1])
-    tail_t = tensor_dot(f.cores[-1], f.tail[:, task], -1, 1)
-    return TTFactors(f.head, f.cores[:-1], tail_t)
+def _tucker_task_backward(f: TuckerFactors, grad_w: np.ndarray, task: int) -> TuckerFactors:
+    g = _tucker_backward(_tucker_fold(f, task), grad_w)
+    grad_last = np.zeros_like(f.u[-1])
+    lead = list(range(g.core.ndim))
+    grad_last[task] = np.tensordot(g.core, f.core, axes=(lead, lead))
+    return TuckerFactors(np.multiply.outer(g.core, f.u[-1][task]), g.u + [grad_last])
 
 
-def compose_task(f, task: int) -> np.ndarray:
-    """Slice ``task`` of the composed tensor (its last axis removed), built
-    without composing the other slices."""
-    _check_task(f, task)
-    if isinstance(f, LAFFactors):
-        return tensor_dot(f.l, f.s[:, task], -1, 1)
-    folded = _fold_task(f, task)
-    if isinstance(folded, TuckerFactors):
-        return compose_tucker(folded)
-    return compose_tt(folded)
-
-
-def _task_backward(f, grad_w: np.ndarray, task: int):
-    """Full-shaped factor gradients from the gradient of one task slice.
-
-    The folded record's own backward gives every factor it keeps; the chain
-    rule through the fold gives the absorbed core the outer product with the
-    task row, and that row alone of the last factor a gradient."""
-    if isinstance(f, LAFFactors):
-        lead = list(range(f.l.ndim - 1))
-        grad_s = np.zeros_like(f.s)
-        grad_s[:, task] = np.tensordot(f.l, grad_w, axes=(lead, lead))
-        return LAFFactors(np.multiply.outer(grad_w, f.s[:, task]), grad_s)
-    g = compose_backward(_fold_task(f, task), grad_w)
-    if isinstance(f, TuckerFactors):
-        row = f.u[-1][task]
-        grad_last = np.zeros_like(f.u[-1])
-        lead = list(range(g.core.ndim))
-        grad_last[task] = np.tensordot(g.core, f.core, axes=(lead, lead))
-        return TuckerFactors(np.multiply.outer(g.core, row), g.u + [grad_last])
-    col = f.tail[:, task]
-    grad_tail = np.zeros_like(f.tail)
-    grad_tail[:, task] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
-    return TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, col)], grad_tail)
-
-
-def compose_backward(f, grad_w: np.ndarray, task: int | None = None):
-    """Gradients of a scalar loss with respect to every factor, given the
-    gradient ``grad_w`` with respect to the composed tensor.
-
-    Returns a factor record of the same type as ``f`` whose fields hold the
-    gradients.  Because composition is multilinear, each factor's gradient is
-    ``grad_w`` contracted with all the other factors.  With ``task`` given,
-    ``grad_w`` is the gradient with respect to :func:`compose_task`'s slice
-    ``task``; the result equals the full backward of that gradient padded
-    with zeros for every other slice.
-    """
-    if not isinstance(f, (LAFFactors, TuckerFactors, TTFactors)):
-        raise TypeError(f"unknown factor record: {type(f).__name__}")
-    grad_w = tensor(grad_w)
-    want = f.out_shape
-    if task is not None:
-        _check_task(f, task)
-        want = want[:-1]
-    if grad_w.shape != want:
-        raise ValueError(f"gradient shape {grad_w.shape} != composed {want}")
-    if task is not None:
-        return _task_backward(f, grad_w, task)
-    if isinstance(f, LAFFactors):
-        grad_l = tensor_dot(grad_w, f.s, -1, 2)
-        lead = list(range(f.l.ndim - 1))
-        grad_s = np.tensordot(f.l, grad_w, axes=(lead, lead))
-        return LAFFactors(grad_l, grad_s)
-    if isinstance(f, TuckerFactors):
-        grad_core, grad_u = _tucker_grads(f, grad_w)
-        return TuckerFactors(grad_core, grad_u)
+def _tt_backward(f: TTFactors, grad_w: np.ndarray) -> TTFactors:
     n_way = grad_w.ndim
     # left[i]: chain up to and including piece i, shape (D1..D_{i+1}, K)
     left = [f.head]
@@ -369,3 +336,130 @@ def compose_backward(f, grad_w: np.ndarray, task: int | None = None):
     grad_tail = np.tensordot(lt, grad_w,
                              axes=(list(range(n_left)), list(range(n_left))))
     return TTFactors(grad_head, grad_cores, grad_tail)
+
+
+def _tt_fold(f: TTFactors, task: int) -> TTFactors:
+    """The task's column of the tail contracted into the last core; the
+    result composes to slice ``task`` alone."""
+    return TTFactors(f.head, f.cores[:-1], tensor_dot(f.cores[-1], f.tail[:, task], -1, 1))
+
+
+def _tt_task_backward(f: TTFactors, grad_w: np.ndarray, task: int) -> TTFactors:
+    g = _tt_backward(_tt_fold(f, task), grad_w)
+    grad_tail = np.zeros_like(f.tail)
+    grad_tail[:, task] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
+    return TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, f.tail[:, task])], grad_tail)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the package needs to know about one factor structure.
+
+    ``fields(n_way)`` names the tensors of an ``n_way``-axis stack in storage
+    order, ``pack`` lists a record's tensors (or its gradient record's) in
+    that order and ``unpack`` rebuilds the record from such a list."""
+
+    tag: str
+    record: type
+    compose: Callable
+    decompose: Callable
+    backward: Callable
+    compose_task: Callable
+    task_backward: Callable
+    fields: Callable
+    pack: Callable
+    unpack: Callable
+    ranks: Callable
+    mixing: Callable
+
+    def names(self, n_way: int) -> list:
+        """Tag-qualified stored tensor names of an ``n_way``-axis stack."""
+        return [f"{self.tag}.{name}" for name in self.fields(n_way)]
+
+    def items(self, f):
+        """(name, tensor) pairs of a factor record or of its gradient record."""
+        return zip(self.names(len(f.out_shape)), self.pack(f))
+
+
+SCHEMES = {s.tag: s for s in (
+    Scheme(
+        "laf", LAFFactors, compose_laf, laf_decompose, _laf_backward,
+        compose_task=lambda f, t: tensor_dot(f.l, f.s[:, t], -1, 1),
+        task_backward=_laf_task_backward,
+        fields=lambda n_way: ("l", "s"),
+        pack=lambda f: (f.l, f.s),
+        unpack=lambda a: LAFFactors(*a),
+        ranks=lambda f: [f.s.shape[0]],
+        mixing=lambda f: f.s,
+    ),
+    Scheme(
+        "tucker", TuckerFactors, compose_tucker, tucker_decompose, _tucker_backward,
+        compose_task=lambda f, t: compose_tucker(_tucker_fold(f, t)),
+        task_backward=_tucker_task_backward,
+        fields=lambda n_way: ("core", *(f"u{i}" for i in range(n_way))),
+        pack=lambda f: (f.core, *f.u),
+        unpack=lambda a: TuckerFactors(a[0], a[1:]),
+        ranks=lambda f: list(f.core.shape),
+        mixing=lambda f: f.u[-1].T,
+    ),
+    Scheme(
+        "tt", TTFactors, compose_tt, tt_decompose, _tt_backward,
+        compose_task=lambda f, t: compose_tt(_tt_fold(f, t)),
+        task_backward=_tt_task_backward,
+        fields=lambda n_way: ("head", *(f"core{i}" for i in range(n_way - 2)), "tail"),
+        pack=lambda f: (f.head, *f.cores, f.tail),
+        unpack=lambda a: TTFactors(a[0], a[1:-1], a[-1]),
+        ranks=lambda f: [f.head.shape[1]] + [c.shape[2] for c in f.cores],
+        mixing=lambda f: f.tail,
+    ),
+)}
+
+
+def _scheme_of(f) -> Scheme:
+    """The table record of a factor record's structure."""
+    for scheme in SCHEMES.values():
+        if isinstance(f, scheme.record):
+            return scheme
+    raise TypeError(f"unknown factor record: {type(f).__name__}")
+
+
+def compose(f) -> np.ndarray:
+    """The full composed tensor of any factor record."""
+    return _scheme_of(f).compose(f)
+
+
+def decompose(tag: str, w: np.ndarray, epsilon: float):
+    """Factor ``w`` at relative error ``epsilon`` with the scheme named ``tag``."""
+    return SCHEMES[tag].decompose(w, epsilon)
+
+
+def compose_task(f, task: int) -> np.ndarray:
+    """Slice ``task`` of the composed tensor (its last axis removed), built
+    without composing the other slices."""
+    scheme = _scheme_of(f)
+    _check_task(f, task)
+    return scheme.compose_task(f, task)
+
+
+def compose_backward(f, grad_w: np.ndarray, task: int | None = None):
+    """Gradients of a scalar loss with respect to every factor, given the
+    gradient ``grad_w`` with respect to the composed tensor.
+
+    Returns a factor record of the same type as ``f`` whose fields hold the
+    gradients.  Because composition is multilinear, each factor's gradient is
+    ``grad_w`` contracted with all the other factors.  With ``task`` given,
+    ``grad_w`` is the gradient with respect to :func:`compose_task`'s slice
+    ``task``; the result equals the full backward of that gradient padded
+    with zeros for every other slice.
+    """
+    scheme = _scheme_of(f)
+    grad_w = tensor(grad_w)
+    want = f.out_shape
+    if task is not None:
+        _check_task(f, task)
+        want = want[:-1]
+    if grad_w.shape != want:
+        raise ValueError(f"gradient shape {grad_w.shape} != composed {want}")
+    if task is None:
+        return scheme.backward(f, grad_w)
+    return scheme.task_backward(f, grad_w, task)

@@ -26,19 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import layers as nn
-from .factorization import (
-    LAFFactors,
-    TTFactors,
-    TuckerFactors,
-    compose_backward,
-    compose_laf,
-    compose_task,
-    compose_tt,
-    compose_tucker,
-    laf_decompose,
-    tt_decompose,
-    tucker_decompose,
-)
+from .factorization import SCHEMES, compose_backward, compose_task, decompose
 
 __all__ = [
     "FC", "Conv", "MaxPool", "Activation",
@@ -83,8 +71,14 @@ class SharingMode(Enum):
     SOFT_TT = "soft_tt"
 
     @property
+    def scheme(self):
+        """The factor scheme of a softly shared mode (``soft_<tag>``), else None."""
+        tag = self.value.removeprefix("soft_")
+        return SCHEMES[tag] if tag != self.value else None
+
+    @property
     def soft(self) -> bool:
-        return self in (SharingMode.SOFT_LAF, SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
+        return self.scheme is not None
 
 
 @dataclass(frozen=True)
@@ -176,22 +170,6 @@ def _weight_shape(kind, d_out=None):
     return (kind.h, kind.w, kind.in_ch, kind.out_ch)
 
 
-def _factor_items(prefix, f):
-    """Named tensors of a factor record (parameters or their gradients)."""
-    if isinstance(f, LAFFactors):
-        yield f"{prefix}.laf.l", f.l
-        yield f"{prefix}.laf.s", f.s
-    elif isinstance(f, TuckerFactors):
-        yield f"{prefix}.tucker.core", f.core
-        for i, u in enumerate(f.u):
-            yield f"{prefix}.tucker.u{i}", u
-    else:
-        yield f"{prefix}.tt.head", f.head
-        for i, c in enumerate(f.cores):
-            yield f"{prefix}.tt.core{i}", c
-        yield f"{prefix}.tt.tail", f.tail
-
-
 class _ParamLayer:
     """Storage, gradient accumulators and per-task weight cache for one layer."""
 
@@ -221,14 +199,6 @@ class _ParamLayer:
         return self.weight_shape(0) + (self.tasks,)
 
     # -- parameter access -----------------------------------------------
-    def composed(self) -> np.ndarray:
-        """The full stacked tensor of a softly shared layer (not cached)."""
-        if self.mode is SharingMode.SOFT_LAF:
-            return compose_laf(self.factors)
-        if self.mode is SharingMode.SOFT_TUCKER:
-            return compose_tucker(self.factors)
-        return compose_tt(self.factors)
-
     def weight_for(self, task) -> np.ndarray:
         if self.mode is SharingMode.INDEPENDENT:
             return self.weights[task]
@@ -269,58 +239,39 @@ class _ParamLayer:
         self._gb[task] += grad_b
 
     # -- named parameter / gradient maps ---------------------------------
-    def param_items(self):
+    def param_items(self, task=None, grads=False):
+        """(name, tensor) pairs of the layer's parameters, or of their
+        accumulated gradients; with ``task`` given, only the parameters that
+        task's forward pass depends on."""
         n = self.name
+        w, b = (self._gw, self._gb) if grads else (self.weights, self.biases)
         if self.mode is SharingMode.TIED:
-            yield f"{n}.w", self.weights
-            yield f"{n}.b", self.biases
+            yield f"{n}.w", w
+            yield f"{n}.b", b
             return
-        if self.mode is SharingMode.INDEPENDENT:
-            for t in range(self.tasks):
-                yield f"{n}.w{t}", self.weights[t]
+        tasks = range(self.tasks) if task is None else (task,)
+        if self.mode.soft:
+            yield from (self._factor_grads() if grads else self._factor_items(self.factors))
         else:
-            yield from _factor_items(n, self.factors)
-        for t in range(self.tasks):
-            yield f"{n}.b{t}", self.biases[t]
+            for t in tasks:
+                yield f"{n}.w{t}", w[t]
+        for t in tasks:
+            yield f"{n}.b{t}", b[t]
 
-    def names_for_task(self, task):
-        """Parameter names the given task's forward pass depends on."""
-        n = self.name
-        if self.mode is SharingMode.TIED:
-            yield f"{n}.w"
-            yield f"{n}.b"
-            return
-        if self.mode is SharingMode.INDEPENDENT:
-            yield f"{n}.w{task}"
-        else:
-            for name, _ in _factor_items(n, self.factors):
-                yield name
-        yield f"{n}.b{task}"
+    def _factor_items(self, f):
+        """Named tensors of a factor record or of its gradient record."""
+        return ((f"{self.name}.{name}", a) for name, a in self.mode.scheme.items(f))
 
-    def _factor_grads(self) -> dict:
+    def _factor_grads(self):
         """Factor gradients summed over the tasks with an accumulated slice."""
         out = {}
         for t in sorted(self._gw):
             g = compose_backward(self.factors, self._gw[t], task=t)
-            for name, a in _factor_items(self.name, g):
+            for name, a in self._factor_items(g):
                 out[name] = out[name] + a if name in out else a
         if not out:
-            out = {name: np.zeros_like(p) for name, p in _factor_items(self.name, self.factors)}
-        return out
-
-    def grad_items(self):
-        n = self.name
-        if self.mode is SharingMode.TIED:
-            yield f"{n}.w", self._gw
-            yield f"{n}.b", self._gb
-            return
-        if self.mode is SharingMode.INDEPENDENT:
-            for t in range(self.tasks):
-                yield f"{n}.w{t}", self._gw[t]
-        else:
-            yield from self._factor_grads().items()
-        for t in range(self.tasks):
-            yield f"{n}.b{t}", self._gb[t]
+            out = {name: np.zeros_like(p) for name, p in self._factor_items(self.factors)}
+        return out.items()
 
 
 class MultiTaskNetwork:
@@ -352,6 +303,8 @@ class MultiTaskNetwork:
         layer = self.layer_state(index)
         if not layer.mode.soft:
             raise ValueError(f"layer {index} is {layer.mode.value}, not softly shared")
+        if not isinstance(factors, layer.mode.scheme.record):
+            raise ValueError(f"layer {index} is {layer.mode.value}, got {type(factors).__name__}")
         expected = layer.stacked_shape
         if tuple(factors.out_shape) != expected:
             raise ValueError(f"factors compose to {factors.out_shape}, layer needs {expected}")
@@ -448,7 +401,7 @@ class MultiTaskNetwork:
     def gradients(self) -> dict:
         out = {}
         for i in sorted(self.param_layers):
-            out.update(self.param_layers[i].grad_items())
+            out.update(self.param_layers[i].param_items(grads=True))
         return out
 
     def task_param_names(self, task: int) -> list:
@@ -459,7 +412,7 @@ class MultiTaskNetwork:
         """
         names = []
         for i in sorted(self.param_layers):
-            names.extend(self.param_layers[i].names_for_task(task))
+            names.extend(name for name, _ in self.param_layers[i].param_items(task))
         return names
 
     def zero_grads(self):
@@ -523,12 +476,7 @@ def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:
             if not isinstance(init, RandomDecompose):
                 raise ValueError(f"unsupported init policy {init!r} for build_network")
             stacked = np.stack([draw(layer.weight_shape(0)) for _ in range(spec.tasks)], axis=-1)
-            if layer.mode is SharingMode.SOFT_LAF:
-                layer.factors = laf_decompose(stacked, init.epsilon)
-            elif layer.mode is SharingMode.SOFT_TUCKER:
-                layer.factors = tucker_decompose(stacked, init.epsilon)
-            else:
-                layer.factors = tt_decompose(stacked, init.epsilon)
+            layer.factors = decompose(layer.mode.scheme.tag, stacked, init.epsilon)
         layer.biases = [np.zeros(layer.bias_width(t)) for t in range(spec.tasks)]
     return net
 
@@ -545,15 +493,7 @@ def count_parameters(net: MultiTaskNetwork) -> dict:
             for t in range(net.tasks)
         )
         independent_total += ind
-        if layer.mode is SharingMode.INDEPENDENT:
-            n = ind
-        elif layer.mode is SharingMode.TIED:
-            n = int(np.prod(layer.weight_shape(0))) + layer.bias_width(0)
-        else:
-            n = sum(p.size for _, p in _factor_items(layer.name, layer.factors)) + sum(
-                layer.bias_width(t) for t in range(net.tasks)
-            )
-        by_layer[layer.name] = n
+        by_layer[layer.name] = sum(p.size for _, p in layer.param_items())
     total = sum(by_layer.values())
     return {
         "total": total,

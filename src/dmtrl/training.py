@@ -35,12 +35,12 @@ from .network import (
     SharingMode,
     build_network,
 )
-from .factorization import laf_decompose, tt_decompose, tucker_decompose
+from .factorization import decompose
 
 __all__ = [
     "StlInit", "RandomDecompose", "PlainRandom", "TrainConfig", "TrainRecord",
     "pretrain_stl", "init_from_stl", "init_random_decompose",
-    "train", "evaluate_tasks", "multiclass_ranking_error", "evaluate_suite",
+    "train", "evaluate_tasks", "evaluate_suite",
 ]
 
 
@@ -82,15 +82,12 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
-    task_sampling: str = "round_robin"
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "momentum", "adam"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size and epochs must be non-negative")
-        if self.task_sampling != "round_robin":
-            raise ValueError(f"unknown task sampling rule '{self.task_sampling}'")
 
 
 @dataclass(frozen=True)
@@ -243,11 +240,6 @@ def pretrain_stl(spec: NetworkSpec, datasets, config: TrainConfig) -> MultiTaskN
     return net
 
 
-def _stack_task_weights(stl_net: MultiTaskNetwork, index) -> np.ndarray:
-    layer = stl_net.layer_state(index)
-    return np.stack([layer.weight_for(t) for t in range(stl_net.tasks)], axis=-1)
-
-
 def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
                   epsilon: float) -> MultiTaskNetwork:
     """Build a sharing network from per-task pretrained weights.
@@ -265,26 +257,16 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
     net = MultiTaskNetwork(target_spec)
     for i, layer in net.param_layers.items():
         src = stl_net.layer_state(i)
-        if layer.mode is SharingMode.INDEPENDENT:
-            layer.weights = [src.weight_for(t).copy() for t in range(net.tasks)]
-            layer.biases = [src.bias_for(t).copy() for t in range(net.tasks)]
-            continue
+        weights = [src.weight_for(t) for t in range(net.tasks)]
+        biases = [src.bias_for(t) for t in range(net.tasks)]
         if layer.mode is SharingMode.TIED:
-            layer.weights = np.mean(
-                [src.weight_for(t) for t in range(net.tasks)], axis=0
-            )
-            layer.biases = np.mean(
-                [src.bias_for(t) for t in range(net.tasks)], axis=0
-            )
+            layer.weights, layer.biases = np.mean(weights, axis=0), np.mean(biases, axis=0)
             continue
-        stacked = _stack_task_weights(stl_net, i)
-        if layer.mode is SharingMode.SOFT_LAF:
-            layer.factors = laf_decompose(stacked, epsilon)
-        elif layer.mode is SharingMode.SOFT_TUCKER:
-            layer.factors = tucker_decompose(stacked, epsilon)
+        if layer.mode is SharingMode.INDEPENDENT:
+            layer.weights = [w.copy() for w in weights]
         else:
-            layer.factors = tt_decompose(stacked, epsilon)
-        layer.biases = [src.bias_for(t).copy() for t in range(net.tasks)]
+            layer.factors = decompose(layer.mode.scheme.tag, np.stack(weights, axis=-1), epsilon)
+        layer.biases = [b.copy() for b in biases]
     return net
 
 
@@ -311,22 +293,6 @@ def evaluate_tasks(net: MultiTaskNetwork, datasets, batch: int = 512):
             wrong += int(np.sum(pred != ds.labels[idx]))
         errors.append(wrong / len(ds))
     return errors
-
-
-def multiclass_ranking_error(net: MultiTaskNetwork, raw, batch: int = 512) -> float:
-    """Classify by ranking the per-task scores; ties go to the lowest task."""
-    inputs = raw.float_inputs()
-    n = len(raw)
-    if n == 0:
-        raise ValueError("empty evaluation set")
-    wrong = 0
-    for lo in range(0, n, batch):
-        x = inputs[lo : min(lo + batch, n)]
-        scores = np.column_stack(
-            [net.predict(t, x)[:, 0] for t in range(net.tasks)]
-        )
-        wrong += int(np.sum(scores.argmax(1) != raw.labels[lo : lo + len(x)]))
-    return wrong / n
 
 
 def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite, batch: int = 512) -> dict:

@@ -141,6 +141,34 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match="w9"):
             load_network(path)
 
+    def edit_manifest(self, path, edit):
+        mpath = path.parent / (path.name + ".manifest.json")
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["spec"]["layers"][0].update(stride=1),            # extra key
+        lambda m: m["spec"]["layers"][0].update(d_in=6.0),            # float width
+        lambda m: m["spec"]["layers"][1].update(mode="soft_tt"),      # mode on relu
+    ], ids=["extra_key", "float_field", "mode_on_relu"])
+    def test_malformed_manifest_layer_rejected(self, tmp_path, edit):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        self.edit_manifest(path, edit)
+        with pytest.raises(CheckpointError):
+            load_network(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(ranks={}),
+        lambda m: m["ranks"]["layer0.fc"].update(scheme="soft_tt"),
+        lambda m: m["ranks"]["layer0.fc"]["ranks"].append(1),
+    ], ids=["cleared", "wrong_scheme", "extra_rank"])
+    def test_manifest_ranks_must_match_factors(self, tmp_path, edit):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        self.edit_manifest(path, edit)
+        with pytest.raises(CheckpointError, match="ranks"):
+            load_network(path)
+
     def test_unedited_pair_still_loads(self, tmp_path):
         path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
         net, _ = load_network(path)
@@ -187,6 +215,33 @@ class TestConfigParsing:
     def test_unknown_nested_field_named(self, tmp_path):
         path = write_config(tmp_path, {"train": {"epochs": 1, "learning": 0.1}})
         with pytest.raises(ConfigError, match="learning"):
+            load_config(path)
+
+    @pytest.mark.parametrize("override", [
+        {"tasks": "x"},
+        {"tasks": 0},
+        {"input_shape": 6},
+        {"head_dims": [1, "a"]},
+        {"init": {"policy": "random_decompose", "epsilon": "x"}},
+        {"fractions": 0.5},
+        {"sharing": ["soft_tt", ["x"]]},
+    ])
+    def test_malformed_field_raises_config_error(self, override):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update(override)
+        with pytest.raises(ConfigError, match=next(iter(override))):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("d_in", [288.9, 288.0, "288", True])
+    def test_layer_width_must_be_json_integer(self, d_in):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["architecture"][3]["d_in"] = d_in
+        with pytest.raises(ConfigError, match="d_in"):
+            parse_config(cfg)
+
+    def test_task_sampling_is_unknown(self, tmp_path):
+        path = write_config(tmp_path, {"train": {"task_sampling": "round_robin"}})
+        with pytest.raises(ConfigError, match="task_sampling"):
             load_config(path)
 
     def test_udmtl_out_of_range_mentions_sharing(self, tmp_path):

@@ -1,0 +1,26 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demo 04 (about two minutes of training) and demo 06 (the CLI path, which
+tests/test_checkpoint_cli.py covers) are left out.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_tensor_algebra", "02_factorisations",
+                                  "03_multitask_network", "05_heterogeneous_heads"])
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -16,10 +16,10 @@ from dmtrl.training import (
     PlainRandom,
     RandomDecompose,
     TrainConfig,
+    evaluate_suite,
     evaluate_tasks,
     init_from_stl,
     init_random_decompose,
-    multiclass_ranking_error,
     pretrain_stl,
     train,
 )
@@ -255,26 +255,25 @@ class TestEvaluate:
         assert evaluate_tasks(net, [ds], batch=50)[0] == 0.5
 
     def test_multiclass_ranking_matches_argmax_oracle(self, rng):
-        from dmtrl.data import LabeledImages
+        from dmtrl.data import LabeledImages, make_suite
 
         n, tasks = 40, 3
-        raw = LabeledImages(rng.integers(0, 256, (n, 2, 2), dtype=np.uint8),
-                            rng.integers(0, tasks, n), tasks)
+        labels = rng.integers(0, tasks, n)
         scores = rng.normal(size=(n, tasks))
-
-        class Scorer:
-            def __init__(self):
-                self.tasks = tasks
-
-            def predict(self, task, x):
-                base = np.flatnonzero(np.ones(n))  # all rows
-                # match the batch slice by comparing lengths
-                return scores[Scorer.offset:Scorer.offset + len(x), task][:, None]
-
-        Scorer.offset = 0
-        got = multiclass_ranking_error(Scorer(), raw, batch=n)
-        want = float(np.mean(scores.argmax(1) != raw.labels))
-        assert got == want
+        scores[0], labels[0] = 0.5, 0                  # exact three-way tie
+        scores[1], labels[1] = [-1.0, 2.0, 2.0], 1     # tie between tasks 1 and 2
+        raw = LabeledImages(rng.integers(0, 256, (n, 2, 2), dtype=np.uint8), labels, tasks)
+        net = self._FixedScorer(lambda t, x: scores[:len(x), t][:, None], tasks)
+        got = evaluate_suite(net, make_suite(raw), batch=n)
+        want = float(np.mean(scores.argmax(1) != labels))
+        assert got["multiclass"] == want
+        # ties go to the lowest task, so both tie rows count as correct
+        assert got["multiclass"] == int(np.sum(scores.argmax(1)[2:] != labels[2:])) / n
+        one_vs_all = np.where(labels[:, None] == np.arange(tasks), 1, -1)
+        pred = np.where(scores > 0, 1, -1)
+        assert got["per_task"] == [float(np.mean(pred[:, t] != one_vs_all[:, t]))
+                                   for t in range(tasks)]
+        assert got["mean_binary"] == float(np.mean(got["per_task"]))
 
     def test_empty_set_rejected(self, rng):
         net = build_network(mlp_spec(I, I, 1), PlainRandom(), 0)
