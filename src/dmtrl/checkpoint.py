@@ -21,8 +21,8 @@ import zlib
 
 import numpy as np
 
-from .config import layer_from_json, layer_to_json
-from .network import MultiTaskNetwork, NetworkSpec, SharingMode
+from .config import spec_from_json, spec_to_json
+from .network import MultiTaskNetwork, SharingMode
 
 __all__ = [
     "CheckpointError", "save_checkpoint", "load_checkpoint",
@@ -99,21 +99,6 @@ def load_checkpoint(path) -> dict:
 
 def manifest_path(ckpt_path) -> str:
     return f"{ckpt_path}.manifest.json"
-
-
-def spec_to_json(spec: NetworkSpec) -> dict:
-    return {
-        "input_shape": list(spec.input_shape),
-        "tasks": spec.tasks,
-        "head_dims": list(spec.head_dims) if spec.head_dims is not None else None,
-        "layers": [layer_to_json(ls) for ls in spec.layers],
-    }
-
-
-def spec_from_json(obj: dict) -> NetworkSpec:
-    layers = [layer_from_json(e, f"layers[{i}]", with_mode=True)
-              for i, e in enumerate(obj["layers"])]
-    return NetworkSpec(tuple(obj["input_shape"]), layers, obj["tasks"], obj["head_dims"])
 
 
 def layer_ranks(net: MultiTaskNetwork) -> dict:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_affinity
 from .checkpoint import load_network, save_network
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_data
 from .data import (
     OneVsAllSuite,
     as_multiclass,
@@ -233,9 +233,9 @@ def _load_data_spec(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         obj = json.load(f)
     if isinstance(obj, dict) and "source" in obj:
-        return obj
+        return parse_data(obj)
     if isinstance(obj, dict) and "data" in obj:
-        return obj["data"]
+        return parse_data(obj["data"])
     raise ConfigError(f"{path} holds neither a data object nor a config with one")
 
 

@@ -18,6 +18,8 @@ with one mode per parametrised layer (``independent``, ``tied`` or
 
 Layer objects are read by one strict codec, :func:`layer_from_json`, which
 checkpoint manifests share with configs; :func:`layer_to_json` writes them.
+Manifests read their network spec through :func:`spec_from_json`, with the
+same checks as a config.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 from .network import FC, Activation, Conv, LayerSpec, MaxPool, NetworkSpec, SharingMode
 from .training import PlainRandom, RandomDecompose, StlInit, TrainConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config",
-           "layer_from_json", "layer_to_json"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_data", "load_config",
+           "layer_from_json", "layer_to_json", "spec_from_json", "spec_to_json"]
 
 _SOFT_OF = {f"dmtrl-{mode.scheme.tag}": mode for mode in SharingMode if mode.soft}
 
@@ -116,6 +118,37 @@ def layer_from_json(entry, where: str, with_mode: bool = False) -> LayerSpec:
     return LayerSpec(kind, _sharing_mode(entry["mode"], where))
 
 
+def _shape_fields(obj: dict) -> tuple:
+    """``input_shape``, ``tasks`` and ``head_dims`` (None when null or
+    absent), every entry a JSON integer >= 1."""
+    def ints(key):
+        return [_json_int(d, f"field '{key}'", 1) for d in _json_list(obj[key], f"field '{key}'")]
+
+    head_dims = None if obj.get("head_dims") is None else ints("head_dims")
+    return tuple(ints("input_shape")), _json_int(obj["tasks"], "field 'tasks'", 1), head_dims
+
+
+def spec_to_json(spec: NetworkSpec) -> dict:
+    """A network spec as the object :func:`spec_from_json` reads."""
+    return {
+        "input_shape": list(spec.input_shape),
+        "tasks": spec.tasks,
+        "head_dims": list(spec.head_dims) if spec.head_dims is not None else None,
+        "layers": [layer_to_json(ls) for ls in spec.layers],
+    }
+
+
+def spec_from_json(obj) -> NetworkSpec:
+    """A network spec, read strictly: exactly the four keys
+    :func:`spec_to_json` writes, the shape fields as in a config and every
+    layer through :func:`layer_from_json` with its mode."""
+    _require_keys(obj, "spec", ("input_shape", "tasks", "head_dims", "layers"))
+    input_shape, tasks, head_dims = _shape_fields(obj)
+    layers = [layer_from_json(e, f"layers[{i}]", with_mode=True)
+              for i, e in enumerate(obj["layers"])]
+    return NetworkSpec(input_shape, layers, tasks, head_dims)
+
+
 def expand_sharing(sharing, n_param_layers: int, heterogeneous: bool):
     """Map a preset name or an explicit mode list to per-layer modes."""
     if isinstance(sharing, str):
@@ -165,13 +198,34 @@ def _parse_init(obj: dict):
         raise ConfigError(f"bad init settings: {e}") from e
 
 
+# least value of each numeric field of ``train`` and ``data``: an int marks a
+# JSON integer, a float any number; the other fields are strings
+_LEAST = {"batch_size": 1, "epochs": 0, "seed": 0, "n_train": 1, "n_test": 1,
+          "jitter": 0, "class_seed": 0, "n_train_per_task": 8, "n_test_per_task": 8,
+          "noise": 0.0, "lr": 0.0, "momentum": 0.0, "beta1": 0.0, "beta2": 0.0,
+          "adam_eps": 0.0}
+
+
+def _check_values(obj: dict, where: str) -> dict:
+    for k, v in obj.items():
+        what, least = f"field '{k}' in {where}", _LEAST.get(k)
+        if type(least) is int:
+            _json_int(v, what, least)
+        elif least is None and not isinstance(v, str):
+            raise ConfigError(f"{what} must be a string, got {v!r}")
+        elif least is not None and _json_number(v, what) < least:
+            raise ConfigError(f"{what} must be >= {least}, got {v!r}")
+    return obj
+
+
 def _parse_train(obj: dict) -> TrainConfig:
     allowed = ("optimizer", "lr", "momentum", "beta1", "beta2", "adam_eps",
                "batch_size", "epochs", "seed")
     _require_keys(obj, "train", (), allowed)
+    _check_values(obj, "train")
     try:
         return TrainConfig(**obj)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad train settings: {e}")
 
 
@@ -184,10 +238,11 @@ _DATA_FIELDS = {
 }
 
 
-def _parse_data(obj: dict) -> dict:
+def parse_data(obj) -> dict:
+    """A ``data`` object, read strictly (also by ``dmtrl eval --data``)."""
     required, optional = _DATA_FIELDS[_tag(obj, "source", _DATA_FIELDS, "data")]
     _require_keys(obj, "data", required, optional)
-    return dict(obj)
+    return dict(_check_values(obj, "data"))
 
 
 @dataclass
@@ -229,22 +284,19 @@ def parse_config(obj: dict) -> ExperimentConfig:
         ("head_dims", "fractions", "repeats", "presets", "name"),
     )
     arch = _json_list(obj["architecture"], "field 'architecture'")
-    head_dims = obj.get("head_dims")
+    input_shape, tasks, head_dims = _shape_fields(obj)
     presets = obj.get("presets")
     if presets is not None:
         _json_list(presets, "field 'presets'")
     cfg = ExperimentConfig(
-        tasks=_json_int(obj["tasks"], "field 'tasks'", 1),
-        input_shape=tuple(_json_int(d, "field 'input_shape'", 1)
-                          for d in _json_list(obj["input_shape"], "field 'input_shape'")),
+        tasks=tasks,
+        input_shape=input_shape,
         architecture=[layer_from_json(e, f"architecture[{i}]").kind for i, e in enumerate(arch)],
         sharing=obj["sharing"],
         init=_parse_init(obj["init"]),
         train=_parse_train(obj["train"]),
-        data=_parse_data(obj["data"]),
-        head_dims=None if head_dims is None else [
-            _json_int(d, "field 'head_dims'", 1) for d in _json_list(head_dims, "field 'head_dims'")
-        ],
+        data=parse_data(obj["data"]),
+        head_dims=head_dims,
         fractions=[_json_number(f, "field 'fractions'")
                    for f in _json_list(obj.get("fractions", [1.0]), "field 'fractions'")],
         repeats=_json_int(obj.get("repeats", 1), "field 'repeats'", 1),

@@ -18,9 +18,8 @@ import numpy as np
 __all__ = [
     "LabeledImages", "TaskDataset", "OneVsAllSuite",
     "load_idx", "write_idx",
-    "make_one_vs_all", "make_suite", "sample_fraction", "as_multiclass",
-    "synth_heterogeneous", "heterogeneous_prototypes",
-    "synth_digits", "digit_prototypes",
+    "make_suite", "sample_fraction", "as_multiclass",
+    "synth_heterogeneous", "heterogeneous_prototypes", "synth_digits",
 ]
 
 IMAGE_MAGIC = 0x00000803
@@ -143,25 +142,15 @@ def write_idx(images_path, labels_path, ds: LabeledImages):
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def _one_vs_all(raw: LabeledImages, digit: int, inputs: np.ndarray, split: str) -> TaskDataset:
-    if not 0 <= digit < raw.n_classes:
-        raise ValueError(f"digit {digit} outside [0, {raw.n_classes})")
-    labels = np.where(raw.labels == digit, 1, -1)
-    return TaskDataset(digit, inputs, labels, None, split)
-
-
-def make_one_vs_all(raw: LabeledImages, digit: int, split: str = "train") -> TaskDataset:
-    """Binary task: +1 where the class equals ``digit``, -1 elsewhere."""
-    return _one_vs_all(raw, digit, raw.float_inputs(), split)
-
-
 def make_suite(raw: LabeledImages, split: str = "train") -> OneVsAllSuite:
-    """One one-vs-all task per class.  The pixels are converted once: every
-    task's ``inputs`` is the same read-only array."""
+    """One one-vs-all task per class (+1 for that class, -1 elsewhere).  The
+    pixels are converted once: every task's ``inputs`` is the same read-only
+    array."""
     inputs = raw.float_inputs()
     inputs.flags.writeable = False
     return OneVsAllSuite(
-        [_one_vs_all(raw, d, inputs, split) for d in range(raw.n_classes)], raw
+        [TaskDataset(d, inputs, np.where(raw.labels == d, 1, -1), None, split)
+         for d in range(raw.n_classes)], raw
     )
 
 
@@ -296,19 +285,6 @@ def _segment_masks(width: float = 1.4) -> np.ndarray:
 
 
 _MASKS = _segment_masks()
-
-
-def digit_prototypes(class_seed: int = 11) -> np.ndarray:
-    """Canonical renders (all lit segments at full intensity) per class.
-
-    ``class_seed`` is accepted for interface symmetry with the
-    heterogeneous generator; the stroke geometry itself is fixed.
-    """
-    protos = np.zeros((10, 28, 28))
-    for d, segs in enumerate(_DIGIT_SEGMENTS):
-        for s in segs:
-            protos[d] = np.maximum(protos[d], _MASKS[s])
-    return protos
 
 
 def _shift(img: np.ndarray, dy: int, dx: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Every ``*_forward`` returns ``(output, cache)`` and the matching
 ``*_backward`` consumes the upstream gradient plus that cache.  Convolution
 uses valid padding and stride 1; the kernel runs through a patch-matrix
 expansion so it shares the matrix-multiply path with the fully connected
-layer (a direct-loop reference is kept for oracle testing).
+layer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "fc_forward", "fc_backward",
-    "conv2d_forward", "conv2d_backward", "conv2d_reference",
+    "conv2d_forward", "conv2d_backward",
     "maxpool2_forward", "maxpool2_backward",
     "relu_forward", "relu_backward",
     "tanh_forward", "tanh_backward",
@@ -84,21 +84,6 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     kflip = np.ascontiguousarray(k[::-1, ::-1, :, :].transpose(0, 1, 3, 2))
     grad_x = _patches(gpad, hk, wk) @ kflip.reshape(-1, cin)
     return grad_x, grad_k, grad_b
-
-
-def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quadruple-loop convolution kept as an independent oracle."""
-    bsz, hi, wi, _ = x.shape
-    hk, wk, _, m = k.shape
-    ho, wo = hi - hk + 1, wi - wk + 1
-    out = np.zeros((bsz, ho, wo, m))
-    for n in range(bsz):
-        for i in range(ho):
-            for j in range(wo):
-                window = x[n, i:i + hk, j:j + wk, :]
-                for f in range(m):
-                    out[n, i, j, f] = np.sum(window * k[:, :, :, f]) + b[f]
-    return out
 
 
 # winner code of each slot of a 2x2 window, as a (1, 1, 2, 1, 2, 1) view

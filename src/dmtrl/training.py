@@ -16,6 +16,15 @@ Training interleaves tasks round-robin, one minibatch per task per cycle,
 with an optimiser step after each minibatch.  All randomness flows from the
 config seed; each task draws from its own identically seeded stream, so
 tasks with identical data see identical batch orders.
+
+Evaluation scores ``EVAL_BLOCK`` = 64 rows per ``predict`` call, where the
+first demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so
+scoring is no longer bound by memory traffic.  Timing ``evaluate_suite`` on
+that network, 10 Tucker or independent tasks, 512 images (numpy 2.4, one
+BLAS thread, 2 shared vCPUs, medians of 5 alternating runs) gave 663 / 832
+/ 1,109 / 1,182 / 1,196 images/s (Tucker) and 698 / 850 / 1,180 / 1,248 /
+1,234 (independent) at 512 / 256 / 128 / 64 / 32-row blocks, with equal
+results at every size.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ __all__ = [
     "pretrain_stl", "init_from_stl", "init_random_decompose",
     "train", "evaluate_tasks", "evaluate_suite",
 ]
+
+EVAL_BLOCK = 64  # rows per scoring call; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -275,40 +286,35 @@ def init_random_decompose(spec: NetworkSpec, epsilon: float, seed: int) -> Multi
     return build_network(spec, RandomDecompose(epsilon), seed)
 
 
-def evaluate_tasks(net: MultiTaskNetwork, datasets, batch: int = 512):
+def _predict_rows(net: MultiTaskNetwork, task: int, inputs: np.ndarray) -> np.ndarray:
+    """Task ``task``'s outputs for every row of ``inputs``, scored
+    ``EVAL_BLOCK`` rows at a time."""
+    return np.concatenate([net.predict(task, inputs[lo : lo + EVAL_BLOCK])
+                           for lo in range(0, len(inputs), EVAL_BLOCK)])
+
+
+def evaluate_tasks(net: MultiTaskNetwork, datasets):
     """Per-task error rates (sign mismatches for binary tasks, argmax
     mismatches for multi-class ones)."""
     errors = []
     for t, ds in enumerate(datasets):
         if len(ds) == 0:
             raise ValueError(f"task {ds.task_id} has an empty evaluation set")
-        wrong = 0
-        for lo in range(0, len(ds), batch):
-            idx = np.arange(lo, min(lo + batch, len(ds)))
-            out = net.predict(t, ds.inputs[idx])
-            if ds.binary:
-                pred = np.where(out[:, 0] > 0, 1, -1)
-            else:
-                pred = out.argmax(1)
-            wrong += int(np.sum(pred != ds.labels[idx]))
-        errors.append(wrong / len(ds))
+        out = _predict_rows(net, t, ds.inputs)
+        pred = np.where(out[:, 0] > 0, 1, -1) if ds.binary else out.argmax(1)
+        errors.append(int(np.sum(pred != ds.labels)) / len(ds))
     return errors
 
 
-def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite, batch: int = 512) -> dict:
+def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite) -> dict:
     """Binary error per task, their mean, and the ranking multi-class error.
 
     Every suite task shares the source images, so one scoring pass per task
     serves both metrics."""
     inputs = suite.source.float_inputs()
-    n = len(suite.source)
-    if n == 0:
+    if len(inputs) == 0:
         raise ValueError("empty evaluation set")
-    scores = np.empty((n, net.tasks))
-    for lo in range(0, n, batch):
-        x = inputs[lo : min(lo + batch, n)]
-        for t in range(net.tasks):
-            scores[lo : lo + len(x), t] = net.predict(t, x)[:, 0]
+    scores = np.column_stack([_predict_rows(net, t, inputs)[:, 0] for t in range(net.tasks)])
     per_task = [
         float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
         for t in range(net.tasks)

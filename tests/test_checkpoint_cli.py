@@ -158,6 +158,17 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError):
             load_network(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("input_shape", [6.7]),       # used to load as (6,)
+        ("tasks", 2.0),
+        ("head_dims", [1.0, True]),   # used to load as [1, 1]
+    ])
+    def test_manifest_shape_field_must_be_json_integer(self, tmp_path, field, value):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        self.edit_manifest(path, lambda m: m["spec"].update({field: value}))
+        with pytest.raises(CheckpointError, match=field):
+            load_network(path)
+
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(ranks={}),
         lambda m: m["ranks"]["layer0.fc"].update(scheme="soft_tt"),
@@ -230,6 +241,38 @@ class TestConfigParsing:
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg.update(override)
         with pytest.raises(ConfigError, match=next(iter(override))):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("data", "n_train", "x"),
+        ("data", "n_test", 40.0),
+        ("data", "jitter", -1),
+        ("data", "class_seed", True),
+        ("data", "noise", "0.1"),
+        ("data", "noise", -0.1),
+        ("train", "seed", "3"),
+        ("train", "batch_size", 16.0),
+        ("train", "epochs", True),
+        ("train", "lr", "0.01"),
+        ("train", "beta1", None),
+    ])
+    def test_data_and_train_values_checked(self, section, field, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][field] = value
+        with pytest.raises(ConfigError, match=f"'{field}' in {section}"):
+            parse_config(cfg)
+
+    def test_idx_paths_must_be_strings(self):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["data"] = {"source": "idx", "train_images": "a", "train_labels": "b",
+                       "test_images": "c", "test_labels": 4}
+        with pytest.raises(ConfigError, match="test_labels"):
+            parse_config(cfg)
+
+    def test_heterogeneous_count_needs_one_instance_per_prototype(self):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["data"] = {"source": "synthetic_heterogeneous", "n_train_per_task": 7}
+        with pytest.raises(ConfigError, match="n_train_per_task"):
             parse_config(cfg)
 
     @pytest.mark.parametrize("d_in", [288.9, 288.0, "288", True])
@@ -318,6 +361,20 @@ class TestCliCommands:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header == "method,fraction,repeat,task,metric,value"
+
+    def test_eval_data_file_values_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "runs"
+        self.run("train", "--config", str(cfg), "--out", str(out))
+        capsys.readouterr()
+        data_file = tmp_path / "data.json"
+        data_file.write_text(json.dumps({**BASE_CONFIG["data"], "n_test": "x"}))
+        rc = self.run("eval", "--checkpoint", str(out / "dmtrl-tt_f1_r0.ckpt"),
+                      "--data", str(data_file), "--out", str(tmp_path / "r.csv"))
+        assert rc != 0
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "n_test" in record["message"]
 
     def test_eval_after_reload_matches(self, tmp_path, capsys):
         # training artifacts already verified; spot-check row content

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -6,17 +7,26 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dmtrl.data import (
     LabeledImages,
+    _DIGIT_SEGMENTS,
+    _MASKS,
     as_multiclass,
-    digit_prototypes,
     heterogeneous_prototypes,
     load_idx,
-    make_one_vs_all,
     make_suite,
     sample_fraction,
     synth_digits,
     synth_heterogeneous,
     write_idx,
 )
+
+
+def canonical_digits() -> np.ndarray:
+    """Every lit stroke of each class at full intensity, no shift or noise."""
+    protos = np.zeros((10, 28, 28))
+    for d, segs in enumerate(_DIGIT_SEGMENTS):
+        for s in segs:
+            protos[d] = np.maximum(protos[d], _MASKS[s])
+    return protos
 
 
 def write_fixture_idx(tmp_path, pixels, labels, prefix=""):
@@ -83,13 +93,13 @@ class TestIdxIO:
 class TestOneVsAll:
     def test_all_matching_digit(self):
         ds = LabeledImages(np.zeros((4, 2, 2), np.uint8), np.zeros(4, np.int64), 10)
-        task = make_one_vs_all(ds, 0)
+        task = make_suite(ds).tasks[0]
         assert_array_equal(task.labels, np.ones(4))
 
     def test_single_positive(self):
         labels = np.array([1, 7, 3, 2])
         ds = LabeledImages(np.zeros((4, 2, 2), np.uint8), labels, 10)
-        task = make_one_vs_all(ds, 7)
+        task = make_suite(ds).tasks[7]
         assert task.labels.sum() == 1 - 3
 
     def test_tasks_partition_positives(self, rng):
@@ -109,9 +119,12 @@ class TestOneVsAll:
             suite.tasks[0].inputs[0, 0, 0, 0] = 1.0
 
     def test_digit_out_of_range(self):
+        # a suite holds one task per class, so an out-of-range digit can only
+        # arrive as a label, and the corpus refuses it
         ds = LabeledImages(np.zeros((1, 2, 2), np.uint8), [0], 10)
+        assert [t.task_id for t in make_suite(ds).tasks] == list(range(10))
         with pytest.raises(ValueError):
-            make_one_vs_all(ds, 10)
+            LabeledImages(np.zeros((1, 2, 2), np.uint8), [10], 10)
 
 
 class TestSampleFraction:
@@ -194,6 +207,18 @@ class TestSynthDigits:
     def test_deterministic(self):
         assert_array_equal(synth_digits(5, 100).images, synth_digits(5, 100).images)
 
+    def test_bytes_pinned(self):
+        # two generation chunks: any rewrite of the generator must keep
+        # every byte of its output
+        ds = synth_digits(3, 2100, noise=0.3, jitter=2)
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+            "f8bbf29553cddb57c3843408dc780dd083b3d7cdabd088aef837252e0b425435")
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+            "4c49f6e10dfb4302e1405f13297d1c479c0ff207226d26d286f0949d766ccda4")
+        binary, _ = synth_heterogeneous(3, 100)
+        assert hashlib.sha256(binary.inputs.tobytes()).hexdigest() == (
+            "fb48f49d51ed8fc0e43ddbe7e770895267ebc7ef74e837a2296f810b66fdac65")
+
     def test_shapes_and_classes(self):
         ds = synth_digits(0, 500)
         assert ds.images.shape == (500, 28, 28)
@@ -201,13 +226,13 @@ class TestSynthDigits:
 
     def test_zero_jitter_zero_noise_nearest_prototype_exact(self):
         ds = synth_digits(1, 50, noise=0.0, jitter=0)
-        protos = digit_prototypes().reshape(10, -1)
+        protos = canonical_digits().reshape(10, -1)
         x = ds.images.reshape(50, -1) / 255.0
         d = ((x[:, None, :] - protos[None]) ** 2).sum(-1)
         assert_array_equal(d.argmin(1), ds.labels)
         # strokes never exceed the canonical render
         for img, lab in zip(ds.images, ds.labels):
-            canon = np.round(digit_prototypes()[lab] * 255).astype(np.int64)
+            canon = np.round(canonical_digits()[lab] * 255).astype(np.int64)
             assert np.all(img.astype(np.int64) <= canon + 1)
 
 

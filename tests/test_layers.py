@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dmtrl.layers import (
     conv2d_backward,
     conv2d_forward,
-    conv2d_reference,
     fc_backward,
     fc_forward,
     hinge_loss,
@@ -19,6 +18,21 @@ from dmtrl.layers import (
 )
 
 from conftest import assert_grads_close, central_difference
+
+
+def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quadruple-loop convolution: an independent oracle for conv2d_forward."""
+    bsz, hi, wi, _ = x.shape
+    hk, wk, _, m = k.shape
+    ho, wo = hi - hk + 1, wi - wk + 1
+    out = np.zeros((bsz, ho, wo, m))
+    for n in range(bsz):
+        for i in range(ho):
+            for j in range(wo):
+                window = x[n, i:i + hk, j:j + wk, :]
+                for f in range(m):
+                    out[n, i, j, f] = np.sum(window * k[:, :, :, f]) + b[f]
+    return out
 
 
 class TestFullyConnected:

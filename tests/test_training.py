@@ -13,6 +13,7 @@ from dmtrl.network import (
     build_network,
 )
 from dmtrl.training import (
+    EVAL_BLOCK,
     PlainRandom,
     RandomDecompose,
     TrainConfig,
@@ -245,14 +246,16 @@ class TestEvaluate:
 
     def test_perfect_scorer_zero_error(self, rng):
         ds = two_blob_task(0, rng)
-        net = self._FixedScorer(lambda t, x: ds.labels[:len(x), None] * 5.0, 1)
-        # feed inputs in order so canned scores align with labels
-        assert evaluate_tasks(net, [ds], batch=len(ds))[0] == 0.0
+        # every input row carries its row index, so canned scores align
+        # with labels however the rows are split into blocks
+        ds = TaskDataset(0, np.arange(len(ds))[:, None], ds.labels)
+        net = self._FixedScorer(lambda t, x: ds.labels[x[:, 0].astype(int), None] * 5.0, 1)
+        assert evaluate_tasks(net, [ds])[0] == 0.0
 
     def test_constant_scorer_half_error_on_balanced(self, rng):
         ds = two_blob_task(0, rng, n=100)
         net = self._FixedScorer(lambda t, x: np.ones((len(x), 1)), 1)
-        assert evaluate_tasks(net, [ds], batch=50)[0] == 0.5
+        assert evaluate_tasks(net, [ds])[0] == 0.5
 
     def test_multiclass_ranking_matches_argmax_oracle(self, rng):
         from dmtrl.data import LabeledImages, make_suite
@@ -262,9 +265,14 @@ class TestEvaluate:
         scores = rng.normal(size=(n, tasks))
         scores[0], labels[0] = 0.5, 0                  # exact three-way tie
         scores[1], labels[1] = [-1.0, 2.0, 2.0], 1     # tie between tasks 1 and 2
-        raw = LabeledImages(rng.integers(0, 256, (n, 2, 2), dtype=np.uint8), labels, tasks)
-        net = self._FixedScorer(lambda t, x: scores[:len(x), t][:, None], tasks)
-        got = evaluate_suite(net, make_suite(raw), batch=n)
+        images = rng.integers(0, 256, (n, 2, 2), dtype=np.uint8)
+        images[:, 0, 0] = np.arange(n)                 # each image carries its row index
+        raw = LabeledImages(images, labels, tasks)
+
+        def canned(t, x):
+            return scores[np.rint(x[:, 0, 0, 0] * 255).astype(int), t][:, None]
+
+        got = evaluate_suite(self._FixedScorer(canned, tasks), make_suite(raw))
         want = float(np.mean(scores.argmax(1) != labels))
         assert got["multiclass"] == want
         # ties go to the lowest task, so both tie rows count as correct
@@ -274,6 +282,39 @@ class TestEvaluate:
         assert got["per_task"] == [float(np.mean(pred[:, t] != one_vs_all[:, t]))
                                    for t in range(tasks)]
         assert got["mean_binary"] == float(np.mean(got["per_task"]))
+
+    @pytest.mark.parametrize("n", [EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                                   2 * EVAL_BLOCK + 37])
+    def test_blocks_match_one_pass(self, n):
+        """Both evaluators agree with scoring every row in one ``predict``
+        call, on either side of the block boundary, with binary and
+        multi-class heads."""
+        from dmtrl.data import as_multiclass, make_suite, synth_digits
+
+        binary, multi = synth_heterogeneous(3, n)
+        tasks = [as_multiclass(binary), multi]
+        spec = NetworkSpec((16, 16, 1), [LayerSpec(FC(256, 12), TT),
+                                         LayerSpec(Activation("relu")),
+                                         LayerSpec(FC(12, 1), I)], 2, head_dims=[2, 8])
+        net = init_random_decompose(spec, 0.1, 5)
+        whole = [net.predict(t, ds.inputs).argmax(1) for t, ds in enumerate(tasks)]
+        assert evaluate_tasks(net, tasks) == [
+            int(np.sum(p != ds.labels)) / n for p, ds in zip(whole, tasks)]
+
+        suite = make_suite(synth_digits(4, n, noise=0.1, jitter=1))
+        spec = NetworkSpec((28, 28, 1), [LayerSpec(FC(784, 12), LAF),
+                                         LayerSpec(Activation("relu")),
+                                         LayerSpec(FC(12, 1), I)], 10)
+        net = init_random_decompose(spec, 0.1, 5)
+        inputs = suite.source.float_inputs()
+        scores = np.column_stack([net.predict(t, inputs)[:, 0] for t in range(10)])
+        got = evaluate_suite(net, suite)
+        assert got["per_task"] == [
+            float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
+            for t in range(10)]
+        assert got["mean_binary"] == float(np.mean(got["per_task"]))
+        assert got["multiclass"] == float(np.mean(scores.argmax(1) != suite.source.labels))
+        assert evaluate_tasks(net, suite.tasks) == got["per_task"]
 
     def test_empty_set_rejected(self, rng):
         net = build_network(mlp_spec(I, I, 1), PlainRandom(), 0)
