@@ -7,7 +7,11 @@ forward pass), and ``*_decompose`` recovers factors from a given tensor (used
 for initialisation only, with ranks selected by a relative-error budget).
 ``compose_backward`` maps a gradient with respect to the composed tensor onto
 gradients for every factor, which is all that standard backpropagation needs
-since the compositions are multilinear.
+since the compositions are multilinear.  With G the gradient, Tucker's factor
+n gets unfold_n(G x_{i<n} U_i^T) @ unfold_n(core x_{i>n} U_i)^T, which is the
+mode-n unfolding of G x_{i!=n} U_i^T times that of the core (Kolda & Bader
+2009), and the core gets G x_i U_i^T over every mode; each prefix and suffix
+product is built once and shared by every mode.
 
 The last axis of a composed tensor indexes tasks, and training touches one
 task slice at a time, so each structure also has a per-task pair:
@@ -163,7 +167,7 @@ def compose_tucker(f: TuckerFactors) -> np.ndarray:
     """
     w = f.core
     for m in f.u:
-        w = tensor_dot(w, m, 1, 2)
+        w = np.tensordot(w, m, (0, 1))
     return w
 
 
@@ -173,10 +177,6 @@ def compose_tt(f: TTFactors) -> np.ndarray:
     for c in f.cores:
         w = tensor_dot(w, c, -1, 1)
     return tensor_dot(w, f.tail, -1, 1)
-
-
-def _zero_rank1_like(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
@@ -193,7 +193,7 @@ def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
     lead = w.shape[:-1]
     m = mode_n_flatten(w, -1).T  # prod(lead) x T
     if not m.any():
-        return LAFFactors(_zero_rank1_like(lead + (1,)), np.zeros((1, n_tasks)))
+        return LAFFactors(np.zeros(lead + (1,)), np.zeros((1, n_tasks)))
     res = thin_svd(m)
     k = rank_for_error(res.s, epsilon)
     cut = res.truncated(k)
@@ -211,8 +211,7 @@ def tucker_decompose(w: np.ndarray, epsilon: float) -> TuckerFactors:
     w = tensor(w)
     n_way = w.ndim
     if not w.any():
-        core = _zero_rank1_like((1,) * n_way)
-        return TuckerFactors(core, [np.zeros((d, 1)) for d in w.shape])
+        return TuckerFactors(np.zeros((1,) * n_way), [np.zeros((d, 1)) for d in w.shape])
     us = []
     for n in range(1, n_way + 1):
         res = thin_svd(mode_n_flatten(w, n))
@@ -278,36 +277,45 @@ def _laf_task_backward(f: LAFFactors, grad_w: np.ndarray, task: int) -> LAFFacto
     return LAFFactors(np.multiply.outer(grad_w, f.s[:, task]), grad_s)
 
 
+def _tucker_record(core: np.ndarray, u: list) -> TuckerFactors:
+    """A record of valid float64 arrays, skipping ``__post_init__``'s checks."""
+    f = object.__new__(TuckerFactors)
+    f.core, f.u = core, u
+    return f
+
+
+def _project(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """Mode-n product ``t x_n m^T``: axis n meets the rows of ``m``, in place."""
+    s = t.shape
+    if n == len(s) - 1:
+        return t @ m
+    out = m.T @ t.reshape(math.prod(s[:n]), s[n], -1)
+    return out.reshape(s[:n] + (-1,) + s[n + 1 :])
+
+
+def _unfold(t: np.ndarray, n: int) -> np.ndarray:
+    """Mode-n unfolding: axis n first, the other axes flattened in order."""
+    s = t.shape
+    return t.reshape(math.prod(s[:n]), s[n], -1).swapaxes(0, 1).reshape(s[n], -1)
+
+
 def _tucker_backward(f: TuckerFactors, grad_w: np.ndarray) -> TuckerFactors:
-    n_way = grad_w.ndim
-    grad_core = grad_w
-    for m in f.u:
-        grad_core = tensor_dot(grad_core, m, 1, 1)
+    right = [f.core]  # right[n]: the core x_{i > n} U_i
+    for n in range(len(f.u) - 1, 0, -1):
+        right.insert(0, _project(right[0], f.u[n].T, n))
     grad_u = []
-    for n in range(n_way):
-        # core contracted with every factor except mode n+1, identity there
-        b = TuckerFactors(
-            f.core,
-            [np.eye(f.core.shape[i]) if i == n else f.u[i] for i in range(n_way)],
-        )
-        partial = compose_tucker(b)  # axes: D1 .. Kn .. DN
-        keep = [a for a in range(n_way) if a != n]
-        grad_u.append(np.tensordot(grad_w, partial, axes=(keep, keep)))
-    return TuckerFactors(grad_core, grad_u)
-
-
-def _tucker_fold(f: TuckerFactors, task: int) -> TuckerFactors:
-    """The task's row of the last factor contracted into the core (mode-N
-    product); the result composes to slice ``task`` alone."""
-    return TuckerFactors(tensor_dot(f.core, f.u[-1][task], -1, 1), f.u[:-1])
+    left = grad_w  # grad_w x_{i < n} U_i^T
+    for n, (m, r) in enumerate(zip(f.u, right)):
+        grad_u.append(_unfold(left, n) @ _unfold(r, n).T)
+        left = _project(left, m, n)
+    return _tucker_record(left, grad_u)
 
 
 def _tucker_task_backward(f: TuckerFactors, grad_w: np.ndarray, task: int) -> TuckerFactors:
-    g = _tucker_backward(_tucker_fold(f, task), grad_w)
+    g = _tucker_backward(_tucker_record(f.core @ f.u[-1][task], f.u[:-1]), grad_w)
     grad_last = np.zeros_like(f.u[-1])
-    lead = list(range(g.core.ndim))
-    grad_last[task] = np.tensordot(g.core, f.core, axes=(lead, lead))
-    return TuckerFactors(np.multiply.outer(g.core, f.u[-1][task]), g.u + [grad_last])
+    grad_last[task] = g.core.reshape(-1) @ f.core.reshape(-1, f.core.shape[-1])
+    return _tucker_record(np.multiply.outer(g.core, f.u[-1][task]), g.u + [grad_last])
 
 
 def _tt_backward(f: TTFactors, grad_w: np.ndarray) -> TTFactors:
@@ -394,7 +402,7 @@ SCHEMES = {s.tag: s for s in (
     ),
     Scheme(
         "tucker", TuckerFactors, compose_tucker, tucker_decompose, _tucker_backward,
-        compose_task=lambda f, t: compose_tucker(_tucker_fold(f, t)),
+        compose_task=lambda f, t: compose_tucker(_tucker_record(f.core @ f.u[-1][t], f.u[:-1])),
         task_backward=_tucker_task_backward,
         fields=lambda n_way: ("core", *(f"u{i}" for i in range(n_way))),
         pack=lambda f: (f.core, *f.u),

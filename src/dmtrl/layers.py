@@ -2,9 +2,10 @@
 
 Every ``*_forward`` returns ``(output, cache)`` and the matching
 ``*_backward`` consumes the upstream gradient plus that cache.  Convolution
-uses valid padding and stride 1; the kernel runs through a patch-matrix
-expansion so it shares the matrix-multiply path with the fully connected
-layer.
+uses valid padding and stride 1.  The forward pass and the kernel gradient
+share one patch matrix (im2col), the matrix-multiply path of the fully
+connected layer; the input gradient is summed per kernel tap instead: tap
+(dy, dx) adds ``grad_out @ k[dy, dx].T`` into the input window it read.
 """
 
 from __future__ import annotations
@@ -39,17 +40,6 @@ def fc_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def _patches(x: np.ndarray, h: int, w: int) -> np.ndarray:
-    """All valid h x w windows, flattened in (dy, dx, channel) order.
-
-    Output shape: (B, Ho, Wo, h*w*C), matching k.reshape(h*w*C, M).
-    """
-    win = sliding_window_view(x, (h, w), axis=(1, 2))  # B,Ho,Wo,C,h,w
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        x.shape[0], win.shape[1], win.shape[2], -1
-    )
-
-
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray):
     """Valid cross-correlation of a B x Hi x Wi x C batch with an
     H x W x C x M kernel stack, stride 1."""
@@ -62,7 +52,9 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray):
         raise ValueError(f"kernel {hk}x{wk} larger than input {x.shape[1]}x{x.shape[2]}")
     if b.shape != (m,):
         raise ValueError(f"bias shape {b.shape} != ({m},)")
-    p = _patches(x, hk, wk)
+    # every valid window, flattened in (dy, dx, channel) order to match k
+    win = sliding_window_view(x, (hk, wk), axis=(1, 2))  # B, Ho, Wo, C, hk, wk
+    p = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(*win.shape[:3], -1)
     out = p @ k.reshape(-1, m)
     out += b
     return out, (x.shape, p, k)
@@ -77,12 +69,10 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     grad_k = (p.reshape(-1, hk * wk * cin).T @ gf).reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
-    # input gradient as a full correlation: pad the upstream gradient by the
-    # kernel extent and correlate with the spatially flipped kernel
-    gpad = np.zeros((b_, ho + 2 * (hk - 1), wo + 2 * (wk - 1), m))
-    gpad[:, hk - 1 : hk - 1 + ho, wk - 1 : wk - 1 + wo, :] = grad_out
-    kflip = np.ascontiguousarray(k[::-1, ::-1, :, :].transpose(0, 1, 3, 2))
-    grad_x = _patches(gpad, hk, wk) @ kflip.reshape(-1, cin)
+    grad_x = np.zeros(x_shape)
+    for dy in range(hk):
+        for dx in range(wk):
+            grad_x[:, dy : dy + ho, dx : dx + wo, :] += (gf @ k[dy, dx].T).reshape(b_, ho, wo, cin)
     return grad_x, grad_k, grad_b
 
 

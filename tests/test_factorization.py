@@ -299,7 +299,7 @@ def factor_fields(f):
 
 class TestComposeTask:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=[s[0] for s in SCHEMES])
-    @pytest.mark.parametrize("shape", [(4, 3, 5), (2, 3, 2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (2, 3, 2, 3, 4), (4, 1, 5)])
     def test_slice_and_backward_match_full_stack(self, rng, scheme, shape):
         _, decompose, compose = scheme
         f = decompose(rng.normal(size=shape), 0.2)
@@ -322,6 +322,19 @@ class TestComposeTask:
                       [rng.normal(size=(2, 4, 3)), rng.normal(size=(3, 2, 2))],
                       rng.normal(size=(2, 3)))
         grad_t = rng.normal(size=(3, 4, 2))
+        loss = lambda: float(np.sum(compose_task(f, 1) * grad_t))
+        g = compose_backward(f, grad_t, task=1)
+        for analytic, p in zip(factor_fields(g), factor_fields(f)):
+            assert_grads_close(analytic, central_difference(loss, p))
+
+    @pytest.mark.parametrize("core_shape, out_shape", [
+        ((1, 1, 1), (4, 1, 3)),  # rank 1 in every mode, like a binary head
+        ((2, 1, 2, 2, 2), (3, 2, 2, 3, 3)),
+    ])
+    def test_tucker_task_backward_finite_differences(self, rng, core_shape, out_shape):
+        f = TuckerFactors(rng.normal(size=core_shape),
+                          [rng.normal(size=(d, k)) for d, k in zip(out_shape, core_shape)])
+        grad_t = rng.normal(size=out_shape[:-1])
         loss = lambda: float(np.sum(compose_task(f, 1) * grad_t))
         g = compose_backward(f, grad_t, task=1)
         for analytic, p in zip(factor_fields(g), factor_fields(f)):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmtrl.layers import (
@@ -33,6 +34,16 @@ def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
                 for f in range(m):
                     out[n, i, j, f] = np.sum(window * k[:, :, :, f]) + b[f]
     return out
+
+
+def conv2d_input_grad_reference(grad_out: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Full correlation: the upstream gradient zero-padded by the kernel
+    extent, correlated with the spatially flipped kernel.  An independent
+    oracle for conv2d_backward's input gradient."""
+    hk, wk = k.shape[:2]
+    gpad = np.pad(grad_out, ((0, 0), (hk - 1, hk - 1), (wk - 1, wk - 1), (0, 0)))
+    win = sliding_window_view(gpad, (hk, wk), axis=(1, 2))  # B, Hi, Wi, M, hk, wk
+    return np.einsum("bijmyx,yxcm->bijc", win, k[::-1, ::-1])
 
 
 class TestFullyConnected:
@@ -101,6 +112,23 @@ class TestConv2d:
         assert_grads_close(gx, central_difference(loss, x))
         assert_grads_close(gk, central_difference(loss, k))
         assert_grads_close(gb, central_difference(loss, b))
+
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((3, 7, 6, 2), (3, 2, 2, 4)),  # batch > 1, rectangular kernel
+        ((2, 6, 6, 1), (3, 3, 1, 4)),  # one input channel
+        ((2, 5, 6, 3), (2, 3, 3, 1)),  # one output channel
+        ((2, 4, 6, 2), (4, 2, 2, 3)),  # kernel as tall as the input: Ho = 1
+        ((2, 5, 3, 2), (2, 3, 2, 3)),  # kernel as wide as the input: Wo = 1
+        ((2, 3, 3, 2), (3, 3, 2, 2)),  # Ho = Wo = 1
+    ])
+    def test_input_gradient_matches_full_correlation(self, rng, x_shape, k_shape):
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=k_shape)
+        out, cache = conv2d_forward(x, k, rng.normal(size=k_shape[-1]))
+        co = rng.normal(size=out.shape)
+        gx, _, _ = conv2d_backward(co, cache)
+        assert gx.shape == x.shape
+        assert_allclose(gx, conv2d_input_grad_reference(co, k), rtol=1e-12, atol=1e-13)
 
     def test_kernel_larger_than_input(self, rng):
         with pytest.raises(ValueError):
