@@ -9,32 +9,47 @@ Layout (all integers little-endian):
 
 Tensors are written in sorted name order, so the bytes for a given set of
 arrays are unique and round trips are bit-exact.  A JSON manifest written
-next to the checkpoint (``<path>.manifest.json``) carries the architecture
-needed to rebuild a network from the stored parameters.
+next to the checkpoint (``<path>.manifest.json``), after it and like it
+through :func:`write_atomic`, carries the architecture needed to rebuild a
+network from the stored parameters.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
 import zlib
 
 import numpy as np
 
 from .config import spec_from_json, spec_to_json
-from .network import MultiTaskNetwork, SharingMode
+from .network import CheckpointError, MultiTaskNetwork
 
 __all__ = [
     "CheckpointError", "save_checkpoint", "load_checkpoint",
-    "manifest_path", "save_network", "load_network",
+    "manifest_path", "save_network", "load_network", "write_atomic",
 ]
 
 MAGIC = b"DMTL"
 VERSION = 1
 
 
-class CheckpointError(ValueError):
-    pass
+def write_atomic(path, data):
+    """Write ``data`` (bytes, or text written as UTF-8) to ``path`` through a
+    temporary file in the same directory and ``os.replace``, so a reader
+    finds the previous file or the whole new one, never a part.  The
+    temporary name carries the process and thread, so concurrent writers
+    never share one."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the write or the replace failed
+            os.remove(tmp)
 
 
 def save_checkpoint(path, arrays: dict):
@@ -54,8 +69,7 @@ def save_checkpoint(path, arrays: dict):
         payload += struct.pack(f"<{a.ndim}Q", *a.shape)
         payload += a.astype("<f8").tobytes()
     payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(payload)
+    write_atomic(path, bytes(payload))
 
 
 def load_checkpoint(path) -> dict:
@@ -105,7 +119,7 @@ def layer_ranks(net: MultiTaskNetwork) -> dict:
     """Factorisation ranks per softly shared layer, for the manifest."""
     return {
         layer.name: {"scheme": layer.mode.value, "ranks": layer.mode.scheme.ranks(layer.factors)}
-        for _, layer in sorted(net.param_layers.items()) if layer.mode.soft
+        for _, layer in sorted(net.param_layers.items()) if layer.factors is not None
     }
 
 
@@ -119,32 +133,7 @@ def save_network(ckpt_path, net: MultiTaskNetwork, extra: dict | None = None):
     }
     if extra:
         manifest.update(extra)
-    with open(manifest_path(ckpt_path), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _stored(arrays: dict, name: str, shape=None) -> np.ndarray:
-    if name not in arrays:
-        raise CheckpointError(f"checkpoint lacks tensor '{name}' that the manifest's spec needs")
-    a = arrays[name]
-    if shape is not None and a.shape != tuple(shape):
-        raise CheckpointError(f"tensor '{name}' has shape {a.shape}, the spec needs {tuple(shape)}")
-    return a
-
-
-def _stored_factors(arrays: dict, layer):
-    n, scheme = layer.name, layer.mode.scheme
-    tensors = [_stored(arrays, f"{n}.{name}") for name in scheme.names(len(layer.stacked_shape))]
-    try:
-        f = scheme.unpack(tensors)
-    except ValueError as e:  # the factor records' own consistency checks
-        raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
-    if tuple(f.out_shape) != layer.stacked_shape:
-        raise CheckpointError(
-            f"{n}: stored factors compose to {f.out_shape}, the spec needs {layer.stacked_shape}"
-        )
-    return f
+    write_atomic(manifest_path(ckpt_path), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_network(ckpt_path):
@@ -156,7 +145,12 @@ def load_network(ckpt_path):
     :class:`CheckpointError`."""
     arrays = load_checkpoint(ckpt_path)
     with open(manifest_path(ckpt_path), "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise CheckpointError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format_version") != VERSION:
         raise CheckpointError(
             f"manifest version {manifest.get('format_version')}, reader supports {VERSION}"
@@ -167,18 +161,7 @@ def load_network(ckpt_path):
         raise CheckpointError(f"manifest holds no valid network spec: {e!r}") from e
     net = MultiTaskNetwork(spec)
     for layer in net.param_layers.values():
-        n = layer.name
-        if layer.mode is SharingMode.TIED:
-            layer.weights = _stored(arrays, f"{n}.w", layer.weight_shape(0))
-            layer.biases = _stored(arrays, f"{n}.b", (layer.bias_width(0),))
-            continue
-        if layer.mode is SharingMode.INDEPENDENT:
-            layer.weights = [_stored(arrays, f"{n}.w{t}", layer.weight_shape(t))
-                             for t in range(net.tasks)]
-        else:
-            layer.factors = _stored_factors(arrays, layer)
-        layer.biases = [_stored(arrays, f"{n}.b{t}", (layer.bias_width(t),))
-                        for t in range(net.tasks)]
+        layer.storage.load(layer, arrays)
     unexpected = sorted(set(arrays) - set(net.parameters()))
     if unexpected:
         raise CheckpointError(f"checkpoint holds tensors the spec does not use: {unexpected}")

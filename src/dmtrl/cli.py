@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_affinity
-from .checkpoint import load_network, save_network
+from .checkpoint import load_network, save_network, write_atomic
 from .config import ConfigError, ExperimentConfig, load_config, parse_data
 from .data import (
     OneVsAllSuite,
@@ -163,12 +164,10 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
         "init": type(cfg.init).__name__,
         "epsilon": getattr(cfg.init, "epsilon", None),
     })
-    with open(os.path.join(out_dir, f"{stem}.log.json"), "w", encoding="utf-8") as f:
-        json.dump({
-            "records": [[r.epoch, r.task, r.loss, r.error] for r in log],
-            "wall_time_s": wall,
-        }, f)
-        f.write("\n")
+    write_atomic(os.path.join(out_dir, f"{stem}.log.json"), json.dumps({
+        "records": [[r.epoch, r.task, r.loss, r.error] for r in log],
+        "wall_time_s": wall,
+    }) + "\n")
     return {"checkpoint": ckpt, "wall_time_s": wall, "method": label,
             "fraction": fraction, "repeat": repeat}
 
@@ -198,12 +197,12 @@ def eval_rows(net, manifest, payload):
 
 
 def write_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "fraction", "repeat", "task", "metric", "value"])
-        for method, fraction, repeat, task, metric, value in rows:
-            w.writerow([method, _float17(fraction), repeat, task, metric,
-                        _float17(value)])
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(["method", "fraction", "repeat", "task", "metric", "value"])
+    for method, fraction, repeat, task, metric, value in rows:
+        w.writerow([method, _float17(fraction), repeat, task, metric, _float17(value)])
+    write_atomic(path, text.getvalue())
 
 
 def measure_report(net, manifest) -> list:
@@ -265,9 +264,7 @@ def cmd_measure(args) -> int:
     report = {"checkpoint": args.checkpoint,
               "method": manifest.get("method", "custom"),
               "layers": measure_report(net, manifest)}
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -303,9 +300,8 @@ def cmd_sweep(args) -> int:
             {**info, "sharing_report": rho} for info, _, rho in results
         ]
     }
-    with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(os.path.join(args.out, "sweep.json"),
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -1,20 +1,28 @@
-"""Multi-task networks whose parametrised layers draw their weights from a
-per-layer sharing structure.
+"""Multi-task networks whose parametrised layers keep their weights in one
+of five sharing modes.
 
-A network holds T task heads over common storage.  Each fully connected or
-convolutional layer is either Independent (T private weight tensors), Tied
-(one tensor reused by every task), or softly shared: the T per-task weights
-are slices of a single stacked tensor defined by LAF, Tucker or TT factors.
-A softly shared layer never builds that stacked tensor during training: a
+A network holds T task heads over common storage.  How a fully connected or
+convolutional layer keeps its parameters is the row of ``STORAGE`` for its
+:class:`SharingMode`, and no other code tells the modes apart.  A tied layer
+keeps one weight ``w`` and bias ``b`` for every task, an independent layer a
+weight ``w{t}`` and bias ``b{t}`` per task t: they are one dense row with
+one slot or with T.  A soft row (LAF, Tucker or TT) keeps the T task weights
+as the slices of one stacked tensor, stored as factors of its
+``factorization.SCHEMES`` entry, and a bias ``b{t}`` per task.  Every row
+builds a layer from random draws, from T task weights and biases (their mean
+when tied, copies when independent, the factors of their stack when soft) or
+from named arrays, gives a task's weight, and lists the named parameters or
+their gradients, which accumulate per slot; a soft row's slot t holds the
+gradient of task t's weight slice.
+
+A softly shared layer never builds its stacked tensor during training: a
 forward pass composes only the requested task's slice straight from the
-factors (cached until the factors change), and a backward pass keeps one
-slice gradient per task and maps each back onto the factors on its own.
+factors (cached until the factors change), and listing the gradients maps
+each slice gradient back onto the factors on its own.
 
 ``forward`` records the tape that ``backward`` consumes; ``predict`` runs the
 same layers without keeping one, so scoring holds no activations or patch
 matrices beyond the layer being computed.
-
-Biases are per-task everywhere except Tied layers, which share one bias.
 """
 
 from __future__ import annotations
@@ -170,20 +178,149 @@ def _weight_shape(kind, d_out=None):
     return (kind.h, kind.w, kind.in_ch, kind.out_ch)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint or manifest that is malformed or disagrees with its spec."""
+
+
+def _stored(arrays: dict, name: str, shape=None) -> np.ndarray:
+    if name not in arrays:
+        raise CheckpointError(f"checkpoint lacks tensor '{name}' that the manifest's spec needs")
+    a = arrays[name]
+    if shape is not None and a.shape != tuple(shape):
+        raise CheckpointError(f"tensor '{name}' has shape {a.shape}, the spec needs {tuple(shape)}")
+    return a
+
+
+@dataclass(frozen=True)
+class _Dense:
+    """A dense row: weights kept as they are, one per slot.  A ``shared``
+    (tied) row has one slot serving every task, any other row slot t for
+    task t; soft rows keep their biases in the same slots."""
+
+    shared: bool = False
+    scheme: object = None  # a soft row's factor scheme
+
+    def slot(self, task: int) -> int:
+        return 0 if self.shared else task
+
+    def slots(self, layer, task=None):
+        """Every slot of the layer, or only the one serving ``task``."""
+        return range(1 if self.shared else layer.tasks) if task is None else (self.slot(task),)
+
+    def _name(self, layer, letter, slot) -> str:
+        return f"{layer.name}.{letter}{'' if self.shared else slot}"
+
+    def _slot_arrays(self, per_task) -> list:
+        """Per-task arrays as slot arrays: their mean in a shared slot, else copies."""
+        if self.shared:
+            return [np.mean(per_task, axis=0)]
+        return [np.array(a, dtype=np.float64) for a in per_task]
+
+    def _load(self, layer, arrays, letter, shape) -> list:
+        return [_stored(arrays, self._name(layer, letter, s), shape(s)) for s in self.slots(layer)]
+
+    def _slot_items(self, layer, task, grads, letter, values, acc):
+        """Named slot tensors, or the gradients accumulated in them."""
+        return ((self._name(layer, letter, s), acc[s] if grads else values[s])
+                for s in self.slots(layer, task) if s in acc or not grads)
+
+    def from_draws(self, layer, draw, epsilon):
+        shapes = [layer.weight_shape(s) for s in self.slots(layer)]
+        if len(set(shapes)) == 1:  # one draw, so identically configured tasks start identical
+            w0 = draw(shapes[0])
+            layer.weights = [w0.copy() for _ in shapes]
+        else:
+            layer.weights = [draw(s) for s in shapes]
+        layer.biases = [np.zeros(layer.bias_width(s)) for s in self.slots(layer)]
+
+    def from_tasks(self, layer, weights, biases, epsilon):
+        layer.weights, layer.biases = self._slot_arrays(weights), self._slot_arrays(biases)
+
+    def load(self, layer, arrays):
+        layer.weights = self._load(layer, arrays, "w", layer.weight_shape)
+        layer.biases = self._load(layer, arrays, "b", lambda s: (layer.bias_width(s),))
+
+    def weight(self, layer, task):
+        return layer.weights[self.slot(task)]
+
+    def items(self, layer, task=None, grads=False):
+        yield from self._slot_items(layer, task, grads, "w", layer.weights, layer._gw)
+        yield from self._slot_items(layer, task, grads, "b", layer.biases, layer._gb)
+
+
+class _Soft(_Dense):
+    """A soft row: the T task weights kept as one factor record of ``scheme``."""
+
+    def from_draws(self, layer, draw, epsilon):
+        if epsilon is None:
+            raise ValueError(
+                f"{layer.name} is softly shared; PlainRandom cannot pick its ranks "
+                "(use RandomDecompose or an STL-based initialisation)"
+            )
+        self.from_tasks(layer, [draw(layer.weight_shape(0)) for _ in range(layer.tasks)],
+                        [np.zeros(layer.bias_width(0))] * layer.tasks, epsilon)
+
+    def from_tasks(self, layer, weights, biases, epsilon):
+        layer.factors = decompose(self.scheme.tag, np.stack(weights, axis=-1), epsilon)
+        layer.biases = self._slot_arrays(biases)
+
+    def load(self, layer, arrays):
+        n = layer.name
+        tensors = [_stored(arrays, f"{n}.{name}")
+                   for name in self.scheme.names(len(layer.stacked_shape))]
+        try:
+            f = self.scheme.unpack(tensors)
+        except ValueError as e:  # the factor records' own consistency checks
+            raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
+        if tuple(f.out_shape) != layer.stacked_shape:
+            raise CheckpointError(
+                f"{n}: stored factors compose to {f.out_shape}, the spec needs {layer.stacked_shape}"
+            )
+        layer.factors = f
+        layer.biases = self._load(layer, arrays, "b", lambda s: (layer.bias_width(s),))
+
+    def weight(self, layer, task):
+        w = layer._slices.get(task)
+        if w is None:
+            w = layer._slices[task] = compose_task(layer.factors, task)
+        return w
+
+    def items(self, layer, task=None, grads=False):
+        pairs = self.scheme.items(layer.factors)
+        if grads:  # factor gradients summed over the tasks with an accumulated slice
+            out = {}
+            for t in sorted(layer._gw):
+                g = compose_backward(layer.factors, layer._gw[t], task=t)
+                for name, a in self.scheme.items(g):
+                    out[name] = out[name] + a if name in out else a
+            pairs = out.items()
+        for name, a in pairs:
+            yield f"{layer.name}.{name}", a
+        yield from self._slot_items(layer, task, grads, "b", layer.biases, layer._gb)
+
+
+STORAGE = {
+    SharingMode.TIED: _Dense(shared=True),
+    SharingMode.INDEPENDENT: _Dense(),
+    **{mode: _Soft(scheme=mode.scheme) for mode in SharingMode if mode.soft},
+}
+
+
 class _ParamLayer:
-    """Storage, gradient accumulators and per-task weight cache for one layer."""
+    """One layer's parameters, kept by its mode's :data:`STORAGE` row, with
+    the gradient accumulators and the per-task weight cache."""
 
     def __init__(self, index, kind, mode, tasks, head_dim_of=None):
-        self.index = index
         self.kind = kind
         self.mode = mode
+        self.storage = STORAGE[mode]
         self.tasks = tasks
         self.name = f"layer{index}.{'fc' if isinstance(kind, FC) else 'conv'}"
         self._head_dim_of = head_dim_of  # task -> output width override
-        self.factors = None          # soft modes
-        self.weights = None          # list (independent) or single array (tied)
-        self.biases = None           # list of per-task arrays, or one array (tied)
-        self._slices = {}            # soft modes: task -> composed weight slice
+        self.weights = None          # dense rows: one array per slot
+        self.factors = None          # soft rows: the factor record
+        self.biases = None           # one array per slot
+        self._slices = {}            # soft rows: task -> composed weight slice
         self.zero_grads()
 
     # -- shapes ---------------------------------------------------------
@@ -200,78 +337,32 @@ class _ParamLayer:
 
     # -- parameter access -----------------------------------------------
     def weight_for(self, task) -> np.ndarray:
-        if self.mode is SharingMode.INDEPENDENT:
-            return self.weights[task]
-        if self.mode is SharingMode.TIED:
-            return self.weights
-        w = self._slices.get(task)
-        if w is None:
-            w = self._slices[task] = compose_task(self.factors, task)
-        return w
+        return self.storage.weight(self, task)
 
     def bias_for(self, task) -> np.ndarray:
-        return self.biases if self.mode is SharingMode.TIED else self.biases[task]
+        return self.biases[self.storage.slot(task)]
 
     def invalidate(self):
         self._slices = {}
 
     # -- gradients --------------------------------------------------------
     def zero_grads(self):
-        if self.mode.soft:
-            self._gw = {}  # task -> gradient of that task's weight slice
-            self._gb = [np.zeros(self.bias_width(t)) for t in range(self.tasks)]
-        elif self.mode is SharingMode.TIED:
-            self._gw = np.zeros(self.weight_shape(0))
-            self._gb = np.zeros(self.bias_width(0))
-        else:
-            self._gw = [np.zeros(self.weight_shape(t)) for t in range(self.tasks)]
-            self._gb = [np.zeros(self.bias_width(t)) for t in range(self.tasks)]
+        self._gw, self._gb = {}, {}  # slot -> gradient of its weight (or task slice), bias
 
     def accumulate(self, task, grad_w, grad_b):
-        if self.mode is SharingMode.TIED:
-            self._gw += grad_w
-            self._gb += grad_b
-            return
-        if self.mode.soft and task not in self._gw:
-            self._gw[task] = np.array(grad_w, dtype=np.float64)
-        else:
-            self._gw[task] += grad_w
-        self._gb[task] += grad_b
+        slot = self.storage.slot(task)
+        for acc, g in ((self._gw, grad_w), (self._gb, grad_b)):
+            if slot in acc:
+                acc[slot] += g
+            else:
+                acc[slot] = np.array(g, dtype=np.float64)
 
     # -- named parameter / gradient maps ---------------------------------
     def param_items(self, task=None, grads=False):
         """(name, tensor) pairs of the layer's parameters, or of their
-        accumulated gradients; with ``task`` given, only the parameters that
-        task's forward pass depends on."""
-        n = self.name
-        w, b = (self._gw, self._gb) if grads else (self.weights, self.biases)
-        if self.mode is SharingMode.TIED:
-            yield f"{n}.w", w
-            yield f"{n}.b", b
-            return
-        tasks = range(self.tasks) if task is None else (task,)
-        if self.mode.soft:
-            yield from (self._factor_grads() if grads else self._factor_items(self.factors))
-        else:
-            for t in tasks:
-                yield f"{n}.w{t}", w[t]
-        for t in tasks:
-            yield f"{n}.b{t}", b[t]
-
-    def _factor_items(self, f):
-        """Named tensors of a factor record or of its gradient record."""
-        return ((f"{self.name}.{name}", a) for name, a in self.mode.scheme.items(f))
-
-    def _factor_grads(self):
-        """Factor gradients summed over the tasks with an accumulated slice."""
-        out = {}
-        for t in sorted(self._gw):
-            g = compose_backward(self.factors, self._gw[t], task=t)
-            for name, a in self._factor_items(g):
-                out[name] = out[name] + a if name in out else a
-        if not out:
-            out = {name: np.zeros_like(p) for name, p in self._factor_items(self.factors)}
-        return out.items()
+        accumulated gradients (only where some accumulated); with ``task``
+        given, only the parameters that task's forward pass depends on."""
+        return self.storage.items(self, task, grads)
 
 
 class MultiTaskNetwork:
@@ -301,9 +392,8 @@ class MultiTaskNetwork:
     def set_layer_factors(self, index, factors, biases=None):
         """Install soft-sharing factors (and optionally per-task biases)."""
         layer = self.layer_state(index)
-        if not layer.mode.soft:
-            raise ValueError(f"layer {index} is {layer.mode.value}, not softly shared")
-        if not isinstance(factors, layer.mode.scheme.record):
+        scheme = layer.storage.scheme
+        if scheme is None or not isinstance(factors, scheme.record):
             raise ValueError(f"layer {index} is {layer.mode.value}, got {type(factors).__name__}")
         expected = layer.stacked_shape
         if tuple(factors.out_shape) != expected:
@@ -311,6 +401,18 @@ class MultiTaskNetwork:
         layer.factors = factors
         if biases is not None:
             layer.biases = [np.asarray(b, dtype=np.float64).copy() for b in biases]
+        layer.invalidate()
+
+    def set_layer_weights(self, index, weights, biases, epsilon=None):
+        """Install layer ``index`` from T per-task weights and biases: a tied
+        layer keeps their mean, an independent one copies, and a softly
+        shared one keeps the factors of the stacked weights at ``epsilon``."""
+        layer = self.layer_state(index)
+        want = [layer.weight_shape(t) for t in range(self.tasks)]
+        got = [np.shape(w) for w in weights], [np.shape(b) for b in biases]
+        if got != (want, [s[-1:] for s in want]):
+            raise ValueError(f"layer {index} needs task weights of shapes {want} and their biases")
+        layer.storage.from_tasks(layer, weights, biases, epsilon)
         layer.invalidate()
 
     # -- forward / backward ----------------------------------------------
@@ -392,17 +494,18 @@ class MultiTaskNetwork:
         return g
 
     # -- parameter plumbing ------------------------------------------------
-    def parameters(self) -> dict:
-        out = {}
+    def _items(self, task=None, grads=False):
         for i in sorted(self.param_layers):
-            out.update(self.param_layers[i].param_items())
-        return out
+            yield from self.param_layers[i].param_items(task, grads)
+
+    def parameters(self) -> dict:
+        return dict(self._items())
 
     def gradients(self) -> dict:
-        out = {}
-        for i in sorted(self.param_layers):
-            out.update(self.param_layers[i].param_items(grads=True))
-        return out
+        """Accumulated gradients of every parameter, zero where none accumulated."""
+        out = dict(self._items(grads=True))
+        return {name: out[name] if name in out else np.zeros(p.shape)
+                for name, p in self.parameters().items()}
 
     def task_param_names(self, task: int) -> list:
         """Names of every parameter on the given task's forward path.
@@ -410,10 +513,7 @@ class MultiTaskNetwork:
         Optimisers should restrict a per-task step to this set so the
         private parameters of the other tasks stay untouched.
         """
-        names = []
-        for i in sorted(self.param_layers):
-            names.extend(name for name, _ in self.param_layers[i].param_items(task))
-        return names
+        return [name for name, _ in self._items(task)]
 
     def zero_grads(self):
         for layer in self.param_layers.values():
@@ -450,34 +550,16 @@ def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:
     """
     from .training import PlainRandom, RandomDecompose  # cycle-free at call time
 
+    if not isinstance(init, (PlainRandom, RandomDecompose)):
+        raise ValueError(f"unsupported init policy {init!r} for build_network")
+    epsilon = init.epsilon if isinstance(init, RandomDecompose) else None
     net = MultiTaskNetwork(spec)
     rng = np.random.default_rng(seed)
     for i in sorted(net.param_layers):
         layer = net.param_layers[i]
         bound = _glorot_bound(layer.kind)
-        draw = lambda shape: rng.uniform(-bound, bound, size=shape)
-        if layer.mode is SharingMode.TIED:
-            layer.weights = draw(layer.weight_shape(0))
-            layer.biases = np.zeros(layer.bias_width(0))
-            continue
-        if layer.mode is SharingMode.INDEPENDENT:
-            shapes = [layer.weight_shape(t) for t in range(spec.tasks)]
-            if all(s == shapes[0] for s in shapes):
-                w0 = draw(shapes[0])
-                layer.weights = [w0.copy() for _ in range(spec.tasks)]
-            else:
-                layer.weights = [draw(s) for s in shapes]
-        else:
-            if isinstance(init, PlainRandom):
-                raise ValueError(
-                    f"layer {i} is softly shared; PlainRandom cannot pick its ranks "
-                    "(use RandomDecompose or an STL-based initialisation)"
-                )
-            if not isinstance(init, RandomDecompose):
-                raise ValueError(f"unsupported init policy {init!r} for build_network")
-            stacked = np.stack([draw(layer.weight_shape(0)) for _ in range(spec.tasks)], axis=-1)
-            layer.factors = decompose(layer.mode.scheme.tag, stacked, init.epsilon)
-        layer.biases = [np.zeros(layer.bias_width(t)) for t in range(spec.tasks)]
+        layer.storage.from_draws(layer, lambda shape: rng.uniform(-bound, bound, size=shape),
+                                 epsilon)
     return net
 
 

@@ -44,7 +44,6 @@ from .network import (
     SharingMode,
     build_network,
 )
-from .factorization import decompose
 
 __all__ = [
     "StlInit", "RandomDecompose", "PlainRandom", "TrainConfig", "TrainRecord",
@@ -266,18 +265,10 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
     ]:
         raise ValueError("target architecture differs from the pretrained one")
     net = MultiTaskNetwork(target_spec)
-    for i, layer in net.param_layers.items():
+    for i in net.param_layers:
         src = stl_net.layer_state(i)
-        weights = [src.weight_for(t) for t in range(net.tasks)]
-        biases = [src.bias_for(t) for t in range(net.tasks)]
-        if layer.mode is SharingMode.TIED:
-            layer.weights, layer.biases = np.mean(weights, axis=0), np.mean(biases, axis=0)
-            continue
-        if layer.mode is SharingMode.INDEPENDENT:
-            layer.weights = [w.copy() for w in weights]
-        else:
-            layer.factors = decompose(layer.mode.scheme.tag, np.stack(weights, axis=-1), epsilon)
-        layer.biases = [b.copy() for b in biases]
+        net.set_layer_weights(i, [src.weight_for(t) for t in range(net.tasks)],
+                              [src.bias_for(t) for t in range(net.tasks)], epsilon)
     return net
 
 

@@ -10,6 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
+from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec, SharingMode
+
 
 @pytest.fixture
 def rng():
@@ -75,3 +77,13 @@ def assert_grads_close(analytic, numeric, rtol=1e-6, atol=1e-8):
 def random_shape(rng, max_way=5, max_extent=4, min_way=1):
     n = int(rng.integers(min_way, max_way + 1))
     return tuple(int(rng.integers(1, max_extent + 1)) for _ in range(n))
+
+
+def five_mode_spec(head_dims=None, tasks=3):
+    """An fc network with one layer per sharing mode; the independent one
+    is the head, so ``head_dims`` may give the tasks different widths."""
+    layers = []
+    for d_in, d_out, mode in [(6, 5, "tied"), (5, 4, "soft_laf"), (4, 4, "soft_tucker"),
+                              (4, 3, "soft_tt"), (3, 2, "independent")]:
+        layers += [LayerSpec(FC(d_in, d_out), SharingMode(mode)), LayerSpec(Activation("tanh"))]
+    return NetworkSpec((6,), layers[:-1], tasks, head_dims)

@@ -1,5 +1,9 @@
+import copy
 import json
+import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,11 +15,14 @@ from dmtrl.checkpoint import (
     load_network,
     save_checkpoint,
     save_network,
+    write_atomic,
 )
-from dmtrl.cli import main
-from dmtrl.config import ConfigError, load_config, parse_config
+from dmtrl.cli import main, write_csv
+from dmtrl.config import ConfigError, load_config, parse_config, spec_to_json
 from dmtrl.network import SharingMode, build_network
 from dmtrl.training import RandomDecompose
+
+from conftest import five_mode_spec
 
 
 class TestCheckpointFormat:
@@ -141,6 +148,17 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match="w9"):
             load_network(path)
 
+    @pytest.mark.parametrize("name", ["layer0.fc.b", "layer2.fc.b1", "layer8.fc.b2"],
+                             ids=["tied", "soft", "independent"])
+    def test_misshapen_bias_rejected(self, tmp_path, name):
+        path = tmp_path / "net.ckpt"
+        save_network(path, build_network(five_mode_spec([1, 3, 2]), RandomDecompose(0.3), 4))
+        arrays = load_checkpoint(path)
+        arrays[name] = np.zeros(len(arrays[name]) + 1)
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointError, match=name):
+            load_network(path)
+
     def edit_manifest(self, path, edit):
         mpath = path.parent / (path.name + ".manifest.json")
         manifest = json.loads(mpath.read_text())
@@ -180,10 +198,142 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match="ranks"):
             load_network(path)
 
+    @pytest.mark.parametrize("text", ["[]", "{not json"], ids=["not_an_object", "not_json"])
+    def test_malformed_manifest_json_rejected(self, tmp_path, text):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        (tmp_path / "net.ckpt.manifest.json").write_text(text)
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_network(path)
+
     def test_unedited_pair_still_loads(self, tmp_path):
         path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
         net, _ = load_network(path)
         assert sorted(net.parameters()) == sorted(load_checkpoint(path))
+
+
+MUTANTS = [None, 0, 1, 2, -1, 1.5, "x", True, [], {}] + [m.value for m in SharingMode]
+DELETE = object()
+
+
+def json_paths(node, path=()):
+    """The path of every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutated(tree, path, value):
+    """A copy of ``tree`` with the value at ``path`` replaced, or deleted."""
+    out = copy.deepcopy(tree)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def effective_spec(spec):
+    """A spec's JSON with the head width blanked when ``head_dims`` gives
+    the widths instead: NetworkSpec ignores that field then, so a manifest
+    may hold any value there and still describe the same network."""
+    out = spec_to_json(spec)
+    if out["head_dims"] is not None:
+        out["layers"][spec.parametrised_indices()[-1]]["d_out"] = None
+    return out
+
+
+class TestCheckpointBoundary:
+    """A damaged pair saved from a network with all five sharing modes
+    either loads as that network or raises CheckpointError."""
+
+    def save_pair(self, tmp_path):
+        net = build_network(five_mode_spec([1, 3, 2]), RandomDecompose(0.3), 5)
+        path = tmp_path / "net.ckpt"
+        save_network(path, net, extra={"method": "probe"})
+        return path, net
+
+    def test_every_single_field_mutation_loads_equal_or_raises(self, tmp_path):
+        path, net = self.save_pair(tmp_path)
+        mpath = tmp_path / "net.ckpt.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        want = net.parameters()
+        loaded = 0
+        for where in json_paths(manifest):
+            for value in MUTANTS + [DELETE]:
+                mpath.write_text(json.dumps(mutated(manifest, where, value)))
+                try:
+                    back, _ = load_network(path)
+                except CheckpointError:
+                    continue
+                loaded += 1
+                assert effective_spec(back.spec) == effective_spec(net.spec), (where, value)
+                got = back.parameters()
+                assert sorted(got) == sorted(want), (where, value)
+                for name in want:
+                    assert_array_equal(got[name], want[name])
+        assert loaded  # the unchecked "method" field loads whatever it holds
+
+    def test_every_truncation_raises(self, tmp_path):
+        path, _ = self.save_pair(tmp_path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_network(path)
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_previous_files(self, tmp_path, monkeypatch):
+        path, csv_path = tmp_path / "net.ckpt", tmp_path / "results.csv"
+        save_network(path, build_network(five_mode_spec(), RandomDecompose(0.3), 1))
+        write_csv(csv_path, [("stl", 1.0, 0, "0", "binary_error", 0.5)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            save_network(path, build_network(five_mode_spec(), RandomDecompose(0.3), 2))
+        with pytest.raises(OSError, match="refused"):
+            write_csv(csv_path, [("stl", 1.0, 0, "0", "binary_error", 0.25)])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_concurrent_writers_leave_one_whole_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        payloads = [json.dumps({"writer": i, "pad": "x" * 20000}) for i in range(6)]
+        errors = []
+
+        def write_many(text):
+            try:
+                for _ in range(20):
+                    write_atomic(path, text)
+            except Exception as e:  # noqa: BLE001 - reported by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=write_many, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 BASE_CONFIG = {

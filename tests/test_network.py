@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dmtrl.factorization import LAFFactors, TTFactors, compose, compose_tt
+from dmtrl.factorization import SCHEMES, LAFFactors, TTFactors, compose, compose_tt, decompose
 from dmtrl.layers import conv2d_forward, fc_forward, maxpool2_forward, relu_forward
 from dmtrl.network import (
     FC,
@@ -16,9 +16,9 @@ from dmtrl.network import (
     build_network,
     count_parameters,
 )
-from dmtrl.training import PlainRandom, RandomDecompose
+from dmtrl.training import PlainRandom, RandomDecompose, init_from_stl
 
-from conftest import assert_grads_close, central_difference
+from conftest import assert_grads_close, central_difference, five_mode_spec
 
 I, T, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.TIED,
                       SharingMode.SOFT_LAF, SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
@@ -111,6 +111,117 @@ class TestBuild:
         net = build_network(vector_spec(I, I), PlainRandom(), 5)
         l0 = net.layer_state(0)
         assert_array_equal(l0.weights[0], l0.weights[1])
+
+
+def layer_name(spec, i):
+    return f"layer{i}.{'fc' if isinstance(spec.layers[i].kind, FC) else 'conv'}"
+
+
+def task_shapes(spec, i):
+    kind = spec.layers[i].kind
+    if isinstance(kind, Conv):
+        return [(kind.h, kind.w, kind.in_ch, kind.out_ch)] * spec.tasks
+    head = i == spec.parametrised_indices()[-1] and spec.head_dims is not None
+    return [(kind.d_in, spec.head_dims[t] if head else kind.d_out) for t in range(spec.tasks)]
+
+
+def install_oracle(spec, i, weights, biases, epsilon):
+    """Named parameters of layer ``i`` installed from per-task weights and
+    biases: the mean for tied, copies for independent, the factors of the
+    stack for a soft mode."""
+    name, mode = layer_name(spec, i), spec.layers[i].mode
+    if mode is T:
+        return {f"{name}.w": np.mean(weights, axis=0), f"{name}.b": np.mean(biases, axis=0)}
+    out = {}
+    if mode is I:
+        out.update({f"{name}.w{t}": w for t, w in enumerate(weights)})
+    else:
+        tag = mode.value.removeprefix("soft_")
+        f = decompose(tag, np.stack(weights, axis=-1), epsilon)
+        out.update({f"{name}.{n}": a for n, a in SCHEMES[tag].items(f)})
+    out.update({f"{name}.b{t}": b for t, b in enumerate(biases)})
+    return out
+
+
+def build_oracle(spec, epsilon, seed):
+    """Parameters ``build_network`` must produce: fan-scaled uniform draws
+    from one generator in layer order; tied takes one draw, independent one
+    draw copied per task (one draw per task when head widths differ), a soft
+    mode one draw per task, stacked and factorised."""
+    rng = np.random.default_rng(seed)
+    want = {}
+    for i in spec.parametrised_indices():
+        kind, mode, shapes = spec.layers[i].kind, spec.layers[i].mode, task_shapes(spec, i)
+        fan = kind.d_in + kind.d_out if isinstance(kind, FC) else \
+            kind.h * kind.w * (kind.in_ch + kind.out_ch)
+        bound = np.sqrt(6.0 / fan)
+        if mode is T:
+            name = layer_name(spec, i)
+            want[f"{name}.w"] = rng.uniform(-bound, bound, size=shapes[0])
+            want[f"{name}.b"] = np.zeros(shapes[0][-1])
+            continue
+        if mode is I and len(set(shapes)) == 1:
+            weights = [rng.uniform(-bound, bound, size=shapes[0])] * spec.tasks
+        else:
+            weights = [rng.uniform(-bound, bound, size=s) for s in shapes]
+        biases = [np.zeros(s[-1]) for s in shapes]
+        want.update(install_oracle(spec, i, weights, biases, epsilon))
+    return want
+
+
+def assert_same_parameters(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert_array_equal(got[name], want[name], err_msg=name)
+
+
+class TestStorageRows:
+    """Every sharing mode against an oracle that replays its draws and
+    installs its weights without the network's storage table."""
+
+    @pytest.mark.parametrize("head_dims", [None, [1, 3, 2]], ids=["equal", "heterogeneous"])
+    def test_build_network_replays_draws(self, head_dims):
+        spec = five_mode_spec(head_dims)
+        net = build_network(spec, RandomDecompose(0.2), 13)
+        assert_same_parameters(net.parameters(), build_oracle(spec, 0.2, 13))
+
+    @pytest.mark.parametrize("mode", [T, I, LAF, TUK, TT])
+    def test_build_network_replays_conv_draws(self, mode):
+        spec = conv_spec(mode, tasks=3)
+        net = build_network(spec, RandomDecompose(0.2), 14)
+        assert_same_parameters(net.parameters(), build_oracle(spec, 0.2, 14))
+
+    def test_plain_random_replays_dense_draws(self):
+        spec = vector_spec(T, I)
+        net = build_network(spec, PlainRandom(), 15)
+        assert_same_parameters(net.parameters(), build_oracle(spec, None, 15))
+
+    @pytest.mark.parametrize("head_dims", [None, [1, 3, 2]], ids=["equal", "heterogeneous"])
+    def test_init_from_stl_installs_per_mode(self, head_dims, rng):
+        spec = five_mode_spec(head_dims)
+        stl_spec = NetworkSpec(spec.input_shape,
+                               [LayerSpec(ls.kind, I if ls.mode else None) for ls in spec.layers],
+                               spec.tasks, head_dims)
+        stl = build_network(stl_spec, PlainRandom(), 16)
+        for p in stl.parameters().values():
+            p += rng.normal(scale=0.1, size=p.shape)  # tasks and biases differ
+        stl_params = stl.parameters()
+        net = init_from_stl(stl, spec, 0.2)
+        want = {}
+        for i in spec.parametrised_indices():
+            name = layer_name(spec, i)
+            weights = [stl_params[f"{name}.w{t}"] for t in range(spec.tasks)]
+            biases = [stl_params[f"{name}.b{t}"] for t in range(spec.tasks)]
+            want.update(install_oracle(spec, i, weights, biases, 0.2))
+        got = net.parameters()
+        assert_same_parameters(got, want)
+        for name, a in got.items():  # installed by copy, never aliasing the source
+            assert not any(np.shares_memory(a, p) for p in stl_params.values()), name
+
+    def test_independent_slots_do_not_alias(self):
+        net = build_network(vector_spec(I, I), PlainRandom(), 17)
+        params = net.parameters()
+        assert not np.shares_memory(params["layer0.fc.w0"], params["layer0.fc.w1"])
 
 
 class TestForward:
@@ -261,12 +372,8 @@ class TestCountParameters:
                 LAFFactors(np.zeros((3, 2, k)), np.zeros((k, 4))),
                 biases=[np.zeros(2)] * 4,
             )
-        elif mode is I:
-            net.layer_state(0).weights = [np.zeros((3, 2)) for _ in range(4)]
-            net.layer_state(0).biases = [np.zeros(2) for _ in range(4)]
-        elif mode is T:
-            net.layer_state(0).weights = np.zeros((3, 2))
-            net.layer_state(0).biases = np.zeros(2)
+        else:
+            net.set_layer_weights(0, [np.zeros((3, 2))] * 4, [np.zeros(2)] * 4)
         return net
 
     def test_independent(self):
@@ -300,8 +407,7 @@ class TestCountParameters:
         for m, decomp in ((LAF, laf_decompose), (TUK, tucker_decompose), (TT, tt_decompose)):
             net = MultiTaskNetwork(spec_of(m))
             net.set_layer_factors(0, decomp(stacked, eps), biases=[np.zeros(8)] * tasks)
-            net.layer_state(1).weights = [np.zeros((8, 1)) for _ in range(tasks)]
-            net.layer_state(1).biases = [np.zeros(1) for _ in range(tasks)]
+            net.set_layer_weights(1, [np.zeros((8, 1))] * tasks, [np.zeros(1)] * tasks)
             soft_counts.append(count_parameters(net)["total"])
         assert count_parameters(tied)["total"] < min(soft_counts)
         assert max(soft_counts) < count_parameters(ind)["total"]

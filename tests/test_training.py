@@ -147,6 +147,13 @@ class TestInitFromStl:
         with pytest.raises(ValueError):
             init_from_stl(stl, linear_spec(LAF, 3), 0.1)
 
+    @pytest.mark.parametrize("mode", [SharingMode.TIED, I, LAF])
+    def test_width_mismatch_rejected(self, rng, mode):
+        # same layer kinds, but a hidden width of 5 where the STL net has 4
+        spec, datasets, stl = self.make_stl(rng)
+        with pytest.raises(ValueError, match="shapes"):
+            init_from_stl(stl, mlp_spec(mode, I, 3, hidden=5), 0.1)
+
 
 class TestInitRandomDecompose:
     def test_tiny_epsilon_recomposes_sample(self):
