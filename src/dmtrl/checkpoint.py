@@ -151,10 +151,9 @@ def load_network(ckpt_path):
             raise CheckpointError(f"manifest is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise CheckpointError(f"manifest must be a JSON object, got {type(manifest).__name__}")
-    if manifest.get("format_version") != VERSION:
-        raise CheckpointError(
-            f"manifest version {manifest.get('format_version')}, reader supports {VERSION}"
-        )
+    version = manifest.get("format_version")
+    if type(version) is not int or version != VERSION:  # a JSON integer, not true or 1.0
+        raise CheckpointError(f"manifest version {version!r}, reader supports {VERSION}")
     try:
         spec = spec_from_json(manifest["spec"])
     except (KeyError, TypeError, ValueError) as e:

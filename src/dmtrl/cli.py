@@ -10,8 +10,26 @@ everything.  Repeat r derives its seed as ``train.seed + r``; given the same
 config, outputs are bit-identical across runs (wall times live only in the
 JSON logs, never in the CSV).
 
+One command computes each input its cells share once and hands it to every
+cell that needs it: the train pool (the synthetic digit pool or the IDX
+train set) and the evaluation payload once per command, and per (fraction,
+repeat) the sampled train tasks and the ``pretrain_stl`` network that every
+STL-initialised cell with a softly shared layer factorises.  A sweep runs
+the cells of one (fraction, repeat) together and drops what they share after
+the last of them, so it holds one such group's inputs at a time per worker.
+
+A cell's ``wall_time_s`` is its own elapsed time, from pretraining or
+initialisation to the end of training.  The cell that runs a shared STL
+pretraining counts it, and its log says ``"stl_pretrain": "trained"``; a
+cell that reuses that network counts only the wait for it (none with one
+thread), and its log says ``"stl_pretrain": "reused"``.  A cell without
+pretraining has no ``stl_pretrain`` entry.  So within a sweep, a soft
+preset's shorter ``wall_time_s`` may only mean that another preset paid for
+the pretraining, not that the method trains faster.
+
 The environment variable DMTRL_THREADS bounds the worker threads a sweep
-uses (default 1).
+uses (default 1).  A cell that needs a shared input another thread is still
+computing waits for it rather than computing it again.
 """
 
 from __future__ import annotations
@@ -22,8 +40,10 @@ import io
 import json
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -91,16 +111,24 @@ def _digit_pool(data, split: str):
                         jitter=int(data.get("jitter", 3)), class_seed=cs)
 
 
-def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None):
-    """Training task datasets for one run cell."""
+def train_pool(data: dict):
+    """The corpus every cell of a command samples its train tasks from, or
+    None for the heterogeneous source, which generates each run's data from
+    the run seed."""
     source = data["source"]
     if source == "idx":
-        pool = load_idx(data["train_images"], data["train_labels"])
-        sampled = sample_fraction(pool, fraction, seed)
-        return make_suite(sampled).tasks
+        return load_idx(data["train_images"], data["train_labels"])
     if source == "synthetic_digits":
-        sampled = sample_fraction(_digit_pool(data, "train"), fraction, seed)
-        return make_suite(sampled).tasks
+        return _digit_pool(data, "train")
+    return None
+
+
+def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None, pool=None):
+    """Training task datasets for one run cell; ``pool`` is
+    :func:`train_pool`'s corpus when the caller holds it already."""
+    if data["source"] != "synthetic_heterogeneous":
+        pool = train_pool(data) if pool is None else pool
+        return make_suite(sample_fraction(pool, fraction, seed)).tasks
     binary, multi = synth_heterogeneous(
         _TRAIN_POOL_SEED + seed,
         int(data.get("n_train_per_task", 600)),
@@ -130,20 +158,84 @@ def build_eval_payload(data: dict, head_dims=None):
     return _fit_heads([binary, multi], head_dims)
 
 
+class _Shared:
+    """The inputs several cells of one command need, each computed once.
+
+    Keys: "pool" and "payload" (once per command); ("tasks", fraction,
+    repeat) for the sampled train tasks; ("stl", fraction, repeat) for the
+    pretrained STL network.  The first ``get`` of a key runs ``make``; a
+    later one, in any thread, waits for that result.  A key counted in
+    ``uses`` is dropped after its last use, so a command keeps only what its
+    unfinished cells still need."""
+
+    def __init__(self, uses=None):
+        self._lock = threading.Lock()
+        self._futures = {}
+        self._uses = Counter(uses)
+
+    def get(self, key, make):
+        """``make()``'s value for ``key``, and whether this call computed it."""
+        with self._lock:
+            future = self._futures.get(key)
+            made = future is None
+            if made:
+                future = self._futures[key] = Future()
+            if key in self._uses:
+                self._uses[key] -= 1
+                if not self._uses[key]:
+                    del self._futures[key], self._uses[key]
+        if made:
+            try:
+                future.set_result(make())
+            except BaseException as e:  # every waiting cell re-raises it
+                future.set_exception(e)
+        return future.result(), made
+
+
+def _has_soft(spec) -> bool:
+    return any(ls.mode is not None and ls.mode.soft for ls in spec.layers)
+
+
+def _pretrains(cfg: ExperimentConfig, spec) -> bool:
+    return _has_soft(spec) and isinstance(cfg.init, StlInit)
+
+
+def _shared_for(cfg: ExperimentConfig, cells) -> _Shared:
+    """Shared inputs for the (sharing, fraction, repeat) ``cells`` of one
+    command, each per-run entry dropped after the last cell that uses it."""
+    uses = Counter()
+    for sharing, fraction, rep in cells:
+        uses["tasks", fraction, rep] += 1
+        if _pretrains(cfg, cfg.network_spec(sharing)):
+            uses["stl", fraction, rep] += 1
+    return _Shared(uses)
+
+
 def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
-             repeat: int, out_dir: str) -> dict:
-    """Train one (sharing, fraction, repeat) cell and write its artifacts."""
+             repeat: int, out_dir: str, shared: _Shared | None = None) -> dict:
+    """Train one (sharing, fraction, repeat) cell and write its artifacts.
+
+    ``shared`` holds the inputs the command's cells share (see the module
+    docstring); without it the cell computes its own."""
+    shared = _Shared() if shared is None else shared
     run_seed = cfg.train.seed + repeat
     spec = cfg.network_spec(sharing)
-    tasks = build_train_tasks(cfg.data, fraction, run_seed, cfg.head_dims)
+    pool, _ = shared.get("pool", lambda: train_pool(cfg.data))
+    tasks, _ = shared.get(("tasks", fraction, repeat), lambda: build_train_tasks(
+        cfg.data, fraction, run_seed, cfg.head_dims, pool))
     train_cfg = replace(cfg.train, seed=run_seed)
     started = time.perf_counter()
-    has_soft = any(ls.mode is not None and ls.mode.soft for ls in spec.layers)
-    if has_soft and isinstance(cfg.init, StlInit):
-        stl_cfg = replace(train_cfg, epochs=cfg.init.pretrain_epochs)
-        stl = pretrain_stl(spec, tasks, stl_cfg)
+    pretrain = None
+    if _pretrains(cfg, spec):
+        # pretrain_stl's network depends on the architecture, the tasks, the
+        # train settings at the run seed and pretrain_epochs; within one
+        # command only the tasks (fraction, repeat) and the run seed (repeat)
+        # vary, and _all_independent erases the preset's modes
+        stl, made = shared.get(("stl", fraction, repeat), lambda: pretrain_stl(
+            spec, tasks, replace(train_cfg, epochs=cfg.init.pretrain_epochs)))
+        pretrain = "trained" if made else "reused"
         net = init_from_stl(stl, spec, cfg.init.epsilon)
-    elif has_soft:
+    elif _has_soft(spec):
         if not isinstance(cfg.init, RandomDecompose):
             raise ConfigError("softly shared layers need an stl or random_decompose init")
         net = build_network(spec, cfg.init, run_seed)
@@ -164,11 +256,13 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
         "init": type(cfg.init).__name__,
         "epsilon": getattr(cfg.init, "epsilon", None),
     })
+    timing = {"wall_time_s": wall}
+    if pretrain is not None:
+        timing["stl_pretrain"] = pretrain
     write_atomic(os.path.join(out_dir, f"{stem}.log.json"), json.dumps({
-        "records": [[r.epoch, r.task, r.loss, r.error] for r in log],
-        "wall_time_s": wall,
+        "records": [[r.epoch, r.task, r.loss, r.error] for r in log], **timing,
     }) + "\n")
-    return {"checkpoint": ckpt, "wall_time_s": wall, "method": label,
+    return {"checkpoint": ckpt, **timing, "method": label,
             "fraction": fraction, "repeat": repeat}
 
 
@@ -240,11 +334,10 @@ def _load_data_spec(path) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    cells = []
-    for fraction in cfg.fractions:
-        for rep in range(cfg.repeats):
-            label = cfg.sharing if isinstance(cfg.sharing, str) else "custom"
-            cells.append(run_cell(cfg, cfg.sharing, label, fraction, rep, args.out))
+    label = cfg.sharing if isinstance(cfg.sharing, str) else "custom"
+    grid = [(cfg.sharing, f, r) for f in cfg.fractions for r in range(cfg.repeats)]
+    shared = _shared_for(cfg, grid)
+    cells = [run_cell(cfg, sharing, label, f, r, args.out, shared) for sharing, f, r in grid]
     json.dump({"runs": cells}, sys.stdout, indent=2)
     print()
     return 0
@@ -271,16 +364,21 @@ def cmd_measure(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     presets = cfg.presets if cfg.presets is not None else [cfg.sharing]
-    cells = [(p, f, r) for p in presets for f in cfg.fractions
-             for r in range(cfg.repeats)]
+    grid = [(p, f, r) for p in presets for f in cfg.fractions
+            for r in range(cfg.repeats)]
     workers = max(1, int(os.environ.get("DMTRL_THREADS", "1")))
+    shared = _shared_for(cfg, grid)
+    # cell i belongs to (fraction, repeat) group i % runs: run group by group,
+    # so each group's shared inputs are dropped early; results keep grid order
+    runs = cfg.repeats * len(cfg.fractions)
+    order = sorted(range(len(grid)), key=lambda i: (i % runs, i))
 
-    def run_one(cell):
-        preset, fraction, rep = cell
+    def run_one(i):
+        preset, fraction, rep = grid[i]
         label = preset if isinstance(preset, str) else "custom"
-        info = run_cell(cfg, preset, label, fraction, rep, args.out)
+        info = run_cell(cfg, preset, label, fraction, rep, args.out, shared)
         net, manifest = load_network(info["checkpoint"])
-        payload = build_eval_payload(cfg.data, cfg.head_dims)
+        payload, _ = shared.get("payload", lambda: build_eval_payload(cfg.data, cfg.head_dims))
         rows = eval_rows(net, manifest, payload)
         rho = None
         if any(layer.mode.soft for layer in net.param_layers.values()):
@@ -288,10 +386,13 @@ def cmd_sweep(args) -> int:
         return info, rows, rho
 
     if workers == 1:
-        results = [run_one(c) for c in cells]
+        done = [run_one(i) for i in order]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, cells))
+            done = list(pool.map(run_one, order))
+    results = [None] * len(grid)
+    for i, result in zip(order, done):
+        results[i] = result
 
     all_rows = [row for _, rows, _ in results for row in rows]
     write_csv(os.path.join(args.out, "results.csv"), all_rows)

@@ -153,9 +153,31 @@ class TTFactors:
         return (self.head.shape[0],) + mids + (self.tail.shape[1],)
 
 
+def _record(cls, *values):
+    """A ``cls`` factor record of valid float64 arrays, skipping
+    ``__post_init__``'s coercion and checks (the per-step paths)."""
+    f = object.__new__(cls)
+    f.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return f
+
+
+def _times_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a``'s last axis contracted with ``b``'s first (C-contiguous operands)."""
+    return np.tensordot(a, b, (a.ndim - 1, 0))
+
+
+def _outer(g: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``np.multiply.outer(g, row)`` filled one last-axis column at a time:
+    the same bits without the outer ufunc's slow short-last-axis loop."""
+    out = np.empty(g.shape + row.shape)
+    for k in range(len(row)):
+        np.multiply(g, row[k], out=out[..., k])
+    return out
+
+
 def compose_laf(f: LAFFactors) -> np.ndarray:
     """Weight tensor whose task slice i is sum_k l[..., k] * s[k, i]."""
-    return tensor_dot(f.l, f.s, -1, 1)
+    return _times_last(f.l, f.s)
 
 
 def compose_tucker(f: TuckerFactors) -> np.ndarray:
@@ -175,8 +197,8 @@ def compose_tt(f: TTFactors) -> np.ndarray:
     """Collapse the bond axes of the chain head . cores . tail."""
     w = f.head
     for c in f.cores:
-        w = tensor_dot(w, c, -1, 1)
-    return tensor_dot(w, f.tail, -1, 1)
+        w = _times_last(w, c)
+    return _times_last(w, f.tail)
 
 
 def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
@@ -265,23 +287,16 @@ def _check_task(f, task: int) -> None:
 
 
 def _laf_backward(f: LAFFactors, grad_w: np.ndarray) -> LAFFactors:
-    grad_l = tensor_dot(grad_w, f.s, -1, 2)
+    grad_l = np.tensordot(grad_w, f.s, (grad_w.ndim - 1, 1))
     lead = list(range(f.l.ndim - 1))
-    return LAFFactors(grad_l, np.tensordot(f.l, grad_w, axes=(lead, lead)))
+    return _record(LAFFactors, grad_l, np.tensordot(f.l, grad_w, axes=(lead, lead)))
 
 
 def _laf_task_backward(f: LAFFactors, grad_w: np.ndarray, task: int) -> LAFFactors:
     lead = list(range(f.l.ndim - 1))
     grad_s = np.zeros_like(f.s)
     grad_s[:, task] = np.tensordot(f.l, grad_w, axes=(lead, lead))
-    return LAFFactors(np.multiply.outer(grad_w, f.s[:, task]), grad_s)
-
-
-def _tucker_record(core: np.ndarray, u: list) -> TuckerFactors:
-    """A record of valid float64 arrays, skipping ``__post_init__``'s checks."""
-    f = object.__new__(TuckerFactors)
-    f.core, f.u = core, u
-    return f
+    return _record(LAFFactors, _outer(grad_w, f.s[:, task]), grad_s)
 
 
 def _project(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -308,14 +323,20 @@ def _tucker_backward(f: TuckerFactors, grad_w: np.ndarray) -> TuckerFactors:
     for n, (m, r) in enumerate(zip(f.u, right)):
         grad_u.append(_unfold(left, n) @ _unfold(r, n).T)
         left = _project(left, m, n)
-    return _tucker_record(left, grad_u)
+    return _record(TuckerFactors, left, grad_u)
+
+
+def _tucker_fold(f: TuckerFactors, task: int) -> TuckerFactors:
+    """The task's row of the last factor contracted into the core; the
+    result composes to slice ``task`` alone."""
+    return _record(TuckerFactors, f.core @ f.u[-1][task], f.u[:-1])
 
 
 def _tucker_task_backward(f: TuckerFactors, grad_w: np.ndarray, task: int) -> TuckerFactors:
-    g = _tucker_backward(_tucker_record(f.core @ f.u[-1][task], f.u[:-1]), grad_w)
+    g = _tucker_backward(_tucker_fold(f, task), grad_w)
     grad_last = np.zeros_like(f.u[-1])
     grad_last[task] = g.core.reshape(-1) @ f.core.reshape(-1, f.core.shape[-1])
-    return _tucker_record(np.multiply.outer(g.core, f.u[-1][task]), g.u + [grad_last])
+    return _record(TuckerFactors, _outer(g.core, f.u[-1][task]), g.u + [grad_last])
 
 
 def _tt_backward(f: TTFactors, grad_w: np.ndarray) -> TTFactors:
@@ -323,11 +344,11 @@ def _tt_backward(f: TTFactors, grad_w: np.ndarray) -> TTFactors:
     # left[i]: chain up to and including piece i, shape (D1..D_{i+1}, K)
     left = [f.head]
     for c in f.cores:
-        left.append(tensor_dot(left[-1], c, -1, 1))
+        left.append(_times_last(left[-1], c))
     # right[i]: chain from piece i to the end, shape (K, D..DN)
     right = [f.tail]
     for c in reversed(f.cores):
-        right.insert(0, tensor_dot(c, right[0], 3, 1))
+        right.insert(0, _times_last(c, right[0]))
     grad_head = np.tensordot(grad_w, right[0],
                              axes=(list(range(1, n_way)), list(range(1, n_way))))
     grad_cores = []
@@ -343,20 +364,21 @@ def _tt_backward(f: TTFactors, grad_w: np.ndarray) -> TTFactors:
     n_left = lt.ndim - 1
     grad_tail = np.tensordot(lt, grad_w,
                              axes=(list(range(n_left)), list(range(n_left))))
-    return TTFactors(grad_head, grad_cores, grad_tail)
+    return _record(TTFactors, grad_head, grad_cores, grad_tail)
 
 
 def _tt_fold(f: TTFactors, task: int) -> TTFactors:
     """The task's column of the tail contracted into the last core; the
     result composes to slice ``task`` alone."""
-    return TTFactors(f.head, f.cores[:-1], tensor_dot(f.cores[-1], f.tail[:, task], -1, 1))
+    column = np.ascontiguousarray(f.tail[:, task])
+    return _record(TTFactors, f.head, f.cores[:-1], _times_last(f.cores[-1], column))
 
 
 def _tt_task_backward(f: TTFactors, grad_w: np.ndarray, task: int) -> TTFactors:
     g = _tt_backward(_tt_fold(f, task), grad_w)
     grad_tail = np.zeros_like(f.tail)
     grad_tail[:, task] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
-    return TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, f.tail[:, task])], grad_tail)
+    return _record(TTFactors, g.head, g.cores + [_outer(g.tail, f.tail[:, task])], grad_tail)
 
 
 @dataclass(frozen=True)
@@ -392,7 +414,7 @@ class Scheme:
 SCHEMES = {s.tag: s for s in (
     Scheme(
         "laf", LAFFactors, compose_laf, laf_decompose, _laf_backward,
-        compose_task=lambda f, t: tensor_dot(f.l, f.s[:, t], -1, 1),
+        compose_task=lambda f, t: _times_last(f.l, np.ascontiguousarray(f.s[:, t])),
         task_backward=_laf_task_backward,
         fields=lambda n_way: ("l", "s"),
         pack=lambda f: (f.l, f.s),
@@ -402,7 +424,7 @@ SCHEMES = {s.tag: s for s in (
     ),
     Scheme(
         "tucker", TuckerFactors, compose_tucker, tucker_decompose, _tucker_backward,
-        compose_task=lambda f, t: compose_tucker(_tucker_record(f.core @ f.u[-1][t], f.u[:-1])),
+        compose_task=lambda f, t: compose_tucker(_tucker_fold(f, t)),
         task_backward=_tucker_task_backward,
         fields=lambda n_way: ("core", *(f"u{i}" for i in range(n_way))),
         pack=lambda f: (f.core, *f.u),

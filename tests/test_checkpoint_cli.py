@@ -187,6 +187,13 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match=field):
             load_network(path)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_format_version_must_be_json_integer(self, tmp_path, value):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+        self.edit_manifest(path, lambda m: m.update(format_version=value))
+        with pytest.raises(CheckpointError, match="version"):
+            load_network(path)
+
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(ranks={}),
         lambda m: m["ranks"]["layer0.fc"].update(scheme="soft_tt"),
@@ -608,3 +615,64 @@ class TestCliCommands:
         assert len(rows) - 1 == 3 * 2 * 12
         sweep = json.loads((out / "sweep.json").read_text())
         assert len(sweep["cells"]) == 6
+
+
+SHARED_SWEEP = {
+    "presets": ["stl", "udmtl-1", "dmtrl-laf", "dmtrl-tucker", "dmtrl-tt"],
+    "init": {"policy": "stl", "pretrain_epochs": 1, "epsilon": 0.3},
+    "fractions": [0.5, 1.0],
+    "repeats": 2,
+}
+
+
+class TestSweepSharesInputs:
+    """A sweep computes each shared input once (the train pool, the test
+    suite, one STL pretraining per (fraction, repeat)) and still writes what
+    standalone runs write."""
+
+    def sweep(self, tmp_path, monkeypatch, threads):
+        import dmtrl.cli as cli
+
+        calls = {"pretrain_stl": [], "synth_digits": []}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counting(*args, _real=real, _log=calls[name], **kw):
+                _log.append(args)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setenv("DMTRL_THREADS", str(threads))
+        cfg = write_config(tmp_path, SHARED_SWEEP)
+        out = tmp_path / f"sweep{threads}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls["pretrain_stl"]) == 2 * 2   # once per (fraction, repeat)
+        assert len(calls["synth_digits"]) == 2       # the train pool and the test suite
+        return out
+
+    @staticmethod
+    def artifacts(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name.endswith((".ckpt", ".manifest.json", "results.csv"))}
+
+    def test_cells_equal_standalone_runs(self, tmp_path, monkeypatch, capsys):
+        swept = self.artifacts(self.sweep(tmp_path, monkeypatch, 1))
+        monkeypatch.undo()
+        standalone = {}
+        for preset in SHARED_SWEEP["presets"]:
+            overrides = {k: v for k, v in SHARED_SWEEP.items() if k != "presets"}
+            cfg = write_config(tmp_path, {**overrides, "sharing": preset}, f"{preset}.json")
+            out = tmp_path / preset
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            standalone.update(self.artifacts(out))
+        assert len(standalone) == 5 * 2 * 2 * 2   # .ckpt and manifest per cell
+        assert standalone == {k: v for k, v in swept.items() if k != "results.csv"}
+        logs = [json.loads(p.read_text()) for p in sorted((tmp_path / "sweep1").glob("*.log.json"))]
+        marks = sorted(log.get("stl_pretrain", "none") for log in logs)
+        assert marks == ["none"] * 8 + ["reused"] * 8 + ["trained"] * 4
+
+    def test_thread_pool_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        one = self.artifacts(self.sweep(tmp_path, monkeypatch, 1))
+        two = self.artifacts(self.sweep(tmp_path, monkeypatch, 2))
+        assert "results.csv" in one and len(one) == 1 + 5 * 2 * 2 * 2
+        assert one == two

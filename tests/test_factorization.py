@@ -18,7 +18,7 @@ from dmtrl.factorization import (
     tucker_decompose,
 )
 from dmtrl.linalg import thin_svd
-from dmtrl.tensor_core import frobenius_norm
+from dmtrl.tensor_core import frobenius_norm, tensor_dot
 
 from conftest import assert_grads_close, central_difference
 
@@ -355,6 +355,91 @@ class TestComposeTask:
             compose_backward(f, np.zeros((3, 2, 4)), task=0)
         with pytest.raises(ValueError):
             compose_task(tt_decompose(rng.normal(size=(3, 4)), 0.1), 0)
+
+
+def _tensor_dot_tt(f):
+    """The TT chain head . cores . tail through ``tensor_dot``."""
+    w = f.head
+    for c in f.cores:
+        w = tensor_dot(w, c, -1, 1)
+    return tensor_dot(w, f.tail, -1, 1)
+
+
+def _tensor_dot_tt_backward(f, grad_w):
+    """The full TT backward through ``tensor_dot`` and validated records."""
+    n_way = grad_w.ndim
+    left = [f.head]
+    for c in f.cores:
+        left.append(tensor_dot(left[-1], c, -1, 1))
+    right = [f.tail]
+    for c in reversed(f.cores):
+        right.insert(0, tensor_dot(c, right[0], 3, 1))
+    grad_head = np.tensordot(grad_w, right[0],
+                             axes=(list(range(1, n_way)), list(range(1, n_way))))
+    grad_cores = []
+    for i in range(len(f.cores)):
+        lt, rt = left[i], right[i + 1]
+        n_left = lt.ndim - 1
+        g = np.tensordot(lt, grad_w, axes=(list(range(n_left)), list(range(n_left))))
+        g = np.tensordot(g, rt, axes=(list(range(2, g.ndim)), list(range(1, rt.ndim))))
+        grad_cores.append(np.ascontiguousarray(g))
+    n_left = left[-1].ndim - 1
+    grad_tail = np.tensordot(left[-1], grad_w, axes=(list(range(n_left)), list(range(n_left))))
+    return TTFactors(grad_head, grad_cores, grad_tail)
+
+
+def _tt_fold_reference(f, t):
+    return TTFactors(f.head, f.cores[:-1], tensor_dot(f.cores[-1], f.tail[:, t], -1, 1))
+
+
+def _reference_task_paths(f, grad_t, t):
+    """Per-task slice and backward as first written: ``tensor_dot``, validated
+    records and ``np.multiply.outer``."""
+    if isinstance(f, LAFFactors):
+        lead = list(range(f.l.ndim - 1))
+        grad_s = np.zeros_like(f.s)
+        grad_s[:, t] = np.tensordot(f.l, grad_t, axes=(lead, lead))
+        return (tensor_dot(f.l, f.s[:, t], -1, 1),
+                LAFFactors(np.multiply.outer(grad_t, f.s[:, t]), grad_s))
+    if isinstance(f, TuckerFactors):
+        inner = TuckerFactors(f.core @ f.u[-1][t], f.u[:-1])
+        g = compose_backward(inner, grad_t)
+        grad_last = np.zeros_like(f.u[-1])
+        grad_last[t] = g.core.reshape(-1) @ f.core.reshape(-1, f.core.shape[-1])
+        return (compose_tucker(inner),
+                TuckerFactors(np.multiply.outer(g.core, f.u[-1][t]), g.u + [grad_last]))
+    folded = _tt_fold_reference(f, t)
+    g = _tensor_dot_tt_backward(folded, grad_t)
+    grad_tail = np.zeros_like(f.tail)
+    grad_tail[:, t] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
+    return (_tensor_dot_tt(folded),
+            TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, f.tail[:, t])], grad_tail))
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestPerTaskBits:
+    """The per-task slice and backward give the bits of the ``tensor_dot`` /
+    ``np.multiply.outer`` formulation they replaced."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=[s[0] for s in SCHEMES])
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (3, 4, 2, 3, 5)], ids=["3way", "5way"])
+    def test_bitwise_equal_to_reference(self, rng, scheme, shape):
+        _, decompose, _ = scheme
+        f = decompose(rng.normal(size=shape), 0.2)
+        for t in range(shape[-1]):
+            grad_t = rng.normal(size=shape[:-1])
+            want_slice, want = _reference_task_paths(f, grad_t, t)
+            assert_same_bits(compose_task(f, t), want_slice)
+            got = compose_backward(f, grad_t, task=t)
+            assert type(got) is type(want)
+            pairs = list(zip(factor_fields(got), factor_fields(want)))
+            assert len(pairs) == len(factor_fields(want))
+            for a, b in pairs:
+                assert_same_bits(a, b)
 
 
 class TestStructuralProperties:
