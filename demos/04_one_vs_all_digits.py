@@ -23,12 +23,8 @@ def spec_with(mode):
     kinds = [Conv(5, 5, 1, 8), Activation("relu"), MaxPool(),
              Conv(4, 4, 8, 16), Activation("relu"), MaxPool(),
              FC(256, 64), Activation("relu"), FC(64, 1)]
-    modes = iter([mode] * 4)
     return NetworkSpec(
-        (28, 28, 1),
-        [LayerSpec(k, next(modes)) if isinstance(k, (FC, Conv)) else LayerSpec(k)
-         for k in kinds],
-        10,
+        (28, 28, 1), [LayerSpec(k, mode if k.parametrised else None) for k in kinds], 10
     )
 
 

@@ -7,8 +7,8 @@ The shared trunk is a soft TT structure; heads stay independent.
 import numpy as np
 
 from dmtrl import (
-    FC, Activation, Conv, LayerSpec, MaxPool, NetworkSpec, SharingMode,
-    TrainConfig, evaluate_tasks, init_random_decompose, train,
+    FC, Activation, Conv, LayerSpec, MaxPool, NetworkSpec, RandomDecompose, SharingMode,
+    TrainConfig, build_network, evaluate_tasks, train,
 )
 from dmtrl.analysis import extract_mixing, normalize_mixing, sharing_strength
 from dmtrl.data import as_multiclass, synth_heterogeneous
@@ -31,7 +31,7 @@ spec = NetworkSpec(
     head_dims=[2, 8],
 )
 
-net = init_random_decompose(spec, epsilon=0.10, seed=3)
+net = build_network(spec, RandomDecompose(0.10), seed=3)
 train(net, train_tasks, TrainConfig(epochs=20, batch_size=32, seed=3))
 errs = evaluate_tasks(net, test_tasks)
 print(f"binary-task error  {errs[0]:.3f}")

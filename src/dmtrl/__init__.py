@@ -35,7 +35,6 @@ from .training import (
     evaluate_suite,
     evaluate_tasks,
     init_from_stl,
-    init_random_decompose,
     pretrain_stl,
     train,
 )

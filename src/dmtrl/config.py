@@ -18,6 +18,8 @@ with one mode per parametrised layer (``independent``, ``tied`` or
 
 Layer objects are read by one strict codec, :func:`layer_from_json`, which
 checkpoint manifests share with configs; :func:`layer_to_json` writes them.
+A layer object's ``kind`` is a ``network.KINDS`` tag and its other fields
+are that kind's integer fields (an activation's ``fn`` is the tag itself).
 Manifests read their network spec through :func:`spec_from_json`, with the
 same checks as a config.
 """
@@ -25,23 +27,15 @@ same checks as a config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .network import FC, Activation, Conv, LayerSpec, MaxPool, NetworkSpec, SharingMode
+from .network import KINDS, LayerSpec, NetworkSpec, SharingMode
 from .training import PlainRandom, RandomDecompose, StlInit, TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_data", "load_config",
            "layer_from_json", "layer_to_json", "spec_from_json", "spec_to_json"]
 
 _SOFT_OF = {f"dmtrl-{mode.scheme.tag}": mode for mode in SharingMode if mode.soft}
-
-_LAYER_FIELDS = {
-    "fc": (FC, ("d_in", "d_out")),
-    "conv": (Conv, ("h", "w", "in_ch", "out_ch")),
-    "maxpool": (MaxPool, ()),
-    "relu": (Activation, ()),
-    "tanh": (Activation, ()),
-}
 
 
 class ConfigError(ValueError):
@@ -94,26 +88,30 @@ def _sharing_mode(name, where: str) -> SharingMode:
         raise ConfigError(f"{where}: unknown mode {name!r}") from None
 
 
+def _int_fields(cls) -> list:
+    return [f.name for f in fields(cls) if f.type in (int, "int")]
+
+
 def layer_to_json(ls: LayerSpec) -> dict:
     """A layer as the object :func:`layer_from_json` reads with ``with_mode``."""
     kind = ls.kind
-    tag = kind.fn if isinstance(kind, Activation) else type(kind).__name__.lower()
-    return {"kind": tag, **{k: getattr(kind, k) for k in _LAYER_FIELDS[tag][1]},
+    return {"kind": kind.tag, **{k: getattr(kind, k) for k in _int_fields(type(kind))},
             "mode": ls.mode.value if ls.mode else None}
 
 
 def layer_from_json(entry, where: str, with_mode: bool = False) -> LayerSpec:
     """One layer object, read strictly: exactly ``kind`` and that kind's
     integer fields, plus ``mode`` when ``with_mode``.  A mode may be non-null
-    on fc and conv layers only."""
-    tag = _tag(entry, "kind", _LAYER_FIELDS, where)
-    cls, fields = _LAYER_FIELDS[tag]
-    _require_keys(entry, where, ("kind", *fields) + (("mode",) if with_mode else ()))
-    args = [_json_int(entry[k], f"field '{k}' in {where}", 1) for k in fields]
-    kind = Activation(tag) if cls is Activation else cls(*args)
+    on parametrised (fc and conv) layers only."""
+    tag = _tag(entry, "kind", KINDS, where)
+    cls = KINDS[tag]
+    ints = _int_fields(cls)
+    _require_keys(entry, where, ("kind", *ints) + (("mode",) if with_mode else ()))
+    kind = cls(**{f.name: tag for f in fields(cls) if f.name not in ints},
+               **{k: _json_int(entry[k], f"field '{k}' in {where}", 1) for k in ints})
     if entry.get("mode") is None:
         return LayerSpec(kind)
-    if cls not in (FC, Conv):
+    if not kind.parametrised:
         raise ConfigError(f"{where}: a sharing mode is allowed only on fc and conv layers")
     return LayerSpec(kind, _sharing_mode(entry["mode"], where))
 
@@ -261,19 +259,15 @@ class ExperimentConfig:
     name: str = "run"
 
     def n_param_layers(self) -> int:
-        return sum(1 for k in self.architecture if isinstance(k, (FC, Conv)))
+        return sum(1 for k in self.architecture if k.parametrised)
 
     def network_spec(self, sharing=None) -> NetworkSpec:
-        modes = expand_sharing(
+        modes = iter(expand_sharing(
             self.sharing if sharing is None else sharing,
             self.n_param_layers(),
             self.head_dims is not None and len(set(self.head_dims)) > 1,
-        )
-        it = iter(modes)
-        layers = [
-            LayerSpec(k, next(it)) if isinstance(k, (FC, Conv)) else LayerSpec(k)
-            for k in self.architecture
-        ]
+        ))
+        layers = [LayerSpec(k, next(modes) if k.parametrised else None) for k in self.architecture]
         return NetworkSpec(self.input_shape, layers, self.tasks, self.head_dims)
 
 

@@ -154,32 +154,24 @@ def make_suite(raw: LabeledImages, split: str = "train") -> OneVsAllSuite:
     )
 
 
-def sample_fraction(ds, fraction: float, seed: int, stratified: bool = True):
-    """Subsample without replacement, keeping original row order.
+def sample_fraction(ds, fraction: float, seed: int):
+    """Stratified subsample without replacement, keeping original row order.
 
-    Stratified sampling allocates floor(fraction * count) per label value but
-    never fewer than one item per label present.  fraction == 1.0 returns the
-    dataset unchanged.
+    Each label value keeps floor(fraction * count) of its items, but never
+    fewer than one.  fraction == 1.0 returns the dataset unchanged.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if fraction == 1.0:
         return ds
     labels = ds.labels
-    n = len(labels)
     rng = np.random.default_rng(seed)
-    if stratified:
-        picked = []
-        for value in np.unique(labels):
-            pool = np.flatnonzero(labels == value)
-            take = max(1, int(np.floor(fraction * pool.size)))
-            picked.append(rng.choice(pool, size=take, replace=False))
-        idx = np.sort(np.concatenate(picked))
-    else:
-        take = int(np.floor(fraction * n))
-        if take == 0:
-            raise ValueError(f"fraction {fraction} of {n} items selects nothing")
-        idx = np.sort(rng.choice(n, size=take, replace=False))
+    picked = []
+    for value in np.unique(labels):
+        pool = np.flatnonzero(labels == value)
+        take = max(1, int(np.floor(fraction * pool.size)))
+        picked.append(rng.choice(pool, size=take, replace=False))
+    idx = np.sort(np.concatenate(picked))
     if isinstance(ds, LabeledImages):
         return replace(ds, images=ds.images[idx], labels=labels[idx])
     return replace(ds, inputs=ds.inputs[idx], labels=labels[idx])

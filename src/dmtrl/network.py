@@ -1,6 +1,15 @@
 """Multi-task networks whose parametrised layers keep their weights in one
 of five sharing modes.
 
+Each layer kind (:class:`FC`, which flattens its input, :class:`Conv`,
+:class:`MaxPool`, :class:`Activation`) has ``out_shape(shape, d_out)``,
+raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
+(out, cache)`` and ``backward(g, cache, need_grad_x) -> (grad_x,
+*param_grads)``; fc and conv take a task's weight and bias, may skip
+``grad_x`` and give their ``weight_shape`` and Glorot bound.  Kinds look the
+:mod:`dmtrl.layers` primitives up on that module at call time, so a tracer
+that swaps them there sees every call.  ``KINDS`` maps JSON tags to kinds.
+
 A network holds T task heads over common storage.  How a fully connected or
 convolutional layer keeps its parameters is the row of ``STORAGE`` for its
 :class:`SharingMode`, and no other code tells the modes apart.  A tied layer
@@ -20,15 +29,16 @@ forward pass composes only the requested task's slice straight from the
 factors (cached until the factors change), and listing the gradients maps
 each slice gradient back onto the factors on its own.
 
-``forward`` records the tape that ``backward`` consumes; ``predict`` runs the
-same layers without keeping one, so scoring holds no activations or patch
-matrices beyond the layer being computed.
+``forward`` records a tape of ``(kind, param layer or None, cache)`` per
+layer, which ``backward`` consumes in reverse; ``predict`` runs the same
+layers without keeping one, so scoring holds no activations or patch matrices
+beyond the layer being computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,32 +53,121 @@ __all__ = [
 ]
 
 
+class _Kind:
+    """What the layer kinds share; the module docstring gives the contract."""
+
+    tags = ()
+    parametrised = False
+
+    @property
+    def tag(self) -> str:
+        return self.tags[0]
+
+
 @dataclass(frozen=True)
-class FC:
+class FC(_Kind):
     d_in: int
     d_out: int
+    tags = ("fc",)
+    parametrised = True
+
+    def out_shape(self, shape, d_out=None):
+        d = int(np.prod(shape))
+        if d != self.d_in:
+            raise ValueError(f"fc expects {self.d_in} inputs, receives {d}")
+        return self.weight_shape(d_out)[1:]
+
+    def weight_shape(self, d_out=None):
+        return (self.d_in, self.d_out if d_out is None else d_out)
+
+    def glorot_bound(self) -> float:
+        return math.sqrt(6.0 / (self.d_in + self.d_out))
+
+    def forward(self, x, w, b):
+        out, cache = nn.fc_forward(x.reshape(len(x), self.d_in), w, b)
+        return out, (cache, x.shape)
+
+    def backward(self, g, cache, need_grad_x):
+        fc_cache, x_shape = cache
+        g, gw, gb = nn.fc_backward(g, fc_cache, need_grad_x=need_grad_x)
+        return (None if g is None else g.reshape(x_shape)), gw, gb
 
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Kind):
     h: int
     w: int
     in_ch: int
     out_ch: int
+    tags = ("conv",)
+    parametrised = True
+
+    def out_shape(self, shape, d_out=None):
+        if len(shape) != 3:
+            raise ValueError(f"conv needs (H, W, C) input, got {shape}")
+        h, w, c = shape
+        if c != self.in_ch:
+            raise ValueError(f"{c} channels flowing into conv expecting {self.in_ch}")
+        if h < self.h or w < self.w:
+            raise ValueError(f"kernel {self.h}x{self.w} larger than input {h}x{w}")
+        return (h - self.h + 1, w - self.w + 1, self.out_ch)
+
+    def weight_shape(self, d_out=None):
+        return (self.h, self.w, self.in_ch, self.out_ch)
+
+    def glorot_bound(self) -> float:
+        hw = self.h * self.w
+        return math.sqrt(6.0 / (hw * self.in_ch + hw * self.out_ch))
+
+    def forward(self, x, w, b):
+        return nn.conv2d_forward(x, w, b)
+
+    def backward(self, g, cache, need_grad_x):
+        return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
 
 @dataclass(frozen=True)
-class MaxPool:
-    pass
+class MaxPool(_Kind):
+    tags = ("maxpool",)
+
+    def out_shape(self, shape, d_out=None):
+        if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
+            raise ValueError(f"cannot 2x2-pool input of shape {shape}")
+        return (shape[0] // 2, shape[1] // 2, shape[2])
+
+    def forward(self, x):
+        return nn.maxpool2_forward(x)
+
+    def backward(self, g, cache, need_grad_x):
+        return (nn.maxpool2_backward(g, cache),)
 
 
 @dataclass(frozen=True)
-class Activation:
-    fn: str  # "relu" | "tanh"
+class Activation(_Kind):
+    """An elementwise nonlinearity, named by its tag ``fn``."""
+
+    fn: str
+    tags = ("relu", "tanh")
 
     def __post_init__(self):
-        if self.fn not in ("relu", "tanh"):
+        if self.fn not in self.tags:
             raise ValueError(f"unknown activation '{self.fn}'")
+
+    @property
+    def tag(self) -> str:
+        return self.fn
+
+    def out_shape(self, shape, d_out=None):
+        return shape
+
+    def forward(self, x):
+        return getattr(nn, f"{self.fn}_forward")(x)
+
+    def backward(self, g, cache, need_grad_x):
+        return (getattr(nn, f"{self.fn}_backward")(g, cache),)
+
+
+KINDS = {tag: kind for kind in (FC, Conv, MaxPool, Activation) for tag in kind.tags}
 
 
 class SharingMode(Enum):
@@ -117,65 +216,32 @@ class NetworkSpec:
             raise ValueError("head_dims must list one output width per task")
         self._validate_chain()
 
-    def head_dim(self, task: int) -> int | None:
-        return None if self.head_dims is None else int(self.head_dims[task])
+    def d_out(self, index: int, task: int) -> int | None:
+        """Layer ``index``'s output width for ``task`` where ``head_dims``
+        overrides it (on the last parametrised layer), else None."""
+        if self.head_dims is None or index != self.parametrised_indices()[-1]:
+            return None
+        return int(self.head_dims[task])
 
     def parametrised_indices(self) -> list:
-        return [i for i, ls in enumerate(self.layers) if isinstance(ls.kind, (FC, Conv))]
+        return [i for i, ls in enumerate(self.layers) if ls.kind.parametrised]
 
     def _validate_chain(self):
         param_idx = self.parametrised_indices()
         if not param_idx:
             raise ValueError("network needs at least one parametrised layer")
-        last_param = param_idx[-1]
-        heterogeneous = self.head_dims is not None and len(set(self.head_dims)) > 1
         for task in range(self.tasks):
             shape = self.input_shape
             for i, ls in enumerate(self.layers):
-                kind, mode = ls.kind, ls.mode
-                if isinstance(kind, (FC, Conv)) and mode is None:
+                if ls.kind.parametrised and ls.mode is None:
                     raise ValueError(f"layer {i} needs a sharing mode")
-                if isinstance(kind, Conv):
-                    if len(shape) != 3:
-                        raise ValueError(f"layer {i}: conv needs (H, W, C) input, got {shape}")
-                    h, w, c = shape
-                    if c != kind.in_ch:
-                        raise ValueError(f"layer {i}: {c} channels flowing into conv expecting {kind.in_ch}")
-                    if h < kind.h or w < kind.w:
-                        raise ValueError(f"layer {i}: kernel {kind.h}x{kind.w} larger than input {h}x{w}")
-                    shape = (h - kind.h + 1, w - kind.w + 1, kind.out_ch)
-                elif isinstance(kind, FC):
-                    d = int(np.prod(shape))
-                    if d != kind.d_in:
-                        raise ValueError(f"layer {i}: fc expects {kind.d_in} inputs, receives {d}")
-                    d_out = kind.d_out
-                    if i == last_param and self.head_dims is not None:
-                        d_out = self.head_dim(task)
-                    shape = (d_out,)
-                elif isinstance(kind, MaxPool):
-                    if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
-                        raise ValueError(f"layer {i}: cannot 2x2-pool input of shape {shape}")
-                    shape = (shape[0] // 2, shape[1] // 2, shape[2])
-                elif not isinstance(kind, Activation):
-                    raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
-                if i == last_param and isinstance(kind, FC) and heterogeneous:
-                    if mode is not SharingMode.INDEPENDENT:
-                        raise ValueError(
-                            "tasks with different head widths need an Independent head layer"
-                        )
-
-
-def _glorot_bound(kind) -> float:
-    if isinstance(kind, FC):
-        return math.sqrt(6.0 / (kind.d_in + kind.d_out))
-    hw = kind.h * kind.w
-    return math.sqrt(6.0 / (hw * kind.in_ch + hw * kind.out_ch))
-
-
-def _weight_shape(kind, d_out=None):
-    if isinstance(kind, FC):
-        return (kind.d_in, d_out if d_out is not None else kind.d_out)
-    return (kind.h, kind.w, kind.in_ch, kind.out_ch)
+                try:
+                    shape = ls.kind.out_shape(shape, self.d_out(i, task))
+                except ValueError as e:
+                    raise ValueError(f"layer {i}: {e}") from None
+        heterogeneous = self.head_dims is not None and len(set(self.head_dims)) > 1
+        if heterogeneous and self.layers[param_idx[-1]].mode is not SharingMode.INDEPENDENT:
+            raise ValueError("tasks with different head widths need an Independent head layer")
 
 
 class CheckpointError(ValueError):
@@ -244,6 +310,9 @@ class _Dense:
         return layer.weights[self.slot(task)]
 
     def items(self, layer, task=None, grads=False):
+        """(name, tensor) pairs of the layer's parameters, or of their
+        accumulated gradients (only where some accumulated); with ``task``
+        given, only the parameters that task's forward pass depends on."""
         yield from self._slot_items(layer, task, grads, "w", layer.weights, layer._gw)
         yield from self._slot_items(layer, task, grads, "b", layer.biases, layer._gb)
 
@@ -310,13 +379,12 @@ class _ParamLayer:
     """One layer's parameters, kept by its mode's :data:`STORAGE` row, with
     the gradient accumulators and the per-task weight cache."""
 
-    def __init__(self, index, kind, mode, tasks, head_dim_of=None):
-        self.kind = kind
-        self.mode = mode
-        self.storage = STORAGE[mode]
-        self.tasks = tasks
-        self.name = f"layer{index}.{'fc' if isinstance(kind, FC) else 'conv'}"
-        self._head_dim_of = head_dim_of  # task -> output width override
+    def __init__(self, index, spec):
+        self.index, self.spec = index, spec
+        self.kind, self.mode = spec.layers[index].kind, spec.layers[index].mode
+        self.storage = STORAGE[self.mode]
+        self.tasks = spec.tasks
+        self.name = f"layer{index}.{self.kind.tag}"
         self.weights = None          # dense rows: one array per slot
         self.factors = None          # soft rows: the factor record
         self.biases = None           # one array per slot
@@ -325,8 +393,7 @@ class _ParamLayer:
 
     # -- shapes ---------------------------------------------------------
     def weight_shape(self, task):
-        d_out = self._head_dim_of(task) if self._head_dim_of else None
-        return _weight_shape(self.kind, d_out)
+        return self.kind.weight_shape(self.spec.d_out(self.index, task))
 
     def bias_width(self, task):
         return self.weight_shape(task)[-1]
@@ -357,27 +424,13 @@ class _ParamLayer:
             else:
                 acc[slot] = np.array(g, dtype=np.float64)
 
-    # -- named parameter / gradient maps ---------------------------------
-    def param_items(self, task=None, grads=False):
-        """(name, tensor) pairs of the layer's parameters, or of their
-        accumulated gradients (only where some accumulated); with ``task``
-        given, only the parameters that task's forward pass depends on."""
-        return self.storage.items(self, task, grads)
-
 
 class MultiTaskNetwork:
     """T task networks over the storage described by a :class:`NetworkSpec`."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.param_layers = {}
-        head_idx = spec.parametrised_indices()[-1]
-        for i, ls in enumerate(spec.layers):
-            if isinstance(ls.kind, (FC, Conv)):
-                head_of = None
-                if i == head_idx and spec.head_dims is not None:
-                    head_of = spec.head_dim
-                self.param_layers[i] = _ParamLayer(i, ls.kind, ls.mode, spec.tasks, head_of)
+        self.param_layers = {i: _ParamLayer(i, spec) for i in spec.parametrised_indices()}
         self._tape = None
 
     @property
@@ -435,30 +488,11 @@ class MultiTaskNetwork:
         h = np.asarray(x, dtype=np.float64)
         tape = [] if record else None
         for i, ls in enumerate(self.spec.layers):
-            kind = ls.kind
-            if isinstance(kind, Conv):
-                layer = self.param_layers[i]
-                h, cache = nn.conv2d_forward(h, layer.weight_for(task), layer.bias_for(task))
-                op = "conv"
-            elif isinstance(kind, FC):
-                layer = self.param_layers[i]
-                folded = None
-                if h.ndim > 2:
-                    folded = h.shape
-                    h = h.reshape(h.shape[0], -1)
-                h, cache = nn.fc_forward(h, layer.weight_for(task), layer.bias_for(task))
-                op, cache = "fc", (cache, folded)
-            elif isinstance(kind, MaxPool):
-                h, cache = nn.maxpool2_forward(h)
-                op = "pool"
-            else:
-                if kind.fn == "relu":
-                    h, cache = nn.relu_forward(h)
-                else:
-                    h, cache = nn.tanh_forward(h)
-                op = "act:" + kind.fn
+            layer = self.param_layers.get(i)
+            params = () if layer is None else (layer.weight_for(task), layer.bias_for(task))
+            h, cache = ls.kind.forward(h, *params)
             if record:
-                tape.append((op, i, cache))
+                tape.append((ls.kind, layer, cache))
         return h, tape
 
     def backward(self, task: int, grad_out: np.ndarray) -> np.ndarray:
@@ -474,46 +508,32 @@ class MultiTaskNetwork:
             raise RuntimeError(f"forward cached for task {tape_task}, backward asked for {task}")
         self._tape = None
         g = np.asarray(grad_out, dtype=np.float64)
-        for pos, (op, i, cache) in reversed(list(enumerate(tape))):
-            need_gx = pos > 0  # nothing consumes the input gradient
-            if op == "conv":
-                g, gw, gb = nn.conv2d_backward(g, cache, need_grad_x=need_gx)
-                self.param_layers[i].accumulate(task, gw, gb)
-            elif op == "fc":
-                fc_cache, folded = cache
-                g, gw, gb = nn.fc_backward(g, fc_cache, need_grad_x=need_gx)
-                self.param_layers[i].accumulate(task, gw, gb)
-                if folded is not None and g is not None:
-                    g = g.reshape(folded)
-            elif op == "pool":
-                g = nn.maxpool2_backward(g, cache)
-            elif op == "act:relu":
-                g = nn.relu_backward(g, cache)
-            else:
-                g = nn.tanh_backward(g, cache)
+        for pos in reversed(range(len(tape))):
+            kind, layer, cache = tape[pos]
+            # nothing consumes the first layer's input gradient
+            g, *grads = kind.backward(g, cache, need_grad_x=pos > 0)
+            if layer is not None:
+                layer.accumulate(task, *grads)
         return g
 
     # -- parameter plumbing ------------------------------------------------
     def _items(self, task=None, grads=False):
         for i in sorted(self.param_layers):
-            yield from self.param_layers[i].param_items(task, grads)
+            layer = self.param_layers[i]
+            yield from layer.storage.items(layer, task, grads)
 
-    def parameters(self) -> dict:
-        return dict(self._items())
+    def parameters(self, task=None) -> dict:
+        """Every named parameter, or with ``task`` given only those on that
+        task's forward path (an optimiser step for that task updates no
+        other task's private weights)."""
+        return dict(self._items(task))
 
-    def gradients(self) -> dict:
-        """Accumulated gradients of every parameter, zero where none accumulated."""
-        out = dict(self._items(grads=True))
+    def gradients(self, task=None) -> dict:
+        """Accumulated gradients of :meth:`parameters` (of ``task``), zero
+        where none accumulated."""
+        out = dict(self._items(task, grads=True))
         return {name: out[name] if name in out else np.zeros(p.shape)
-                for name, p in self.parameters().items()}
-
-    def task_param_names(self, task: int) -> list:
-        """Names of every parameter on the given task's forward path.
-
-        Optimisers should restrict a per-task step to this set so the
-        private parameters of the other tasks stay untouched.
-        """
-        return [name for name, _ in self._items(task)]
+                for name, p in self.parameters(task).items()}
 
     def zero_grads(self):
         for layer in self.param_layers.values():
@@ -557,7 +577,7 @@ def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:
     rng = np.random.default_rng(seed)
     for i in sorted(net.param_layers):
         layer = net.param_layers[i]
-        bound = _glorot_bound(layer.kind)
+        bound = layer.kind.glorot_bound()
         layer.storage.from_draws(layer, lambda shape: rng.uniform(-bound, bound, size=shape),
                                  epsilon)
     return net
@@ -575,7 +595,7 @@ def count_parameters(net: MultiTaskNetwork) -> dict:
             for t in range(net.tasks)
         )
         independent_total += ind
-        by_layer[layer.name] = sum(p.size for _, p in layer.param_items())
+        by_layer[layer.name] = sum(p.size for _, p in layer.storage.items(layer))
     total = sum(by_layer.values())
     return {
         "total": total,

@@ -7,10 +7,10 @@ Two ways to initialise a softly shared network:
   and factorise the stack at a relative-error budget ``epsilon``.  The
   truncation picks every layer's ranks, so ``epsilon`` is the only
   structural hyperparameter.
-* ``init_random_decompose``: skip pretraining; sample the stacked weight
-  tensors from a fan-scaled uniform distribution, factorise at ``epsilon``
-  and keep the factors, so the recomposed tensors approximate the intended
-  distribution.
+* ``build_network(spec, RandomDecompose(epsilon), seed)``: skip
+  pretraining; sample the stacked weight tensors from a fan-scaled uniform
+  distribution, factorise at ``epsilon`` and keep the factors, so the
+  recomposed tensors approximate the intended distribution.
 
 Training interleaves tasks round-robin, one minibatch per task per cycle,
 with an optimiser step after each minibatch.  All randomness flows from the
@@ -47,7 +47,7 @@ from .network import (
 
 __all__ = [
     "StlInit", "RandomDecompose", "PlainRandom", "TrainConfig", "TrainRecord",
-    "pretrain_stl", "init_from_stl", "init_random_decompose",
+    "pretrain_stl", "init_from_stl",
     "train", "evaluate_tasks", "evaluate_suite",
 ]
 
@@ -220,10 +220,7 @@ def train(net: MultiTaskNetwork, datasets, config: TrainConfig):
                 net.backward(t, grad)
                 # update only the parameters on this task's forward path:
                 # other tasks' private weights must not see optimiser steps
-                active = net.task_param_names(t)
-                params, grads = net.parameters(), net.gradients()
-                opt.step({k: params[k] for k in active},
-                         {k: grads[k] for k in active})
+                opt.step(net.parameters(t), net.gradients(t))
                 net.zero_grads()
                 net.invalidate()
                 loss_sum[t] += loss
@@ -270,11 +267,6 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
         net.set_layer_weights(i, [src.weight_for(t) for t in range(net.tasks)],
                               [src.bias_for(t) for t in range(net.tasks)], epsilon)
     return net
-
-
-def init_random_decompose(spec: NetworkSpec, epsilon: float, seed: int) -> MultiTaskNetwork:
-    """Pretraining-free initialisation: sample, factorise, keep the factors."""
-    return build_network(spec, RandomDecompose(epsilon), seed)
 
 
 def _predict_rows(net: MultiTaskNetwork, task: int, inputs: np.ndarray) -> np.ndarray:

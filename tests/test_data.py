@@ -140,14 +140,14 @@ class TestSampleFraction:
 
     def test_half_deterministic(self):
         ds = self.make()
-        a = sample_fraction(ds, 0.5, 3, stratified=False)
-        b = sample_fraction(ds, 0.5, 3, stratified=False)
-        assert len(a) == 5
+        a = sample_fraction(ds, 0.5, 3)
+        b = sample_fraction(ds, 0.5, 3)
+        assert len(a) == 4  # floor(0.5 * 5) of each of the two classes
         assert_array_equal(a.images, b.images)
 
     def test_order_stable(self):
         ds = self.make(n=20)
-        sub = sample_fraction(ds, 0.4, 1, stratified=False)
+        sub = sample_fraction(ds, 0.4, 1)
         flat = sub.images.reshape(len(sub), -1)[:, 0]
         assert np.all(np.diff(flat) > 0)  # original ascending order preserved
 
@@ -156,10 +156,6 @@ class TestSampleFraction:
         sub = sample_fraction(ds, 0.01, 5)
         counts = np.bincount(sub.labels, minlength=10)
         assert np.all(counts >= 1)
-
-    def test_unstratified_zero_items_rejected(self):
-        with pytest.raises(ValueError):
-            sample_fraction(self.make(), 0.01, 0, stratified=False)
 
     def test_works_on_task_datasets(self, rng):
         from dmtrl.data import TaskDataset

@@ -16,7 +16,8 @@ from dmtrl.network import (
     build_network,
     count_parameters,
 )
-from dmtrl.training import PlainRandom, RandomDecompose, init_from_stl
+from dmtrl.data import TaskDataset
+from dmtrl.training import PlainRandom, RandomDecompose, TrainConfig, init_from_stl, train
 
 from conftest import assert_grads_close, central_difference, five_mode_spec
 
@@ -77,6 +78,54 @@ class TestSpecValidation:
     def test_missing_mode_on_param_layer(self):
         with pytest.raises(ValueError):
             NetworkSpec((4,), [LayerSpec(FC(4, 2))], 2)
+
+
+class TestLayerKinds:
+    """The kind contract: ``out_shape`` agrees with ``forward``, and a
+    network reaches the primitives through ``dmtrl.layers`` at call time."""
+
+    @pytest.mark.parametrize("kind, shape", [
+        (FC(6, 4), (6,)),
+        (FC(72, 3), (6, 6, 2)),
+        (Conv(3, 2, 2, 5), (7, 6, 2)),
+        (MaxPool(), (6, 8, 3)),
+        (MaxPool(), (7, 5, 2)),
+        (Activation("relu"), (4, 5, 2)),
+        (Activation("tanh"), (3,)),
+    ], ids=["fc", "fc-folded", "conv", "pool-even", "pool-odd", "relu", "tanh"])
+    def test_out_shape_matches_forward(self, rng, kind, shape):
+        x = rng.normal(size=(3, *shape))
+        params = ()
+        if kind.parametrised:
+            w_shape = kind.weight_shape()
+            params = (rng.normal(size=w_shape), rng.normal(size=w_shape[-1]))
+        out, cache = kind.forward(x, *params)
+        assert out.shape == (3, *kind.out_shape(shape))
+        g, *grads = kind.backward(np.ones_like(out), cache, need_grad_x=True)
+        assert g.shape == x.shape
+        assert [a.shape for a in grads] == [p.shape for p in params]
+
+    def test_network_calls_primitives_through_layers_module(self, rng, monkeypatch):
+        import dmtrl.layers as layers_module
+
+        calls = []
+        for name in ("conv2d_forward", "fc_forward", "maxpool2_forward", "relu_forward",
+                     "conv2d_backward", "fc_backward", "maxpool2_backward", "relu_backward"):
+            def counting(*args, _name=name, _real=getattr(layers_module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(layers_module, name, counting)
+        net = build_network(conv_spec(TUK), RandomDecompose(0.3), 5)
+        x = rng.normal(size=(2, 8, 8, 1))
+        forward = ["conv2d_forward", "relu_forward", "maxpool2_forward", "fc_forward"]
+        net.predict(0, x)
+        assert calls == forward
+        out = net.forward(0, x)
+        assert calls == forward * 2
+        net.backward(0, np.ones_like(out))
+        assert calls == forward * 2 + [
+            "fc_backward", "maxpool2_backward", "relu_backward", "conv2d_backward"]
 
 
 class TestBuild:
@@ -360,6 +409,45 @@ class TestBackward:
         for name, p in net.parameters().items():
             num = central_difference(loss, p)
             assert_grads_close(grads[name], num, rtol=1e-5, atol=1e-7)
+
+
+class TestTaskStep:
+    def test_train_step_touches_only_the_task_tensors(self, rng, monkeypatch):
+        import dmtrl.training as training_module
+
+        spec = five_mode_spec()
+        net = build_network(spec, RandomDecompose(0.2), 18)
+        datasets = [TaskDataset(t, rng.normal(size=(8, 6)), np.where(np.arange(8) % 2, 1, -1))
+                    for t in range(spec.tasks)]
+        before = {name: p.copy() for name, p in net.parameters().items()}
+        stepped = list(net.parameters(0))
+        assert set(before) - set(stepped)  # the other tasks own private tensors
+
+        class Stop(Exception):
+            pass
+
+        seen, make = [], training_module.make_optimizer
+
+        def first_step_only(cfg):
+            opt = make(cfg)
+            step = opt.step
+
+            def once(params, grads):
+                seen.append((list(params), list(grads)))
+                step(params, grads)
+                raise Stop
+
+            opt.step = once
+            return opt
+
+        monkeypatch.setattr(training_module, "make_optimizer", first_step_only)
+        with pytest.raises(Stop):
+            train(net, datasets, TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert seen == [(stepped, stepped)]
+        after = net.parameters()
+        assert any(not np.array_equal(after[name], before[name]) for name in stepped)
+        for name in set(before) - set(stepped):
+            assert_array_equal(after[name], before[name], err_msg=name)
 
 
 class TestCountParameters:

@@ -20,7 +20,6 @@ from dmtrl.training import (
     evaluate_suite,
     evaluate_tasks,
     init_from_stl,
-    init_random_decompose,
     pretrain_stl,
     train,
 )
@@ -160,17 +159,17 @@ class TestInitRandomDecompose:
         # same seed, exact factorisation: recomposed tensor equals the one
         # a plain independent build would have drawn per task
         spec = mlp_spec(LAF, LAF, 3)
-        net = init_random_decompose(spec, 1e-10, 6)
+        net = build_network(spec, RandomDecompose(1e-10), 6)
         w = compose_laf(net.layer_state(0).factors)
         assert w.shape == (2, 4, 3)
-        rebuilt = init_random_decompose(spec, 1e-10, 6)
+        rebuilt = build_network(spec, RandomDecompose(1e-10), 6)
         assert_allclose(compose_laf(rebuilt.layer_state(0).factors), w, atol=1e-12)
 
     def test_recomposed_variance_near_fan_rule(self):
         tasks = 4
         spec = NetworkSpec((50,), [LayerSpec(FC(50, 50), TT), LayerSpec(FC(50, 1), I)],
                            tasks)
-        net = init_random_decompose(spec, 0.1, 7)
+        net = build_network(spec, RandomDecompose(0.1), 7)
         w = compose_tt(net.layer_state(0).factors)
         target_var = (2 * np.sqrt(6.0 / 100)) ** 2 / 12.0
         assert abs(float(w.var()) - target_var) / target_var <= 0.2
@@ -178,8 +177,8 @@ class TestInitRandomDecompose:
 
     def test_same_seed_identical_factors(self):
         spec = mlp_spec(TUK, TUK, 2)
-        a = init_random_decompose(spec, 0.2, 8)
-        b = init_random_decompose(spec, 0.2, 8)
+        a = build_network(spec, RandomDecompose(0.2), 8)
+        b = build_network(spec, RandomDecompose(0.2), 8)
         for (na, pa), (nb, pb) in zip(a.parameters().items(), b.parameters().items()):
             assert na == nb
             assert_array_equal(pa, pb)
@@ -224,7 +223,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=3, batch_size=16, seed=12)
 
         def run():
-            net = init_random_decompose(mlp_spec(TT, TT, 3), 0.3, 12)
+            net = build_network(mlp_spec(TT, TT, 3), RandomDecompose(0.3), 12)
             log = train(net, datasets, cfg)
             return log, {k: v.copy() for k, v in net.parameters().items()}
 
@@ -303,7 +302,7 @@ class TestEvaluate:
         spec = NetworkSpec((16, 16, 1), [LayerSpec(FC(256, 12), TT),
                                          LayerSpec(Activation("relu")),
                                          LayerSpec(FC(12, 1), I)], 2, head_dims=[2, 8])
-        net = init_random_decompose(spec, 0.1, 5)
+        net = build_network(spec, RandomDecompose(0.1), 5)
         whole = [net.predict(t, ds.inputs).argmax(1) for t, ds in enumerate(tasks)]
         assert evaluate_tasks(net, tasks) == [
             int(np.sum(p != ds.labels)) / n for p, ds in zip(whole, tasks)]
@@ -312,7 +311,7 @@ class TestEvaluate:
         spec = NetworkSpec((28, 28, 1), [LayerSpec(FC(784, 12), LAF),
                                          LayerSpec(Activation("relu")),
                                          LayerSpec(FC(12, 1), I)], 10)
-        net = init_random_decompose(spec, 0.1, 5)
+        net = build_network(spec, RandomDecompose(0.1), 5)
         inputs = suite.source.float_inputs()
         scores = np.column_stack([net.predict(t, inputs)[:, 0] for t in range(10)])
         got = evaluate_suite(net, suite)
@@ -346,7 +345,7 @@ class TestHeterogeneousSmoke:
             2,
             head_dims=[2, 8],
         )
-        net = init_random_decompose(spec, 0.1, 13)
+        net = build_network(spec, RandomDecompose(0.1), 13)
         train(net, tasks_train, TrainConfig(epochs=15, batch_size=32, seed=13))
         errs = evaluate_tasks(net, tasks_test)
         assert errs[0] < 0.10 and errs[1] < 0.10
