@@ -219,6 +219,7 @@ def synth_heterogeneous(seed: int, n_per_task: int, noise: float = 0.08,
     Instances are prototype plus Gaussian pixel noise, quantised to the
     uint8 grid; at the default noise level a nearest-prototype classifier
     stays under 5% error, so both tasks are learnable by construction.
+    Both tasks' ``inputs`` is the same read-only array.
     """
     if n_per_task < 8:
         raise ValueError("need at least one instance per prototype")
@@ -227,10 +228,11 @@ def synth_heterogeneous(seed: int, n_per_task: int, noise: float = 0.08,
     cls = rng.integers(0, 8, size=n_per_task)
     x = protos[cls] + rng.normal(scale=noise, size=(n_per_task, 16, 16))
     inputs = (_quantise(x).astype(np.float64) / 255.0)[..., None]
+    inputs.flags.writeable = False
     parity = np.where(cls % 2 == 0, 1, -1)
     return (
         TaskDataset(0, inputs, parity, None, split),
-        TaskDataset(1, inputs.copy(), cls, 8, split),
+        TaskDataset(1, inputs, cls, 8, split),
     )
 
 

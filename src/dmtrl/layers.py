@@ -6,6 +6,19 @@ uses valid padding and stride 1.  The forward pass and the kernel gradient
 share one patch matrix (im2col), the matrix-multiply path of the fully
 connected layer; the input gradient is summed per kernel tap instead: tap
 (dy, dx) adds ``grad_out @ k[dy, dx].T`` into the input window it read.
+
+The patch matrix is (B·Ho·Wo, taps), one row per output pixel and one column
+per kernel tap (dy, dx, channel).  Its memory layout follows the channel
+count.  A 1-channel input's matrix is stored kernel-major: each tap is one
+contiguous run over B·Ho·Wo, copied in long strides instead of B·Ho·Wo rows
+of hk·wk.  Wider inputs stay row-major.  Both layouts go through the same
+products, ``p @ k`` per output row and ``(grad_out.T @ p).T`` for the kernel
+gradient, and give the bits the row-major layout gave (``p.T @ grad_out``
+did not on a kernel-major 3x3x1x4 conv, where BLAS takes a small-matrix
+path).  At batch 64 on one BLAS thread, the first demo-04 conv (5x5x1x8 on
+28x28) built its patches in 0.77 ms against 1.79 row-major and ran forward
+in 1.77 ms against 2.70; its kernel gradient stayed at 1.6 ms.  For the
+8-channel second conv, a kernel-major product took 1.31 ms against 0.76.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "fc_forward", "fc_backward",
-    "conv2d_forward", "conv2d_backward",
+    "conv2d_patches", "conv2d_forward", "conv2d_backward",
     "maxpool2_forward", "maxpool2_backward",
     "relu_forward", "relu_backward",
     "tanh_forward", "tanh_backward",
@@ -40,9 +53,21 @@ def fc_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray):
+def conv2d_patches(x: np.ndarray, hk: int, wk: int) -> np.ndarray:
+    """The (B·Ho·Wo, hk·wk·C) patch matrix of every valid hk x wk window of
+    ``x``, columns in (dy, dx, channel) order to match a kernel's rows;
+    kernel-major for one channel, else row-major (see the module docstring)."""
+    win = sliding_window_view(x, (hk, wk), axis=(1, 2))  # B, Ho, Wo, C, hk, wk
+    taps = hk * wk * x.shape[3]
+    if x.shape[3] == 1:
+        return np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(taps, -1).T
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, taps)
+
+
+def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     """Valid cross-correlation of a B x Hi x Wi x C batch with an
-    H x W x C x M kernel stack, stride 1."""
+    H x W x C x M kernel stack, stride 1.  ``patches``, when given, is
+    :func:`conv2d_patches` of ``x``, built once for several kernels."""
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-way input and kernel")
     hk, wk, cin, m = k.shape
@@ -52,10 +77,9 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray):
         raise ValueError(f"kernel {hk}x{wk} larger than input {x.shape[1]}x{x.shape[2]}")
     if b.shape != (m,):
         raise ValueError(f"bias shape {b.shape} != ({m},)")
-    # every valid window, flattened in (dy, dx, channel) order to match k
-    win = sliding_window_view(x, (hk, wk), axis=(1, 2))  # B, Ho, Wo, C, hk, wk
-    p = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(*win.shape[:3], -1)
-    out = p @ k.reshape(-1, m)
+    p = conv2d_patches(x, hk, wk) if patches is None else patches
+    # one product per output row: faster here than one over all B·Ho·Wo rows
+    out = p.reshape(len(x), x.shape[1] - hk + 1, x.shape[2] - wk + 1, -1) @ k.reshape(-1, m)
     out += b
     return out, (x.shape, p, k)
 
@@ -66,7 +90,7 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     b_, ho, wo, _ = grad_out.shape
     gf = grad_out.reshape(-1, m)
     grad_b = np.ones(gf.shape[0]) @ gf  # a BLAS product beats a column sum here
-    grad_k = (p.reshape(-1, hk * wk * cin).T @ gf).reshape(k.shape)
+    grad_k = (gf.T @ p).T.reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
     grad_x = np.zeros(x_shape)
@@ -74,11 +98,6 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
         for dx in range(wk):
             grad_x[:, dy : dy + ho, dx : dx + wo, :] += (gf @ k[dy, dx].T).reshape(b_, ho, wo, cin)
     return grad_x, grad_k, grad_b
-
-
-# winner code of each slot of a 2x2 window, as a (1, 1, 2, 1, 2, 1) view
-# that broadcasts against gradients laid out as (B, Ho, 2, Wo, 2, C)
-_POOL_SLOTS = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
 
 
 def maxpool2_forward(x: np.ndarray):
@@ -99,14 +118,15 @@ def maxpool2_forward(x: np.ndarray):
 
 
 def maxpool2_backward(grad_out: np.ndarray, cache):
+    """Each window slot s is one strided write of ``grad_out`` where slot s
+    won; an odd trailing row or column the forward pass dropped stays 0."""
     x_shape, code = cache
-    bsz, ho, wo, c = grad_out.shape
-    win = (code[:, :, None, :, None, :] == _POOL_SLOTS) * grad_out[:, :, None, :, None, :]
-    win = win.reshape(bsz, 2 * ho, 2 * wo, c)
-    if win.shape == x_shape:
-        return win
-    grad_x = np.zeros(x_shape)
-    grad_x[:, : 2 * ho, : 2 * wo, :] = win
+    _, ho, wo, _ = grad_out.shape
+    even = x_shape[1:3] == (2 * ho, 2 * wo)
+    grad_x = np.empty(x_shape) if even else np.zeros(x_shape)
+    for s in range(4):
+        r, q = divmod(s, 2)
+        np.multiply(grad_out, code == s, out=grad_x[:, r : 2 * ho : 2, q : 2 * wo : 2])
     return grad_x
 
 

@@ -6,9 +6,13 @@ Each layer kind (:class:`FC`, which flattens its input, :class:`Conv`,
 raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
 (out, cache)`` and ``backward(g, cache, need_grad_x) -> (grad_x,
 *param_grads)``; fc and conv take a task's weight and bias, may skip
-``grad_x`` and give their ``weight_shape`` and Glorot bound.  Kinds look the
-:mod:`dmtrl.layers` primitives up on that module at call time, so a tracer
-that swaps them there sees every call.  ``KINDS`` maps JSON tags to kinds.
+``grad_x`` and give their ``weight_shape`` and Glorot bound.  ``bind(x)``
+gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
+that share ``x`` but not the parameters; a conv's binding builds the patch
+matrix on its first call and reuses it on the others.  Only fc takes a
+per-task head width.  Kinds look the :mod:`dmtrl.layers` primitives up on
+that module at call time, so a tracer that swaps them there sees every call.
+``KINDS`` maps JSON tags to kinds.
 
 A network holds T task heads over common storage.  How a fully connected or
 convolutional layer keeps its parameters is the row of ``STORAGE`` for its
@@ -29,10 +33,16 @@ forward pass composes only the requested task's slice straight from the
 factors (cached until the factors change), and listing the gradients maps
 each slice gradient back onto the factors on its own.
 
-``forward`` records a tape of ``(kind, param layer or None, cache)`` per
-layer, which ``backward`` consumes in reverse; ``predict`` runs the same
-layers without keeping one, so scoring holds no activations or patch matrices
-beyond the layer being computed.
+``predict_tasks(x, tasks)`` scores several tasks on one batch in a single
+depth-first walk over the layers.  It carries a group of tasks that share an
+activation.  At each layer it binds the kind to that activation once, then
+splits the group by the storage slot each task reads: a tied layer keeps the
+group whole, any other parametrised layer gives each task its own path.  Each
+path runs to the output before the next one starts, so a tied trunk runs once
+per batch, a conv's patch matrix is built once per group, and at most one
+task path's activations are alive at a time.  ``predict`` and ``forward`` are
+the one-task walk; ``forward`` also records a tape of ``(kind, param layer or
+None, cache)`` per layer, which ``backward`` consumes in reverse.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +73,9 @@ class _Kind:
     @property
     def tag(self) -> str:
         return self.tags[0]
+
+    def bind(self, x):
+        return partial(self.forward, x)
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,8 @@ class Conv(_Kind):
     parametrised = True
 
     def out_shape(self, shape, d_out=None):
+        if d_out is not None:
+            raise ValueError("head_dims sets a head's width, which only an fc head layer has")
         if len(shape) != 3:
             raise ValueError(f"conv needs (H, W, C) input, got {shape}")
         h, w, c = shape
@@ -121,6 +137,17 @@ class Conv(_Kind):
 
     def forward(self, x, w, b):
         return nn.conv2d_forward(x, w, b)
+
+    def bind(self, x):
+        patches = None
+
+        def forward(w, b):
+            nonlocal patches
+            out, cache = nn.conv2d_forward(x, w, b, patches)
+            patches = cache[1]
+            return out, cache
+
+        return forward
 
     def backward(self, g, cache, need_grad_x):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
@@ -227,6 +254,9 @@ class NetworkSpec:
         return [i for i, ls in enumerate(self.layers) if ls.kind.parametrised]
 
     def _validate_chain(self):
+        for i, ls in enumerate(self.layers):
+            if not isinstance(ls.kind, _Kind):
+                raise ValueError(f"layer {i}: {ls.kind!r} is not a layer kind")
         param_idx = self.parametrised_indices()
         if not param_idx:
             raise ValueError("network needs at least one parametrised layer")
@@ -425,6 +455,18 @@ class _ParamLayer:
                 acc[slot] = np.array(g, dtype=np.float64)
 
 
+def _split(layer, group) -> list:
+    """``(params, tasks)`` for each subgroup of ``group`` that reads one
+    storage slot of ``layer``; the whole group when it has no parameters."""
+    if layer is None:
+        return [((), group)]
+    by_slot = {}
+    for t in group:
+        by_slot.setdefault(layer.storage.slot(t), []).append(t)
+    return [((layer.weight_for(sub[0]), layer.bias_for(sub[0])), sub)
+            for sub in by_slot.values()]
+
+
 class MultiTaskNetwork:
     """T task networks over the storage described by a :class:`NetworkSpec`."""
 
@@ -471,7 +513,8 @@ class MultiTaskNetwork:
     # -- forward / backward ----------------------------------------------
     def forward(self, task: int, x: np.ndarray) -> np.ndarray:
         """Task output for a batch, recording the tape :meth:`backward` needs."""
-        h, tape = self._run(task, x, record=True)
+        tape = []
+        (h,) = self._run(x, [task], tape)
         self._tape = (task, tape)
         return h
 
@@ -480,20 +523,38 @@ class MultiTaskNetwork:
 
         Each layer's cache is dropped as soon as the next layer runs, and any
         tape a previous :meth:`forward` recorded is left as it was."""
-        return self._run(task, x, record=False)[0]
+        return self._run(x, [task])[0]
 
-    def _run(self, task, x, record):
-        if not 0 <= task < self.tasks:
-            raise ValueError(f"task {task} out of range [0, {self.tasks})")
-        h = np.asarray(x, dtype=np.float64)
-        tape = [] if record else None
-        for i, ls in enumerate(self.spec.layers):
-            layer = self.param_layers.get(i)
-            params = () if layer is None else (layer.weight_for(task), layer.bias_for(task))
-            h, cache = ls.kind.forward(h, *params)
-            if record:
-                tape.append((ls.kind, layer, cache))
-        return h, tape
+    def predict_tasks(self, x: np.ndarray, tasks) -> list:
+        """``[self.predict(t, x) for t in tasks]``, bit for bit, from one
+        depth-first walk (see the module docstring)."""
+        return self._run(x, list(tasks))
+
+    def _run(self, x, tasks, tape=None):
+        for task in tasks:
+            if not 0 <= task < self.tasks:
+                raise ValueError(f"task {task} out of range [0, {self.tasks})")
+        out = {}
+        if tasks:
+            self._walk(np.asarray(x, dtype=np.float64), tasks, 0, out, tape)
+        return [out[t] for t in tasks]
+
+    def _walk(self, h, group, start, out, tape):
+        """Run layers ``start`` onwards for the tasks in ``group``, which share
+        the activation ``h``, into ``out[task]``; ``tape`` records a group
+        that never splits."""
+        for i in range(start, len(self.spec.layers)):
+            kind, layer = self.spec.layers[i].kind, self.param_layers.get(i)
+            run = kind.bind(h)
+            paths = _split(layer, group)
+            if len(paths) > 1:
+                for params, sub in paths:
+                    self._walk(run(*params)[0], sub, i + 1, out, None)
+                return
+            h, cache = run(*paths[0][0])
+            if tape is not None:
+                tape.append((kind, layer, cache))
+        out.update(dict.fromkeys(group, h))
 
     def backward(self, task: int, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients from one forward pass.

@@ -17,14 +17,20 @@ with an optimiser step after each minibatch.  All randomness flows from the
 config seed; each task draws from its own identically seeded stream, so
 tasks with identical data see identical batch orders.
 
-Evaluation scores ``EVAL_BLOCK`` = 64 rows per ``predict`` call, where the
-first demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so
-scoring is no longer bound by memory traffic.  Timing ``evaluate_suite`` on
-that network, 10 Tucker or independent tasks, 512 images (numpy 2.4, one
-BLAS thread, 2 shared vCPUs, medians of 5 alternating runs) gave 663 / 832
-/ 1,109 / 1,182 / 1,196 images/s (Tucker) and 698 / 850 / 1,180 / 1,248 /
-1,234 (independent) at 512 / 256 / 128 / 64 / 32-row blocks, with equal
-results at every size.
+Evaluation scores ``EVAL_BLOCK`` = 64 rows at a time, where the first
+demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so scoring
+is not bound by memory traffic.  Tasks that read the same input array (every
+task of a one-vs-all suite, both heterogeneous tasks) are scored together:
+one ``predict_tasks`` call per block walks the layers depth-first, runs a
+tied trunk once, builds a conv's patch matrix once for all tasks that share
+its input, and finishes one task's path before it starts the next.  Peak
+memory is one task path plus one patch matrix per layer where the tasks part,
+not T stacked first-conv outputs (36,864 x 80 doubles, 22.5 MiB per block at
+T = 10).  Timing per-task ``evaluate_suite`` on that network, 10 Tucker or
+independent tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs,
+medians of 5 alternating runs) gave 663 / 832 / 1,109 / 1,182 / 1,196
+images/s (Tucker) and 698 / 850 / 1,180 / 1,248 / 1,234 (independent) at
+512 / 256 / 128 / 64 / 32-row blocks, with equal results at every size.
 """
 
 from __future__ import annotations
@@ -269,21 +275,30 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
     return net
 
 
-def _predict_rows(net: MultiTaskNetwork, task: int, inputs: np.ndarray) -> np.ndarray:
-    """Task ``task``'s outputs for every row of ``inputs``, scored
-    ``EVAL_BLOCK`` rows at a time."""
-    return np.concatenate([net.predict(task, inputs[lo : lo + EVAL_BLOCK])
-                           for lo in range(0, len(inputs), EVAL_BLOCK)])
+def _score(net: MultiTaskNetwork, inputs: list) -> list:
+    """Each task's outputs for every row of its array in ``inputs``.  Tasks
+    reading the same array are scored together, ``EVAL_BLOCK`` rows per
+    :meth:`~dmtrl.network.MultiTaskNetwork.predict_tasks` call."""
+    groups = {}
+    for t, x in enumerate(inputs):
+        groups.setdefault(id(x), (x, []))[1].append(t)
+    out = [None] * len(inputs)
+    for x, tasks in groups.values():
+        blocks = [net.predict_tasks(x[lo : lo + EVAL_BLOCK], tasks)
+                  for lo in range(0, len(x), EVAL_BLOCK)]
+        for t, rows in zip(tasks, zip(*blocks)):
+            out[t] = np.concatenate(rows)
+    return out
 
 
 def evaluate_tasks(net: MultiTaskNetwork, datasets):
     """Per-task error rates (sign mismatches for binary tasks, argmax
     mismatches for multi-class ones)."""
-    errors = []
-    for t, ds in enumerate(datasets):
+    for ds in datasets:
         if len(ds) == 0:
             raise ValueError(f"task {ds.task_id} has an empty evaluation set")
-        out = _predict_rows(net, t, ds.inputs)
+    errors = []
+    for ds, out in zip(datasets, _score(net, [ds.inputs for ds in datasets])):
         pred = np.where(out[:, 0] > 0, 1, -1) if ds.binary else out.argmax(1)
         errors.append(int(np.sum(pred != ds.labels)) / len(ds))
     return errors
@@ -292,12 +307,12 @@ def evaluate_tasks(net: MultiTaskNetwork, datasets):
 def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite) -> dict:
     """Binary error per task, their mean, and the ranking multi-class error.
 
-    Every suite task shares the source images, so one scoring pass per task
+    Every suite task shares the source images, so one grouped scoring pass
     serves both metrics."""
     inputs = suite.source.float_inputs()
     if len(inputs) == 0:
         raise ValueError("empty evaluation set")
-    scores = np.column_stack([_predict_rows(net, t, inputs)[:, 0] for t in range(net.tasks)])
+    scores = np.column_stack([out[:, 0] for out in _score(net, [inputs] * net.tasks)])
     per_task = [
         float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
         for t in range(net.tasks)

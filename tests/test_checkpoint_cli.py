@@ -478,6 +478,17 @@ class TestConfigParsing:
         assert spec.layers[0].mode is SharingMode.SOFT_TT
         assert spec.layers[2].mode is SharingMode.INDEPENDENT
 
+    def test_head_dims_on_conv_head_rejected(self, tmp_path):
+        path = write_config(tmp_path, {
+            "tasks": 2,
+            "head_dims": [1, 8],
+            "sharing": "stl",
+            "architecture": [{"kind": "conv", "h": 3, "w": 3, "in_ch": 1, "out_ch": 2}],
+            "input_shape": [6, 6, 1],
+        })
+        with pytest.raises(ConfigError, match="layer 0: head_dims"):
+            load_config(path)
+
 
 class TestCliCommands:
     def run(self, *argv):

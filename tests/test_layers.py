@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dmtrl.layers import (
     conv2d_backward,
     conv2d_forward,
+    conv2d_patches,
     fc_backward,
     fc_forward,
     hinge_loss,
@@ -112,6 +113,40 @@ class TestConv2d:
         assert_grads_close(gx, central_difference(loss, x))
         assert_grads_close(gk, central_difference(loss, k))
         assert_grads_close(gb, central_difference(loss, b))
+
+    def test_one_channel_matches_reference(self, rng):
+        x = rng.normal(size=(3, 7, 6, 1))
+        k = rng.normal(size=(3, 2, 1, 4))
+        b = rng.normal(size=4)
+        out, _ = conv2d_forward(x, k, b)
+        assert_allclose(out, conv2d_reference(x, k, b), rtol=1e-12, atol=1e-13)
+
+    def test_one_channel_gradients(self, rng):
+        x = rng.normal(size=(2, 6, 5, 1))
+        k = rng.normal(size=(3, 2, 1, 3))
+        b = rng.normal(size=3)
+        co = rng.normal(size=(2, 4, 4, 3))
+        loss = lambda: float(np.sum(conv2d_forward(x, k, b)[0] * co))
+        _, cache = conv2d_forward(x, k, b)
+        gx, gk, gb = conv2d_backward(co, cache)
+        assert_grads_close(gx, central_difference(loss, x))
+        assert_grads_close(gk, central_difference(loss, k))
+        assert_grads_close(gb, central_difference(loss, b))
+
+    @pytest.mark.parametrize("channels, kernel_major", [(1, True), (3, False)])
+    def test_patch_layout_by_channel_count(self, rng, channels, kernel_major):
+        """One row per output pixel, one column per (dy, dx, channel) tap;
+        each tap is contiguous for one channel, each row for more."""
+        x = rng.normal(size=(2, 5, 4, channels))
+        p = conv2d_patches(x, 3, 2)
+        assert p.shape == (2 * 3 * 3, 3 * 2 * channels)
+        assert p.T.flags.c_contiguous is kernel_major
+        assert p.flags.c_contiguous is not kernel_major
+        win = sliding_window_view(x, (3, 2), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+        assert_array_equal(p, win.reshape(p.shape))
+        k = rng.normal(size=(3, 2, channels, 4))
+        b = rng.normal(size=4)
+        assert_array_equal(conv2d_forward(x, k, b, p)[0], conv2d_forward(x, k, b)[0])
 
     @pytest.mark.parametrize("x_shape, k_shape", [
         ((3, 7, 6, 2), (3, 2, 2, 4)),  # batch > 1, rectangular kernel

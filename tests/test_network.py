@@ -79,6 +79,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NetworkSpec((4,), [LayerSpec(FC(4, 2))], 2)
 
+    @pytest.mark.parametrize("head_dims", [[1, 8], [2, 2]])
+    def test_head_dims_need_an_fc_head(self, head_dims):
+        with pytest.raises(ValueError, match="layer 0: head_dims"):
+            NetworkSpec((6, 6, 1), [LayerSpec(Conv(3, 3, 1, 2), I)], 2, head_dims=head_dims)
+
+    def test_layer_that_is_not_a_kind_named(self):
+        with pytest.raises(ValueError, match="layer 1: 'fc' is not a layer kind"):
+            NetworkSpec((4,), [LayerSpec(FC(4, 4), I), LayerSpec("fc", I)], 1)
+
 
 class TestLayerKinds:
     """The kind contract: ``out_shape`` agrees with ``forward``, and a
@@ -126,6 +135,73 @@ class TestLayerKinds:
         net.backward(0, np.ones_like(out))
         assert calls == forward * 2 + [
             "fc_backward", "maxpool2_backward", "relu_backward", "conv2d_backward"]
+
+
+class TestPredictTasks:
+    """One depth-first walk scores several tasks exactly as per-task
+    ``predict`` calls do, and runs shared work once per group."""
+
+    @pytest.mark.parametrize("head_dims", [None, [2, 1, 3]], ids=["equal", "heterogeneous"])
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    def test_bit_equal_to_predict(self, rng, head_dims, rows):
+        net = build_network(five_mode_spec(head_dims), RandomDecompose(0.3), 2)
+        x = rng.normal(size=(rows, 6))
+        for tasks in ([0, 1, 2], [2, 0]):
+            got = net.predict_tasks(x, tasks)
+            assert len(got) == len(tasks)
+            for t, out in zip(tasks, got):
+                assert np.array_equal(out, net.predict(t, x))
+
+    @staticmethod
+    def _count_layer_calls(monkeypatch):
+        import dmtrl.layers as layers_module
+
+        calls = {}
+        for name in ("conv2d_patches", "conv2d_forward", "relu_forward",
+                     "maxpool2_forward", "fc_forward"):
+            def counting(*args, _name=name, _real=getattr(layers_module, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(layers_module, name, counting)
+        return calls
+
+    @staticmethod
+    def _suite(rng, n):
+        from dmtrl.data import LabeledImages, make_suite
+
+        images = rng.integers(0, 256, (n, 8, 8), dtype=np.uint8)
+        return make_suite(LabeledImages(images, rng.integers(0, 3, n), 3))
+
+    @pytest.mark.parametrize("rows, blocks", [(40, 1), (100, 2)])
+    def test_independent_first_conv_builds_patches_once_per_block(
+            self, rng, monkeypatch, rows, blocks):
+        from dmtrl.training import evaluate_suite
+
+        net = build_network(conv_spec(I, tasks=3), PlainRandom(), 4)
+        suite = self._suite(rng, rows)
+        calls = self._count_layer_calls(monkeypatch)
+        evaluate_suite(net, suite)
+        assert calls == {"conv2d_patches": blocks, "conv2d_forward": 3 * blocks,
+                         "relu_forward": 3 * blocks, "maxpool2_forward": 3 * blocks,
+                         "fc_forward": 3 * blocks}
+
+    def test_tied_trunk_runs_once_per_block(self, rng, monkeypatch):
+        from dmtrl.training import evaluate_suite
+
+        spec = NetworkSpec((8, 8, 1), [LayerSpec(Conv(3, 3, 1, 2), T),
+                                       LayerSpec(Activation("relu")),
+                                       LayerSpec(MaxPool()),
+                                       LayerSpec(FC(18, 1), I)], 3)
+        net = build_network(spec, PlainRandom(), 4)
+        suite = self._suite(rng, 40)
+        calls = self._count_layer_calls(monkeypatch)
+        got = evaluate_suite(net, suite)
+        assert calls == {"conv2d_patches": 1, "conv2d_forward": 1, "relu_forward": 1,
+                         "maxpool2_forward": 1, "fc_forward": 3}
+        inputs = suite.source.float_inputs()
+        scores = np.column_stack([net.predict(t, inputs)[:, 0] for t in range(3)])
+        assert got["multiclass"] == float(np.mean(scores.argmax(1) != suite.source.labels))
 
 
 class TestBuild:

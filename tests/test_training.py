@@ -247,8 +247,8 @@ class TestEvaluate:
             self.fn = fn
             self.tasks = tasks
 
-        def predict(self, task, x):
-            return self.fn(task, x)
+        def predict_tasks(self, x, tasks):
+            return [self.fn(t, x) for t in tasks]
 
     def test_perfect_scorer_zero_error(self, rng):
         ds = two_blob_task(0, rng)
