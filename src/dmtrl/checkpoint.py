@@ -11,7 +11,9 @@ Tensors are written in sorted name order, so the bytes for a given set of
 arrays are unique and round trips are bit-exact.  A JSON manifest written
 next to the checkpoint (``<path>.manifest.json``), after it and like it
 through :func:`write_atomic`, carries the architecture needed to rebuild a
-network from the stored parameters.
+network from the stored parameters, and the checkpoint's CRC32 as
+``checkpoint_crc32``, so a checkpoint and a manifest from different saves
+are never read as one pair.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def write_atomic(path, data):
             os.remove(tmp)
 
 
-def save_checkpoint(path, arrays: dict):
+def save_checkpoint(path, arrays: dict) -> int:
+    """Write ``arrays``; returns the CRC32 stored as the file's last 4 bytes."""
     payload = bytearray()
     payload += MAGIC
     payload += struct.pack("<II", VERSION, len(arrays))
@@ -68,11 +71,18 @@ def save_checkpoint(path, arrays: dict):
         payload += struct.pack("<B", a.ndim)
         payload += struct.pack(f"<{a.ndim}Q", *a.shape)
         payload += a.astype("<f8").tobytes()
-    payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+    payload += struct.pack("<I", crc)
     write_atomic(path, bytes(payload))
+    return crc
 
 
 def load_checkpoint(path) -> dict:
+    return _read_checkpoint(path)[0]
+
+
+def _read_checkpoint(path):
+    """The stored arrays and the CRC32 that the file ends with."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 16:
@@ -108,7 +118,7 @@ def load_checkpoint(path) -> dict:
         arrays[name] = data.reshape(shape).astype(np.float64)
     if off != end:
         raise CheckpointError(f"{end - off} trailing bytes after the last tensor")
-    return arrays
+    return arrays, stored_crc
 
 
 def manifest_path(ckpt_path) -> str:
@@ -125,8 +135,9 @@ def layer_ranks(net: MultiTaskNetwork) -> dict:
 
 def save_network(ckpt_path, net: MultiTaskNetwork, extra: dict | None = None):
     """Write parameters as a checkpoint plus a JSON manifest beside it."""
-    save_checkpoint(ckpt_path, net.parameters())
+    crc = save_checkpoint(ckpt_path, net.parameters())
     manifest = {
+        "checkpoint_crc32": crc,
         "format_version": VERSION,
         "spec": spec_to_json(net.spec),
         "ranks": layer_ranks(net),
@@ -140,10 +151,10 @@ def load_network(ckpt_path):
     """Rebuild a network (and its manifest) from a checkpoint pair.
 
     The stored tensors must be exactly the parameters the manifest's spec
-    describes, each with the shape the spec implies, and the manifest's
-    ``ranks`` must be those of the stored factors; anything else raises
-    :class:`CheckpointError`."""
-    arrays = load_checkpoint(ckpt_path)
+    describes, each with the shape the spec implies, the manifest's
+    ``ranks`` those of the stored factors and its ``checkpoint_crc32`` the
+    checkpoint's CRC32; anything else raises :class:`CheckpointError`."""
+    arrays, crc = _read_checkpoint(ckpt_path)
     with open(manifest_path(ckpt_path), "r", encoding="utf-8") as f:
         try:
             manifest = json.load(f)
@@ -168,5 +179,12 @@ def load_network(ckpt_path):
     if manifest.get("ranks") != ranks:
         raise CheckpointError(
             f"manifest ranks {manifest.get('ranks')!r} differ from the stored factors' {ranks!r}"
+        )
+    # last, so a pair whose contents disagree is reported by what disagrees
+    paired = manifest.get("checkpoint_crc32")
+    if type(paired) is not int or paired != crc:
+        raise CheckpointError(
+            f"manifest checkpoint_crc32 {paired!r} is not the checkpoint's CRC32 {crc}: "
+            "the two come from different saves"
         )
     return net, manifest

@@ -212,6 +212,39 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match="manifest"):
             load_network(path)
 
+    def test_manifest_records_the_checkpoint_crc32(self, tmp_path):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
+        manifest = json.loads((tmp_path / "net.ckpt.manifest.json").read_text())
+        assert manifest["checkpoint_crc32"] == struct.unpack("<I", path.read_bytes()[-4:])[0]
+
+    def test_manifest_from_another_save_rejected(self, tmp_path):
+        from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec
+
+        spec = NetworkSpec((6,), [LayerSpec(FC(6, 4), SharingMode.SOFT_TUCKER),
+                                  LayerSpec(Activation("relu")),
+                                  LayerSpec(FC(4, 1), SharingMode.INDEPENDENT)], 2)
+        # the same architecture and ranks, other weights: every other check passes
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_network(first, build_network(spec, RandomDecompose(0.01), 4))
+        save_network(second, build_network(spec, RandomDecompose(0.01), 5))
+        os.replace(tmp_path / "second.ckpt.manifest.json", tmp_path / "first.ckpt.manifest.json")
+        with pytest.raises(CheckpointError, match="different saves"):
+            load_network(first)
+
+    @pytest.mark.parametrize("value", [None, True, 1.0, "1"],
+                             ids=["missing", "true", "float", "string"])
+    def test_checkpoint_crc32_must_be_a_json_integer(self, tmp_path, value):
+        path = self.save_pair(tmp_path, SharingMode.SOFT_TUCKER)
+
+        def edit(m):
+            crc = m.pop("checkpoint_crc32")
+            if value is not None:  # the right number, as another JSON type
+                m["checkpoint_crc32"] = value if value is True else type(value)(crc)
+
+        self.edit_manifest(path, edit)
+        with pytest.raises(CheckpointError, match="checkpoint_crc32"):
+            load_network(path)
+
     def test_unedited_pair_still_loads(self, tmp_path):
         path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
         net, _ = load_network(path)

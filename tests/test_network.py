@@ -89,19 +89,24 @@ class TestSpecValidation:
             NetworkSpec((4,), [LayerSpec(FC(4, 4), I), LayerSpec("fc", I)], 1)
 
 
-class TestLayerKinds:
-    """The kind contract: ``out_shape`` agrees with ``forward``, and a
-    network reaches the primitives through ``dmtrl.layers`` at call time."""
+KIND_CASES = {  # a kind and the shape of one sample it takes
+    "fc": (FC(6, 4), (6,)),
+    "fc-folded": (FC(72, 3), (6, 6, 2)),
+    "conv": (Conv(3, 2, 2, 5), (7, 6, 2)),                 # row-major patches
+    "conv-kernel-major": (Conv(3, 3, 1, 4), (7, 6, 1)),    # one input channel
+    "pool-even": (MaxPool(), (6, 8, 3)),
+    "pool-odd": (MaxPool(), (7, 5, 2)),
+    "relu": (Activation("relu"), (4, 5, 2)),
+    "tanh": (Activation("tanh"), (3,)),
+}
 
-    @pytest.mark.parametrize("kind, shape", [
-        (FC(6, 4), (6,)),
-        (FC(72, 3), (6, 6, 2)),
-        (Conv(3, 2, 2, 5), (7, 6, 2)),
-        (MaxPool(), (6, 8, 3)),
-        (MaxPool(), (7, 5, 2)),
-        (Activation("relu"), (4, 5, 2)),
-        (Activation("tanh"), (3,)),
-    ], ids=["fc", "fc-folded", "conv", "pool-even", "pool-odd", "relu", "tanh"])
+
+class TestLayerKinds:
+    """The kind contract: ``out_shape`` agrees with ``forward``, ``take``
+    with a forward pass on the rows taken, and a network reaches the
+    primitives through ``dmtrl.layers`` at call time."""
+
+    @pytest.mark.parametrize("kind, shape", list(KIND_CASES.values()), ids=list(KIND_CASES))
     def test_out_shape_matches_forward(self, rng, kind, shape):
         x = rng.normal(size=(3, *shape))
         params = ()
@@ -113,6 +118,30 @@ class TestLayerKinds:
         g, *grads = kind.backward(np.ones_like(out), cache, need_grad_x=True)
         assert g.shape == x.shape
         assert [a.shape for a in grads] == [p.shape for p in params]
+
+    @pytest.mark.parametrize("rows", [[0, 2, 3], [4]], ids=["some", "one"])
+    @pytest.mark.parametrize("kind, shape", list(KIND_CASES.values()), ids=list(KIND_CASES))
+    def test_take_is_the_cache_of_a_forward_on_those_rows(self, rng, kind, shape, rows):
+        x = rng.normal(size=(5, *shape))
+        params = ()
+        if kind.parametrised:
+            w_shape = kind.weight_shape()
+            params = (rng.normal(size=w_shape), rng.normal(size=w_shape[-1]))
+
+        def assert_same(got, want):
+            if isinstance(want, np.ndarray):
+                assert_array_equal(got, want)
+                assert got.shape == want.shape
+                assert got.flags.c_contiguous == want.flags.c_contiguous  # same layout
+            elif isinstance(want, tuple):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_same(a, b)
+            else:
+                assert got == want
+
+        assert_same(kind.take(kind.forward(x, *params)[1], np.array(rows, dtype=np.intp)),
+                    kind.forward(x[rows], *params)[1])
 
     def test_network_calls_primitives_through_layers_module(self, rng, monkeypatch):
         import dmtrl.layers as layers_module
@@ -485,6 +514,149 @@ class TestBackward:
         for name, p in net.parameters().items():
             num = central_difference(loss, p)
             assert_grads_close(grads[name], num, rtol=1e-5, atol=1e-7)
+
+
+def all_conv_spec(tasks=3):
+    """Convolutions on both patch layouts (1 and 2 input channels) behind a
+    leading activation, so the network returns an input gradient."""
+    return NetworkSpec(
+        (8, 8, 1),
+        [LayerSpec(Activation("tanh")),
+         LayerSpec(Conv(3, 3, 1, 2), TUK),
+         LayerSpec(Activation("relu")),
+         LayerSpec(MaxPool()),
+         LayerSpec(Conv(3, 3, 2, 3), I)],
+        tasks,
+    )
+
+
+def dense_backward(net, task, grad_out):
+    """The backward pass over every row of the batch: each layer's backward
+    on the whole recorded cache, zero rows included."""
+    tape_task, tape = net._tape
+    assert tape_task == task
+    net._tape = None
+    g = grad_out
+    for pos in reversed(range(len(tape))):
+        kind, layer, cache = tape[pos]
+        g, *grads = kind.backward(g, cache, need_grad_x=pos > 0)
+        if layer is not None:
+            layer.accumulate(task, *grads)
+    return g
+
+
+ACTIVE = {  # which of 6 samples carry gradient
+    "zero-start": [0, 0, 1, 1, 1, 1],
+    "zero-middle": [1, 1, 0, 0, 1, 1],
+    "zero-end": [1, 1, 1, 1, 0, 0],
+    "one-active": [0, 0, 0, 1, 0, 0],
+    "none-active": [0, 0, 0, 0, 0, 0],
+}
+
+
+class TestRestrictedBackward:
+    """Backward runs only through the samples whose output gradient is not
+    all zero, and accumulates what the dense pass over every row does."""
+
+    SPECS = {"five-mode": (five_mode_spec, (6,)), "all-conv": (all_conv_spec, (8, 8, 1))}
+
+    def _net_and_input(self, spec_name, rng):
+        spec, input_shape = self.SPECS[spec_name]
+        return build_network(spec(), RandomDecompose(0.3), 7), rng.normal(size=(6, *input_shape))
+
+    @pytest.mark.parametrize("active", list(ACTIVE.values()), ids=list(ACTIVE))
+    @pytest.mark.parametrize("spec_name", list(SPECS))
+    def test_agrees_with_dense_backward(self, rng, spec_name, active):
+        restricted, x = self._net_and_input(spec_name, rng)
+        dense = build_network(self.SPECS[spec_name][0](), RandomDecompose(0.3), 7)
+        task = 1
+        out = restricted.forward(task, x)
+        g = rng.normal(size=out.shape) * np.reshape(active, (-1,) + (1,) * (out.ndim - 1))
+        dense.forward(task, x)
+        got_x, want_x = restricted.backward(task, g), dense_backward(dense, task, g)
+        if want_x is None:  # the first layer's input gradient is never formed
+            assert got_x is None
+        else:
+            assert got_x.shape == x.shape
+            assert not got_x[np.logical_not(active)].any()
+            assert_allclose(got_x, want_x, rtol=1e-12, atol=1e-15)
+        got, want = restricted.gradients(), dense.gradients()
+        for name in want:
+            assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-15, err_msg=name)
+        if not any(active):  # nothing accumulates; gradients() fills in the zeros
+            assert all(not layer._gw and not layer._gb
+                       for layer in restricted.param_layers.values())
+            assert not any(a.any() for a in got.values())
+
+    @pytest.mark.parametrize("active", list(ACTIVE.values()), ids=list(ACTIVE))
+    def test_conv_and_pool_backward_see_only_active_rows(self, rng, monkeypatch, active):
+        import dmtrl.layers as layers_module
+
+        seen = []
+        real_conv, real_pool = layers_module.conv2d_backward, layers_module.maxpool2_backward
+
+        def conv(grad_out, cache, need_grad_x=True):
+            x_shape, p, _ = cache
+            ho, wo = grad_out.shape[1:3]
+            seen.append(("conv", len(grad_out), x_shape[0], len(p) // (ho * wo)))
+            return real_conv(grad_out, cache, need_grad_x=need_grad_x)
+
+        def pool(grad_out, cache):
+            x_shape, code = cache
+            seen.append(("pool", len(grad_out), x_shape[0], len(code)))
+            return real_pool(grad_out, cache)
+
+        monkeypatch.setattr(layers_module, "conv2d_backward", conv)
+        monkeypatch.setattr(layers_module, "maxpool2_backward", pool)
+        net, x = self._net_and_input("all-conv", rng)
+        out = net.forward(0, x)
+        net.backward(0, np.ones_like(out) * np.reshape(active, (-1, 1, 1, 1)))
+        n = sum(active)
+        assert seen == [("conv", n, n, n), ("pool", n, n, n), ("conv", n, n, n)]
+
+    def test_softmax_head_step_bit_identical_to_dense(self, rng):
+        from dmtrl.layers import softmax_ce_loss
+        from dmtrl.training import make_optimizer
+
+        task, x = 1, rng.normal(size=(6, 6))
+        labels = rng.integers(0, 3, size=6)
+        nets = [build_network(five_mode_spec([1, 3, 2]), RandomDecompose(0.3), 7)
+                for _ in range(2)]
+        for net, backward in zip(nets, (MultiTaskNetwork.backward, dense_backward)):
+            _, g = softmax_ce_loss(net.forward(task, x), labels)
+            backward(net, task, g / len(x))
+        got, want = nets[0].gradients(task), nets[1].gradients(task)
+        for name in want:
+            assert_array_equal(got[name], want[name], err_msg=name)
+        for net, grads in zip(nets, (got, want)):
+            make_optimizer(TrainConfig()).step(net.parameters(task), grads)
+        after, want_after = nets[0].parameters(), nets[1].parameters()
+        for name in want_after:
+            assert_array_equal(after[name], want_after[name], err_msg=name)
+
+    def test_hinge_training_runs_repeat_bit_for_bit(self, rng, monkeypatch):
+        takes = []
+        real_take = MaxPool.take
+
+        def counting(kind, cache, rows):
+            takes.append(len(rows))
+            return real_take(kind, cache, rows)
+
+        monkeypatch.setattr(MaxPool, "take", counting)
+        x = rng.normal(size=(24, 8, 8, 1))
+        datasets = [TaskDataset(t, x, np.where(x[:, 2 + t, 3, 0] > 0, 1, -1)) for t in range(2)]
+        cfg = TrainConfig(epochs=6, batch_size=8, seed=3, lr=0.05)
+
+        def run():
+            net = build_network(conv_spec(TUK), RandomDecompose(0.3), 9)
+            log = train(net, datasets, cfg)
+            return [(r.loss, r.error) for r in log], net.parameters()
+
+        (log_a, params_a), (log_b, params_b) = run(), run()
+        assert takes  # some steps ran backward on fewer rows than the batch
+        assert log_a == log_b
+        for name in params_a:
+            assert_array_equal(params_a[name], params_b[name], err_msg=name)
 
 
 class TestTaskStep:

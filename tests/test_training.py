@@ -233,6 +233,35 @@ class TestTrainLoop:
         for k in params_a:
             assert_array_equal(params_a[k], params_b[k])
 
+    def test_adam_matches_allocating_formula_bit_for_bit(self, rng):
+        from dmtrl.training import make_optimizer
+
+        cfg = TrainConfig(lr=3e-3, beta1=0.8, beta2=0.99, adam_eps=1e-7)
+        shapes = {"small": (3,), "large": (4, 5, 2), "late": (2, 3)}
+        # parameters as small as a step, so that no step's last bits round away
+        params = {name: 1e-3 * rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        t = dict.fromkeys(shapes, 0)
+        opt = make_optimizer(cfg)
+        for step in range(6):
+            names = ["small", "large"] + (["late"] if step >= 3 else [])
+            grads = {name: rng.normal(size=shapes[name]) for name in names}
+            opt.step({name: params[name] for name in names}, grads)
+            for name in names:  # the update written with fresh temporaries
+                g, p = grads[name], want[name]
+                t[name] += 1
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
+                c1, c2 = 1.0 - cfg.beta1 ** t[name], 1.0 - cfg.beta2 ** t[name]
+                p -= cfg.lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+            for name in shapes:
+                assert_array_equal(params[name], want[name], err_msg=f"{name} at step {step}")
+            for name in names:
+                assert_array_equal(opt.m[name], m[name])
+                assert_array_equal(opt.v[name], v[name])
+
     def test_dataset_count_mismatch(self, rng):
         net = build_network(mlp_spec(I, I, 2), PlainRandom(), 0)
         with pytest.raises(ValueError):
