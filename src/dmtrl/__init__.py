@@ -1,16 +1,16 @@
 """Multi-task neural networks whose layer weights are composed from shared
 and task-specific tensor factors, trained end to end."""
 
-from .tensor_core import frobenius_norm, mode_n_flatten, mode_n_unflatten, tensor, tensor_dot
-from .linalg import SvdResult, rank_for_error, thin_svd
+from .linalg import SvdResult, rank_for_error, tensor, thin_svd
 from .factorization import (
     LAFFactors,
     TTFactors,
     TuckerFactors,
     compose_backward,
-    compose_laf,
+    compose_task,
     compose_tt,
     compose_tucker,
+    decompose,
     laf_decompose,
     tt_decompose,
     tucker_decompose,

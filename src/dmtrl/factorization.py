@@ -1,38 +1,42 @@
 """Factorised weight structures: last-axis flattening (LAF), Tucker, and
 tensor-train (TT).
 
-Each structure comes as a matched pair of operations: ``compose_*`` builds a
-full weight tensor from learnable factors (the direction used on every
-forward pass), and ``*_decompose`` recovers factors from a given tensor (used
-for initialisation only, with ranks selected by a relative-error budget).
-``compose_backward`` maps a gradient with respect to the composed tensor onto
-gradients for every factor, which is all that standard backpropagation needs
-since the compositions are multilinear.  With G the gradient, Tucker's factor
-n gets unfold_n(G x_{i<n} U_i^T) @ unfold_n(core x_{i>n} U_i)^T, which is the
-mode-n unfolding of G x_{i!=n} U_i^T times that of the core (Kolda & Bader
-2009), and the core gets G x_i U_i^T over every mode; each prefix and suffix
-product is built once and shared by every mode.
+A layer's T task weights are the slices, along the last axis, of one stacked
+tensor, which each structure builds from learnable factors.
+``*_decompose`` recovers factors from a given stack (used for initialisation
+only, with ranks selected by a relative-error budget).  Training touches one
+task slice at a time, so the algebra comes as a per-task pair:
+``compose_task(f, t)`` builds slice ``t`` alone, and
+``compose_backward(f, g, task=t)`` maps the gradient ``g`` with respect to
+that slice onto full-shaped factor gradients, which is all backpropagation
+needs since the compositions are multilinear.  Neither ever builds the other
+T - 1 slices.
 
-The last axis of a composed tensor indexes tasks, and training touches one
-task slice at a time, so each structure also has a per-task pair:
-``compose_task(f, t)`` builds slice ``t`` alone by contracting the task's row
-of the last factor into the rest first (the mode-N product for Tucker, the
-tail contraction of a TT layer for TT), and ``compose_backward(f, g, task=t)``
-maps a gradient with respect to that slice onto the full-shaped factor
-gradients.  Neither ever builds the other T - 1 slices.
+Both fold the task into the factors first.  LAF's slice is the shared basis
+contracted with column ``t`` of the mixing matrix.  Tucker contracts row
+``t`` of the last factor into the core (the mode-N product) and TT contracts
+column ``t`` of the tail into the last core; either way the folded record
+composes to the slice (:func:`compose_tucker`, :func:`compose_tt`), and its
+backward maps the slice gradient onto the folded factors.  With G that
+gradient, Tucker's factor n gets unfold_n(G x_{i<n} U_i^T) @
+unfold_n(core x_{i>n} U_i)^T, which is the mode-n unfolding of
+G x_{i!=n} U_i^T times that of the core (Kolda & Bader 2009), and the core
+gets G x_i U_i^T over every mode; each prefix and suffix product is built
+once and shared by every mode.  Unfoldings are 0-based: ``_unfold(t, n)``
+puts axis n first and flattens the others in order.
 
 ``SCHEMES`` is the one place that knows the three structures apart.  It maps
 each tag (``laf``, ``tucker``, ``tt``) to a :class:`Scheme` record holding the
-structure's factor record type, its full and per-task compose and backward,
-its decomposition, its named-tensor layout (tensor names in storage order,
-with packing and unpacking of a factor record), its ranks and its K x T
+structure's factor record type, its decomposition, its per-task compose and
+backward, its named-tensor layout (tensor names in storage order, with
+packing and unpacking of a factor record), its ranks and its K x T
 task-mixing matrix.  Every other module looks a structure up in the table
 instead of branching on it, and reaches the algebra through the generic
-public functions ``compose``, ``compose_task``, ``compose_backward`` and
+public functions ``compose_task``, ``compose_backward`` and
 ``decompose(tag, w, epsilon)``, which dispatch through the table.
 
-Rank-selection convention: ``epsilon`` bounds the relative Frobenius
-reconstruction error.  Tucker truncates each mode at ``epsilon`` (overall
+Rank-selection convention: ``epsilon`` bounds the relative Frobenius error
+of the recomposed stack.  Tucker truncates each mode at ``epsilon`` (overall
 bound sqrt(N) * epsilon); TT truncates each sweep step at
 ``epsilon / sqrt(N - 1)`` (overall bound epsilon).
 """
@@ -45,8 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import rank_for_error, thin_svd
-from .tensor_core import mode_n_flatten, tensor, tensor_dot
+from .linalg import rank_for_error, tensor, thin_svd
 
 __all__ = [
     "LAFFactors",
@@ -54,8 +57,6 @@ __all__ = [
     "TTFactors",
     "Scheme",
     "SCHEMES",
-    "compose",
-    "compose_laf",
     "compose_tucker",
     "compose_tt",
     "compose_task",
@@ -175,9 +176,10 @@ def _outer(g: np.ndarray, row: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_laf(f: LAFFactors) -> np.ndarray:
-    """Weight tensor whose task slice i is sum_k l[..., k] * s[k, i]."""
-    return _times_last(f.l, f.s)
+def _unfold(t: np.ndarray, n: int) -> np.ndarray:
+    """Mode-n unfolding: axis n first, the other axes flattened in order."""
+    s = t.shape
+    return t.reshape(math.prod(s[:n]), s[n], -1).swapaxes(0, 1).reshape(s[n], -1)
 
 
 def compose_tucker(f: TuckerFactors) -> np.ndarray:
@@ -202,8 +204,8 @@ def compose_tt(f: TTFactors) -> np.ndarray:
 
 
 def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
-    """Factor the transposed last-mode flattening of ``w`` at relative error
-    ``epsilon``.
+    """Factor the matrix whose columns are ``w``'s flattened task slices at
+    relative error ``epsilon``.
 
     Singular values are absorbed into the shared basis, leaving the mixing
     matrix with orthonormal rows at initialisation.
@@ -213,7 +215,7 @@ def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
         raise ValueError("LAF needs a tensor with at least 2 axes")
     n_tasks = w.shape[-1]
     lead = w.shape[:-1]
-    m = mode_n_flatten(w, -1).T  # prod(lead) x T
+    m = w.reshape(-1, n_tasks)  # prod(lead) x T
     if not m.any():
         return LAFFactors(np.zeros(lead + (1,)), np.zeros((1, n_tasks)))
     res = thin_svd(m)
@@ -226,7 +228,7 @@ def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
 def tucker_decompose(w: np.ndarray, epsilon: float) -> TuckerFactors:
     """Higher-order SVD with per-mode truncation at ``epsilon``.
 
-    Factor n is the truncated left factor of the mode-n flattening; the core
+    Factor n is the truncated left factor of the mode-n unfolding; the core
     is the tensor contracted with every factor along its mode.  Overall
     relative error is bounded by sqrt(N) * epsilon.
     """
@@ -235,13 +237,13 @@ def tucker_decompose(w: np.ndarray, epsilon: float) -> TuckerFactors:
     if not w.any():
         return TuckerFactors(np.zeros((1,) * n_way), [np.zeros((d, 1)) for d in w.shape])
     us = []
-    for n in range(1, n_way + 1):
-        res = thin_svd(mode_n_flatten(w, n))
+    for n in range(n_way):
+        res = thin_svd(_unfold(w, n))
         k = rank_for_error(res.s, epsilon)
         us.append(res.u[:, :k].copy())
     core = w
     for m in us:
-        core = tensor_dot(core, m, 1, 1)
+        core = np.tensordot(core, m, (0, 0))
     return TuckerFactors(core, us)
 
 
@@ -286,12 +288,6 @@ def _check_task(f, task: int) -> None:
         raise ValueError(f"task {task} out of range [0, {shape[-1]})")
 
 
-def _laf_backward(f: LAFFactors, grad_w: np.ndarray) -> LAFFactors:
-    grad_l = np.tensordot(grad_w, f.s, (grad_w.ndim - 1, 1))
-    lead = list(range(f.l.ndim - 1))
-    return _record(LAFFactors, grad_l, np.tensordot(f.l, grad_w, axes=(lead, lead)))
-
-
 def _laf_task_backward(f: LAFFactors, grad_w: np.ndarray, task: int) -> LAFFactors:
     lead = list(range(f.l.ndim - 1))
     grad_s = np.zeros_like(f.s)
@@ -306,12 +302,6 @@ def _project(t: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
         return t @ m
     out = m.T @ t.reshape(math.prod(s[:n]), s[n], -1)
     return out.reshape(s[:n] + (-1,) + s[n + 1 :])
-
-
-def _unfold(t: np.ndarray, n: int) -> np.ndarray:
-    """Mode-n unfolding: axis n first, the other axes flattened in order."""
-    s = t.shape
-    return t.reshape(math.prod(s[:n]), s[n], -1).swapaxes(0, 1).reshape(s[n], -1)
 
 
 def _tucker_backward(f: TuckerFactors, grad_w: np.ndarray) -> TuckerFactors:
@@ -391,9 +381,7 @@ class Scheme:
 
     tag: str
     record: type
-    compose: Callable
     decompose: Callable
-    backward: Callable
     compose_task: Callable
     task_backward: Callable
     fields: Callable
@@ -413,7 +401,7 @@ class Scheme:
 
 SCHEMES = {s.tag: s for s in (
     Scheme(
-        "laf", LAFFactors, compose_laf, laf_decompose, _laf_backward,
+        "laf", LAFFactors, laf_decompose,
         compose_task=lambda f, t: _times_last(f.l, np.ascontiguousarray(f.s[:, t])),
         task_backward=_laf_task_backward,
         fields=lambda n_way: ("l", "s"),
@@ -423,7 +411,7 @@ SCHEMES = {s.tag: s for s in (
         mixing=lambda f: f.s,
     ),
     Scheme(
-        "tucker", TuckerFactors, compose_tucker, tucker_decompose, _tucker_backward,
+        "tucker", TuckerFactors, tucker_decompose,
         compose_task=lambda f, t: compose_tucker(_tucker_fold(f, t)),
         task_backward=_tucker_task_backward,
         fields=lambda n_way: ("core", *(f"u{i}" for i in range(n_way))),
@@ -433,7 +421,7 @@ SCHEMES = {s.tag: s for s in (
         mixing=lambda f: f.u[-1].T,
     ),
     Scheme(
-        "tt", TTFactors, compose_tt, tt_decompose, _tt_backward,
+        "tt", TTFactors, tt_decompose,
         compose_task=lambda f, t: compose_tt(_tt_fold(f, t)),
         task_backward=_tt_task_backward,
         fields=lambda n_way: ("head", *(f"core{i}" for i in range(n_way - 2)), "tail"),
@@ -453,11 +441,6 @@ def _scheme_of(f) -> Scheme:
     raise TypeError(f"unknown factor record: {type(f).__name__}")
 
 
-def compose(f) -> np.ndarray:
-    """The full composed tensor of any factor record."""
-    return _scheme_of(f).compose(f)
-
-
 def decompose(tag: str, w: np.ndarray, epsilon: float):
     """Factor ``w`` at relative error ``epsilon`` with the scheme named ``tag``."""
     return SCHEMES[tag].decompose(w, epsilon)
@@ -471,25 +454,18 @@ def compose_task(f, task: int) -> np.ndarray:
     return scheme.compose_task(f, task)
 
 
-def compose_backward(f, grad_w: np.ndarray, task: int | None = None):
+def compose_backward(f, grad_w: np.ndarray, task: int):
     """Gradients of a scalar loss with respect to every factor, given the
-    gradient ``grad_w`` with respect to the composed tensor.
+    gradient ``grad_w`` with respect to :func:`compose_task`'s slice ``task``.
 
     Returns a factor record of the same type as ``f`` whose fields hold the
-    gradients.  Because composition is multilinear, each factor's gradient is
-    ``grad_w`` contracted with all the other factors.  With ``task`` given,
-    ``grad_w`` is the gradient with respect to :func:`compose_task`'s slice
-    ``task``; the result equals the full backward of that gradient padded
-    with zeros for every other slice.
+    gradients.  They equal the factor gradients of the whole stack with
+    ``grad_w`` in slice ``task`` and zeros elsewhere: of the last factor
+    (``s``, ``u[-1]`` or ``tail``) only the task's column or row is non-zero.
     """
     scheme = _scheme_of(f)
+    _check_task(f, task)
     grad_w = tensor(grad_w)
-    want = f.out_shape
-    if task is not None:
-        _check_task(f, task)
-        want = want[:-1]
-    if grad_w.shape != want:
-        raise ValueError(f"gradient shape {grad_w.shape} != composed {want}")
-    if task is None:
-        return scheme.backward(f, grad_w)
+    if grad_w.shape != f.out_shape[:-1]:
+        raise ValueError(f"gradient shape {grad_w.shape} != slice {f.out_shape[:-1]}")
     return scheme.task_backward(f, grad_w, task)

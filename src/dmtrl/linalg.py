@@ -1,9 +1,11 @@
-"""Thin SVD and energy-based rank truncation.
+"""Dense tensor values, thin SVD and energy-based rank truncation.
 
-One numerical kernel backs every factorisation in the package: a thin
-singular value decomposition with a deterministic sign convention, plus the
-rule that picks the smallest rank whose discarded tail keeps the relative
-reconstruction error under a bound.
+A tensor is a plain C-contiguous float64 numpy array with at least one axis
+and no zero extent; :func:`tensor` coerces any array-like to one and rejects
+the rest.  One numerical kernel backs every factorisation in the package: a
+thin singular value decomposition with a deterministic sign convention, plus
+the rule that picks the smallest rank whose discarded tail keeps the
+relative error of the truncated product under a bound.
 """
 
 from __future__ import annotations
@@ -12,13 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import tensor
-
-__all__ = ["SvdResult", "SvdError", "thin_svd", "rank_for_error"]
+__all__ = ["tensor", "SvdResult", "thin_svd", "rank_for_error"]
 
 
-class SvdError(RuntimeError):
-    """Raised when the decomposition backend fails to converge."""
+def tensor(values) -> np.ndarray:
+    """Coerce ``values`` to a valid dense tensor (float64, C order, N >= 1).
+
+    Raises ValueError for scalars or arrays with a zero extent.
+    """
+    t = np.asarray(values, dtype=np.float64)
+    if t.ndim < 1:
+        raise ValueError("a tensor needs at least one axis; got a scalar")
+    if any(d < 1 for d in t.shape):
+        raise ValueError(f"every extent must be >= 1; got shape {t.shape}")
+    return np.ascontiguousarray(t)
 
 
 @dataclass(frozen=True)
@@ -33,9 +42,6 @@ class SvdResult:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
     def truncated(self, k: int) -> "SvdResult":
         if not 1 <= k <= self.s.size:
             raise ValueError(f"rank {k} outside [1, {self.s.size}]")
@@ -47,16 +53,14 @@ def thin_svd(m: np.ndarray) -> SvdResult:
 
     Columns of u are sign-normalised so their largest-magnitude entry is
     positive, making the factors deterministic across runs and platforms.
+    ``np.linalg.LinAlgError`` propagates if the SVD does not converge.
     """
     m = tensor(m)
     if m.ndim != 2:
         raise ValueError(f"thin_svd expects a matrix, got a {m.ndim}-way tensor")
     if not np.all(np.isfinite(m)):
         raise ValueError("thin_svd requires finite entries")
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise SvdError(f"SVD failed to converge: {e}") from e
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     v = vh.T
     # sign convention: flip column pairs so max-|entry| of each u column is positive
     pivot = np.abs(u).argmax(axis=0)

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately slow and dumb: nested index loops and
 central finite differences that never touch the vectorised code paths they
-are used to check.
+are used to check.  ``full_compose`` is the exception: it builds the whole
+stacked tensor that per-task slices are compared with.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dmtrl.factorization import LAFFactors, TuckerFactors, compose_tt, compose_tucker
 from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec, SharingMode
 
 
@@ -30,22 +32,14 @@ def fibre_oracle(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def contraction_oracle(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    """tensor_dot by explicit summation over every free index combination."""
-    ax_a = i - 1 if i > 0 else a.ndim + i
-    ax_b = j - 1 if j > 0 else b.ndim + j
-    shape_a = [d for k, d in enumerate(a.shape) if k != ax_a]
-    shape_b = [d for k, d in enumerate(b.shape) if k != ax_b]
-    out = np.zeros(shape_a + shape_b, dtype=np.float64)
-    for ia in itertools.product(*[range(d) for d in shape_a]):
-        for ib in itertools.product(*[range(d) for d in shape_b]):
-            acc = 0.0
-            for p in range(a.shape[ax_a]):
-                ia_full = ia[:ax_a] + (p,) + ia[ax_a:]
-                ib_full = ib[:ax_b] + (p,) + ib[ax_b:]
-                acc += a[ia_full] * b[ib_full]
-            out[ia + ib] = acc
-    return out
+def full_compose(f) -> np.ndarray:
+    """The whole stacked tensor of a factor record, composed in one piece:
+    the full-stack form ``compose_task``'s slices are checked against."""
+    if isinstance(f, LAFFactors):
+        return np.tensordot(f.l, f.s, (f.l.ndim - 1, 0))
+    if isinstance(f, TuckerFactors):
+        return compose_tucker(f)
+    return compose_tt(f)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -14,8 +14,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_tensor_algebra", "02_factorisations",
-                                  "03_multitask_network", "05_heterogeneous_heads"])
+@pytest.mark.parametrize("demo", ["02_factorisations", "03_multitask_network",
+                                  "05_heterogeneous_heads"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -8,8 +8,10 @@ from dmtrl.factorization import (
     LAFFactors,
     TTFactors,
     TuckerFactors,
+    _tt_backward,
+    _tucker_backward,
+    _unfold,
     compose_backward,
-    compose_laf,
     compose_task,
     compose_tt,
     compose_tucker,
@@ -18,13 +20,31 @@ from dmtrl.factorization import (
     tucker_decompose,
 )
 from dmtrl.linalg import thin_svd
-from dmtrl.tensor_core import frobenius_norm, tensor_dot
 
-from conftest import assert_grads_close, central_difference
+from conftest import (
+    assert_grads_close,
+    central_difference,
+    fibre_oracle,
+    full_compose,
+    random_shape,
+)
 
 
 def rel_error(approx, exact):
-    return frobenius_norm(approx - exact) / frobenius_norm(exact)
+    return np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+
+
+def full_backward(f, grad_w):
+    """Factor gradients for the gradient ``grad_w`` of the whole stack: the
+    full-stack backward that the per-task one is checked against.  Tucker
+    and TT use the backwards the per-task paths run on a folded record."""
+    if isinstance(f, LAFFactors):
+        lead = list(range(f.l.ndim - 1))
+        return LAFFactors(np.tensordot(grad_w, f.s, (grad_w.ndim - 1, 1)),
+                          np.tensordot(f.l, grad_w, axes=(lead, lead)))
+    if isinstance(f, TuckerFactors):
+        return _tucker_backward(f, grad_w)
+    return _tt_backward(f, grad_w)
 
 
 def laf_oracle(l, s):
@@ -69,24 +89,26 @@ def tt_oracle(head, cores, tail):
 
 
 class TestComposeLaf:
+    """The tests' full-stack LAF form against the element loop."""
+
     def test_identity_mixing(self, rng):
         l = rng.normal(size=(3, 2, 4))
         f = LAFFactors(l, np.eye(4))
-        w = compose_laf(f)
+        w = full_compose(f)
         for t in range(4):
             assert_allclose(w[:, :, t], l[:, :, t], rtol=1e-15)
 
     def test_full_sharing(self, rng):
         l = rng.normal(size=(3, 2, 1))
         f = LAFFactors(l, np.ones((1, 4)))
-        w = compose_laf(f)
+        w = full_compose(f)
         for t in range(4):
             assert_allclose(w[:, :, t], l[:, :, 0], rtol=1e-15)
 
     def test_matches_oracle(self, rng):
         l = rng.normal(size=(3, 2, 2))
         s = rng.normal(size=(2, 4))
-        assert_allclose(compose_laf(LAFFactors(l, s)), laf_oracle(l, s),
+        assert_allclose(full_compose(LAFFactors(l, s)), laf_oracle(l, s),
                         rtol=1e-12, atol=1e-14)
 
     def test_latent_count_mismatch(self, rng):
@@ -147,7 +169,7 @@ class TestLafDecompose:
         w = np.stack([sl] * 5, axis=-1)
         f = laf_decompose(w, 0.1)
         assert f.s.shape == (1, 5)
-        assert rel_error(compose_laf(f), w) <= 1e-10
+        assert rel_error(full_compose(f), w) <= 1e-10
 
     def test_orthogonal_slices_full_rank(self, rng):
         # orthonormal columns of a 12x4 matrix give 4 mutually orthogonal slices
@@ -162,12 +184,12 @@ class TestLafDecompose:
     def test_reconstruction_bound(self, rng):
         w = rng.normal(size=(4, 3, 5))
         f = laf_decompose(w, 0.5)
-        assert rel_error(compose_laf(f), w) <= 0.5
+        assert rel_error(full_compose(f), w) <= 0.5
 
     def test_zero_input(self):
         f = laf_decompose(np.zeros((3, 2, 4)), 0.1)
         assert f.s.shape == (1, 4)
-        assert_array_equal(compose_laf(f), np.zeros((3, 2, 4)))
+        assert_array_equal(full_compose(f), np.zeros((3, 2, 4)))
 
     def test_scale_lives_in_shared_factor(self, rng):
         w = rng.normal(size=(4, 3, 5))
@@ -225,23 +247,28 @@ class TestTTDecompose:
 
 
 class TestComposeBackward:
+    """The full-stack backward oracle against finite differences, and
+    ``compose_backward``'s own contract on one task's slice."""
+
     def test_zero_gradient_gives_zero(self, rng):
         f = LAFFactors(rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 4)))
-        g = compose_backward(f, np.zeros((3, 2, 4)))
+        g = compose_backward(f, np.zeros((3, 2)), task=1)
         assert_array_equal(g.l, np.zeros_like(f.l))
         assert_array_equal(g.s, np.zeros_like(f.s))
 
     def test_laf_identity_mixing_passes_gradient_through(self, rng):
         f = LAFFactors(rng.normal(size=(3, 2, 4)), np.eye(4))
-        grad_w = rng.normal(size=(3, 2, 4))
-        g = compose_backward(f, grad_w)
-        assert_allclose(g.l, grad_w, rtol=1e-15)
+        for t in range(4):
+            grad_t = rng.normal(size=(3, 2))
+            want = np.zeros((3, 2, 4))
+            want[..., t] = grad_t
+            assert_allclose(compose_backward(f, grad_t, task=t).l, want, rtol=1e-15)
 
     def test_laf_finite_differences(self, rng):
         f = LAFFactors(rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 4)))
         grad_w = rng.normal(size=(3, 2, 4))
-        loss = lambda: float(np.sum(compose_laf(f) * grad_w))
-        g = compose_backward(f, grad_w)
+        loss = lambda: float(np.sum(full_compose(f) * grad_w))
+        g = full_backward(f, grad_w)
         assert_grads_close(g.l, central_difference(loss, f.l))
         assert_grads_close(g.s, central_difference(loss, f.s))
 
@@ -252,7 +279,7 @@ class TestComposeBackward:
                            rng.normal(size=(4, 3))])
         grad_w = rng.normal(size=(3, 2, 4))
         loss = lambda: float(np.sum(compose_tucker(f) * grad_w))
-        g = compose_backward(f, grad_w)
+        g = full_backward(f, grad_w)
         assert_grads_close(g.core, central_difference(loss, f.core))
         for n in range(3):
             assert_grads_close(g.u[n], central_difference(loss, f.u[n]))
@@ -263,29 +290,32 @@ class TestComposeBackward:
                       rng.normal(size=(2, 3)))
         grad_w = rng.normal(size=(3, 4, 3))
         loss = lambda: float(np.sum(compose_tt(f) * grad_w))
-        g = compose_backward(f, grad_w)
+        g = full_backward(f, grad_w)
         assert_grads_close(g.head, central_difference(loss, f.head))
         assert_grads_close(g.cores[0], central_difference(loss, f.cores[0]))
         assert_grads_close(g.tail, central_difference(loss, f.tail))
 
     def test_tt_two_way_no_cores(self, rng):
+        # the record a 3-way stack folds to
         f = TTFactors(rng.normal(size=(3, 2)), [], rng.normal(size=(2, 5)))
         grad_w = rng.normal(size=(3, 5))
         loss = lambda: float(np.sum(compose_tt(f) * grad_w))
-        g = compose_backward(f, grad_w)
+        g = full_backward(f, grad_w)
         assert_grads_close(g.head, central_difference(loss, f.head))
         assert_grads_close(g.tail, central_difference(loss, f.tail))
 
     def test_shape_mismatch_rejected(self, rng):
         f = LAFFactors(rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 4)))
         with pytest.raises(ValueError):
-            compose_backward(f, np.zeros((3, 2, 5)))
+            compose_backward(f, np.zeros((3, 5)), task=0)
+        with pytest.raises(TypeError):  # the task is required
+            compose_backward(f, np.zeros((3, 2)))
 
 
 SCHEMES = [
-    ("laf", laf_decompose, compose_laf),
-    ("tucker", tucker_decompose, compose_tucker),
-    ("tt", tt_decompose, compose_tt),
+    ("laf", laf_decompose),
+    ("tucker", tucker_decompose),
+    ("tt", tt_decompose),
 ]
 
 
@@ -297,13 +327,29 @@ def factor_fields(f):
     return out
 
 
+# factor records for the per-task finite-difference check, by id
+TASK_FD_RECORDS = {
+    "laf": lambda rng: LAFFactors(rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 4))),
+    "tucker": lambda rng: TuckerFactors(
+        rng.normal(size=(2, 2, 3)),
+        [rng.normal(size=(3, 2)), rng.normal(size=(2, 2)), rng.normal(size=(4, 3))]),
+    "tt-4way": lambda rng: TTFactors(
+        rng.normal(size=(3, 2)),
+        [rng.normal(size=(2, 4, 3)), rng.normal(size=(3, 2, 2))],
+        rng.normal(size=(2, 3))),
+    # the fold leaves a head and a tail with no cores between them
+    "tt-3way-no-cores": lambda rng: TTFactors(
+        rng.normal(size=(3, 2)), [rng.normal(size=(2, 4, 3))], rng.normal(size=(3, 5))),
+}
+
+
 class TestComposeTask:
     @pytest.mark.parametrize("scheme", SCHEMES, ids=[s[0] for s in SCHEMES])
     @pytest.mark.parametrize("shape", [(4, 3, 5), (2, 3, 2, 3, 4), (4, 1, 5)])
     def test_slice_and_backward_match_full_stack(self, rng, scheme, shape):
-        _, decompose, compose = scheme
+        _, decompose = scheme
         f = decompose(rng.normal(size=shape), 0.2)
-        full = compose(f)
+        full = full_compose(f)
         n_tasks = shape[-1]
         for t in (0, n_tasks // 2, n_tasks - 1):
             assert_allclose(compose_task(f, t), full[..., t], rtol=1e-12, atol=1e-12)
@@ -311,17 +357,16 @@ class TestComposeTask:
             padded = np.zeros(shape)
             padded[..., t] = grad_t
             got = factor_fields(compose_backward(f, grad_t, task=t))
-            want = factor_fields(compose_backward(f, padded))
+            want = factor_fields(full_backward(f, padded))
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_task_backward_finite_differences(self, rng):
-        f = TTFactors(rng.normal(size=(3, 2)),
-                      [rng.normal(size=(2, 4, 3)), rng.normal(size=(3, 2, 2))],
-                      rng.normal(size=(2, 3)))
-        grad_t = rng.normal(size=(3, 4, 2))
+    @pytest.mark.parametrize("record", TASK_FD_RECORDS.values(), ids=TASK_FD_RECORDS.keys())
+    def test_task_backward_finite_differences(self, rng, record):
+        f = record(rng)
+        grad_t = rng.normal(size=f.out_shape[:-1])
         loss = lambda: float(np.sum(compose_task(f, 1) * grad_t))
         g = compose_backward(f, grad_t, task=1)
         for analytic, p in zip(factor_fields(g), factor_fields(f)):
@@ -357,23 +402,29 @@ class TestComposeTask:
             compose_task(tt_decompose(rng.normal(size=(3, 4)), 0.1), 0)
 
 
-def _tensor_dot_tt(f):
-    """The TT chain head . cores . tail through ``tensor_dot``."""
+def _dot(a, b):
+    """``a``'s last axis contracted with ``b``'s first, on C-contiguous copies."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.tensordot(a, b, (a.ndim - 1, 0))
+
+
+def _dot_tt(f):
+    """The TT chain head . cores . tail through :func:`_dot`."""
     w = f.head
     for c in f.cores:
-        w = tensor_dot(w, c, -1, 1)
-    return tensor_dot(w, f.tail, -1, 1)
+        w = _dot(w, c)
+    return _dot(w, f.tail)
 
 
-def _tensor_dot_tt_backward(f, grad_w):
-    """The full TT backward through ``tensor_dot`` and validated records."""
+def _dot_tt_backward(f, grad_w):
+    """The full TT backward through :func:`_dot` and validated records."""
     n_way = grad_w.ndim
     left = [f.head]
     for c in f.cores:
-        left.append(tensor_dot(left[-1], c, -1, 1))
+        left.append(_dot(left[-1], c))
     right = [f.tail]
     for c in reversed(f.cores):
-        right.insert(0, tensor_dot(c, right[0], 3, 1))
+        right.insert(0, _dot(c, right[0]))
     grad_head = np.tensordot(grad_w, right[0],
                              axes=(list(range(1, n_way)), list(range(1, n_way))))
     grad_cores = []
@@ -389,30 +440,30 @@ def _tensor_dot_tt_backward(f, grad_w):
 
 
 def _tt_fold_reference(f, t):
-    return TTFactors(f.head, f.cores[:-1], tensor_dot(f.cores[-1], f.tail[:, t], -1, 1))
+    return TTFactors(f.head, f.cores[:-1], _dot(f.cores[-1], f.tail[:, t]))
 
 
 def _reference_task_paths(f, grad_t, t):
-    """Per-task slice and backward as first written: ``tensor_dot``, validated
-    records and ``np.multiply.outer``."""
+    """Per-task slice and backward as first written: contractions on
+    contiguous copies, validated records and ``np.multiply.outer``."""
     if isinstance(f, LAFFactors):
         lead = list(range(f.l.ndim - 1))
         grad_s = np.zeros_like(f.s)
         grad_s[:, t] = np.tensordot(f.l, grad_t, axes=(lead, lead))
-        return (tensor_dot(f.l, f.s[:, t], -1, 1),
+        return (_dot(f.l, f.s[:, t]),
                 LAFFactors(np.multiply.outer(grad_t, f.s[:, t]), grad_s))
     if isinstance(f, TuckerFactors):
         inner = TuckerFactors(f.core @ f.u[-1][t], f.u[:-1])
-        g = compose_backward(inner, grad_t)
+        g = full_backward(inner, grad_t)
         grad_last = np.zeros_like(f.u[-1])
         grad_last[t] = g.core.reshape(-1) @ f.core.reshape(-1, f.core.shape[-1])
         return (compose_tucker(inner),
                 TuckerFactors(np.multiply.outer(g.core, f.u[-1][t]), g.u + [grad_last]))
     folded = _tt_fold_reference(f, t)
-    g = _tensor_dot_tt_backward(folded, grad_t)
+    g = _dot_tt_backward(folded, grad_t)
     grad_tail = np.zeros_like(f.tail)
     grad_tail[:, t] = np.tensordot(g.tail, f.cores[-1], axes=([0, 1], [0, 1]))
-    return (_tensor_dot_tt(folded),
+    return (_dot_tt(folded),
             TTFactors(g.head, g.cores + [np.multiply.outer(g.tail, f.tail[:, t])], grad_tail))
 
 
@@ -422,13 +473,13 @@ def assert_same_bits(a, b):
 
 
 class TestPerTaskBits:
-    """The per-task slice and backward give the bits of the ``tensor_dot`` /
+    """The per-task slice and backward give the bits of the contraction /
     ``np.multiply.outer`` formulation they replaced."""
 
     @pytest.mark.parametrize("scheme", SCHEMES, ids=[s[0] for s in SCHEMES])
     @pytest.mark.parametrize("shape", [(5, 4, 6), (3, 4, 2, 3, 5)], ids=["3way", "5way"])
     def test_bitwise_equal_to_reference(self, rng, scheme, shape):
-        _, decompose, _ = scheme
+        _, decompose = scheme
         f = decompose(rng.normal(size=shape), 0.2)
         for t in range(shape[-1]):
             grad_t = rng.normal(size=shape[:-1])
@@ -442,12 +493,47 @@ class TestPerTaskBits:
                 assert_same_bits(a, b)
 
 
+class TestUnfold:
+    """``_unfold(t, n)`` is the 0-based mode-n unfolding (Kolda & Bader 2009)."""
+
+    def test_matrix_axis0_is_identity(self, rng):
+        m = rng.normal(size=(3, 5))
+        assert_array_equal(_unfold(m, 0), m)
+
+    def test_matrix_axis1_is_transpose(self, rng):
+        m = rng.normal(size=(3, 5))
+        assert_array_equal(_unfold(m, 1), m.T)
+
+    def test_234_axis1_matches_fibre_oracle(self, rng):
+        t = rng.normal(size=(2, 3, 4))
+        got = _unfold(t, 1)
+        assert got.shape == (3, 8)
+        assert_array_equal(got, fibre_oracle(t, 2))
+
+    def test_last_axis_is_a_strided_view(self, rng):
+        t = rng.normal(size=(2, 3, 4))
+        got = _unfold(t, 2)
+        assert np.shares_memory(got, t) and not got.flags.c_contiguous
+        assert_array_equal(got, fibre_oracle(t, 3))
+
+    def test_all_modes_match_fibre_oracle(self, rng):
+        for _ in range(20):
+            t = rng.normal(size=random_shape(rng, min_way=2))
+            for n in range(t.ndim):
+                assert_array_equal(_unfold(t, n), fibre_oracle(t, n + 1))
+
+    def test_norm_preserved(self, rng):
+        t = rng.normal(size=(3, 4, 2, 5))
+        for n in range(4):
+            assert np.linalg.norm(_unfold(t, n)) == pytest.approx(np.linalg.norm(t), rel=1e-15)
+
+
 class TestStructuralProperties:
     def test_compose_decompose_identity_up_to_5way(self, rng):
         for shape in [(3, 4), (2, 3, 4), (3, 2, 2, 3), (2, 2, 3, 2, 2)]:
             w = rng.normal(size=shape)
             if len(shape) >= 2:
-                assert rel_error(compose_laf(laf_decompose(w, 1e-12)), w) <= 1e-10
+                assert rel_error(full_compose(laf_decompose(w, 1e-12)), w) <= 1e-10
                 assert rel_error(compose_tt(tt_decompose(w, 1e-12)), w) <= 1e-10
             assert rel_error(compose_tucker(tucker_decompose(w, 1e-12)), w) <= 1e-10
 

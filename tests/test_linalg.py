@@ -2,13 +2,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dmtrl.linalg import rank_for_error, thin_svd
+from dmtrl.linalg import rank_for_error, tensor, thin_svd
 
 
 def gram_singular_values(m: np.ndarray) -> np.ndarray:
     """Independent oracle: singular values via eigenvalues of M^T M."""
     evals = np.linalg.eigvalsh(m.T @ m)
     return np.sqrt(np.clip(evals, 0.0, None))[::-1]
+
+
+class TestTensorConstruction:
+    def test_rejects_scalars(self):
+        with pytest.raises(ValueError):
+            tensor(3.0)
+
+    def test_rejects_zero_extent(self):
+        with pytest.raises(ValueError):
+            tensor(np.empty((2, 0, 3)))
+
+    def test_coerces_to_float64_c_order(self):
+        t = tensor(np.arange(6, dtype=np.int32).reshape(2, 3).T)
+        assert t.dtype == np.float64
+        assert t.flags.c_contiguous
 
 
 class TestThinSvd:
@@ -23,7 +38,7 @@ class TestThinSvd:
     def test_random_reconstruction_and_oracle(self, rng):
         m = rng.normal(size=(8, 5))
         res = thin_svd(m)
-        rel = np.linalg.norm(res.reconstruct() - m) / np.linalg.norm(m)
+        rel = np.linalg.norm((res.u * res.s) @ res.v.T - m) / np.linalg.norm(m)
         assert rel <= 1e-10
         assert_allclose(res.s, gram_singular_values(m), rtol=1e-8, atol=1e-8)
 
@@ -98,7 +113,8 @@ class TestRankForError:
             res = thin_svd(m)
             for eps in (0.05, 0.2, 0.5):
                 k = rank_for_error(res.s, eps)
-                approx = res.truncated(k).reconstruct()
+                cut = res.truncated(k)
+                approx = (cut.u * cut.s) @ cut.v.T
                 rel = np.linalg.norm(approx - m) / np.linalg.norm(m)
                 assert rel <= eps + 1e-12
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dmtrl.factorization import SCHEMES, LAFFactors, TTFactors, compose, compose_tt, decompose
+from dmtrl.factorization import SCHEMES, LAFFactors, TTFactors, compose_tt, decompose
 from dmtrl.layers import conv2d_forward, fc_forward, maxpool2_forward, relu_forward
 from dmtrl.network import (
     FC,
@@ -19,7 +19,7 @@ from dmtrl.network import (
 from dmtrl.data import TaskDataset
 from dmtrl.training import PlainRandom, RandomDecompose, TrainConfig, init_from_stl, train
 
-from conftest import assert_grads_close, central_difference, five_mode_spec
+from conftest import assert_grads_close, central_difference, five_mode_spec, full_compose
 
 I, T, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.TIED,
                       SharingMode.SOFT_LAF, SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
@@ -252,7 +252,7 @@ class TestBuild:
                       [np.random.default_rng(1).normal(size=(2, 4, 2))],
                       np.random.default_rng(2).normal(size=(2, 3)))
         net.set_layer_factors(0, f, biases=[np.zeros(4)] * 3)
-        assert compose(net.layer_state(0).factors).shape == (6, 4, 3)
+        assert full_compose(net.layer_state(0).factors).shape == (6, 4, 3)
 
     def test_build_deterministic(self):
         a = build_network(conv_spec(TUK), RandomDecompose(0.2), 9)
@@ -429,20 +429,19 @@ class TestForward:
         import dmtrl.factorization as factorization_module
         import dmtrl.network as network_module
 
-        calls = []
-        real = network_module.compose_task
+        calls, composed = [], []
+        real, real_tucker = network_module.compose_task, factorization_module.compose_tucker
 
         def counting(f, task):
             calls.append(task)
             return real(f, task)
 
-        def forbidden(f):
-            raise AssertionError("the stacked tensor was composed")
+        def recording(f):
+            composed.append(f.out_shape)
+            return real_tucker(f)
 
         monkeypatch.setattr(network_module, "compose_task", counting)
-        # the generic full compose, wherever network could look it up
-        monkeypatch.setattr(network_module, "compose", forbidden, raising=False)
-        monkeypatch.setattr(factorization_module, "compose", forbidden)
+        monkeypatch.setattr(factorization_module, "compose_tucker", recording)
         net = build_network(conv_spec(TUK, tasks=4), RandomDecompose(0.3), 5)
         x = rng.normal(size=(2, 8, 8, 1))
         out = net.forward(2, x)
@@ -450,6 +449,9 @@ class TestForward:
         net.backward(2, np.ones_like(out))
         net.gradients()
         assert calls == [2, 2]  # one slice per soft layer
+        # every composition built one slice, never the stacked tensor
+        slices = [net.layer_state(i).stacked_shape[:-1] for i in net.param_layers]
+        assert composed == slices
         net.invalidate()
         net.forward(2, x)
         assert calls == [2, 2, 2, 2]

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmtrl.data import TaskDataset, synth_heterogeneous
-from dmtrl.factorization import compose_laf, compose_tt, compose_tucker
+from dmtrl.factorization import compose_tt
 from dmtrl.network import (
     FC,
     Activation,
@@ -23,6 +23,8 @@ from dmtrl.training import (
     pretrain_stl,
     train,
 )
+
+from conftest import full_compose
 
 I, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.SOFT_LAF,
                    SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
@@ -131,13 +133,9 @@ class TestInitFromStl:
         stacked0 = np.stack(
             [stl.layer_state(0).weights[t] for t in range(3)], axis=-1
         )
-        for mode, compose, bound in (
-            (LAF, compose_laf, eps),
-            (TUK, compose_tucker, np.sqrt(3) * eps),
-            (TT, compose_tt, eps),
-        ):
+        for mode, bound in ((LAF, eps), (TUK, np.sqrt(3) * eps), (TT, eps)):
             net = init_from_stl(stl, mlp_spec(mode, mode, 3), eps)
-            approx = compose(net.layer_state(0).factors)
+            approx = full_compose(net.layer_state(0).factors)
             rel = np.linalg.norm(approx - stacked0) / np.linalg.norm(stacked0)
             assert rel <= bound + 1e-12
 
@@ -160,10 +158,10 @@ class TestInitRandomDecompose:
         # a plain independent build would have drawn per task
         spec = mlp_spec(LAF, LAF, 3)
         net = build_network(spec, RandomDecompose(1e-10), 6)
-        w = compose_laf(net.layer_state(0).factors)
+        w = full_compose(net.layer_state(0).factors)
         assert w.shape == (2, 4, 3)
         rebuilt = build_network(spec, RandomDecompose(1e-10), 6)
-        assert_allclose(compose_laf(rebuilt.layer_state(0).factors), w, atol=1e-12)
+        assert_allclose(full_compose(rebuilt.layer_state(0).factors), w, atol=1e-12)
 
     def test_recomposed_variance_near_fan_rule(self):
         tasks = 4
