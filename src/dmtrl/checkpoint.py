@@ -19,6 +19,7 @@ are never read as one pair.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -98,24 +99,32 @@ def _read_checkpoint(path):
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise CheckpointError(f"checkpoint version {version}, reader supports {VERSION}")
+    view, off, end = memoryview(blob), 12, len(blob) - 4
+
+    def take(size, what):
+        nonlocal off
+        if size > end - off:
+            raise CheckpointError(f"checkpoint truncated inside {what}")
+        off += size
+        return view[off - size : off]
+
     arrays = {}
-    off = 12
-    end = len(blob) - 4
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-        off += 8 * n
-        if off > end:
-            raise CheckpointError(f"checkpoint truncated inside tensor '{name}'")
-        arrays[name] = data.reshape(shape).astype(np.float64)
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"tensor {i}'s header"))
+        try:
+            name = bytes(take(name_len, f"tensor {i}'s name")).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"tensor {i}'s name is not UTF-8: {e}") from e
+        if name in arrays:
+            raise CheckpointError(f"tensor '{name}' is stored twice")
+        rank = take(1, f"tensor '{name}'")[0]
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank, f"tensor '{name}'"))
+        # Python integers: a product of huge extents cannot wrap round to 0
+        data = np.frombuffer(take(8 * math.prod(shape), f"tensor '{name}'"), dtype="<f8")
+        try:
+            arrays[name] = data.reshape(shape).astype(np.float64)
+        except ValueError as e:  # an extent numpy cannot index, even of an empty tensor
+            raise CheckpointError(f"tensor '{name}' has unusable extents {shape}: {e}") from e
     if off != end:
         raise CheckpointError(f"{end - off} trailing bytes after the last tensor")
     return arrays, stored_crc

@@ -1,9 +1,24 @@
 """Differentiable neural primitives with explicit forward and backward passes.
 
 Every ``*_forward`` returns ``(output, cache)`` and the matching
-``*_backward`` consumes the upstream gradient plus that cache.  Convolution
-uses valid padding and stride 1.  The forward pass and the kernel gradient
-share one patch matrix (im2col), the matrix-multiply path of the fully
+``*_backward`` consumes the upstream gradient plus that cache.  A cache
+holds the layer's input (or, for relu and tanh, its output), never an array
+derived from it, so a cache restricted to some samples is the cache of a
+forward pass on those samples, and the arrays a training tape keeps alive
+are the activations themselves:
+
+* fc: ``(x, w)``.
+* conv: ``(x, k)``.  Forward and the kernel gradient each build the patch
+  matrix (im2col) of the input they are handed, so a backward pass over a
+  few samples builds only their patch rows.
+* 2x2 max pool: ``(x,)``.  Forward takes only the maxima; backward finds
+  the winners again in the rows it is given.
+* relu: ``(y,)``, the output, which is > 0 exactly where the input is.  The
+  pool after a relu caches that same array, and the relu's input is freed.
+* tanh: ``(y,)``.
+
+Convolution uses valid padding and stride 1.  The forward pass and the kernel
+gradient go through the patch matrix, the matrix-multiply path of the fully
 connected layer; the input gradient is summed per kernel tap instead: tap
 (dy, dx) adds ``grad_out @ k[dy, dx].T`` into the input window it read.
 
@@ -19,6 +34,9 @@ path).  At batch 64 on one BLAS thread, the first demo-04 conv (5x5x1x8 on
 28x28) built its patches in 0.77 ms against 1.79 row-major and ran forward
 in 1.77 ms against 2.70; its kernel gradient stayed at 1.6 ms.  For the
 8-channel second conv, a kernel-major product took 1.31 ms against 0.76.
+Caching inputs keeps a batch-64 demo-04 training tape at 4.13 MiB; its
+patch matrices and pool winner codes would hold 15.39 MiB, 7.03 MiB of that
+the first conv's.
 """
 
 from __future__ import annotations
@@ -67,7 +85,8 @@ def conv2d_patches(x: np.ndarray, hk: int, wk: int) -> np.ndarray:
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     """Valid cross-correlation of a B x Hi x Wi x C batch with an
     H x W x C x M kernel stack, stride 1.  ``patches``, when given, is
-    :func:`conv2d_patches` of ``x``, built once for several kernels."""
+    :func:`conv2d_patches` of ``x``, built once for several kernels.  The
+    cache is ``(x, k)``; the backward pass builds its own patch rows."""
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-way input and kernel")
     hk, wk, cin, m = k.shape
@@ -81,19 +100,19 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     # one product per output row: faster here than one over all B·Ho·Wo rows
     out = p.reshape(len(x), x.shape[1] - hk + 1, x.shape[2] - wk + 1, -1) @ k.reshape(-1, m)
     out += b
-    return out, (x.shape, p, k)
+    return out, (x, k)
 
 
 def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
-    x_shape, p, k = cache
+    x, k = cache
     hk, wk, cin, m = k.shape
     b_, ho, wo, _ = grad_out.shape
     gf = grad_out.reshape(-1, m)
     grad_b = np.ones(gf.shape[0]) @ gf  # a BLAS product beats a column sum here
-    grad_k = (gf.T @ p).T.reshape(k.shape)
+    grad_k = (gf.T @ conv2d_patches(x, hk, wk)).T.reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
-    grad_x = np.zeros(x_shape)
+    grad_x = np.zeros(x.shape)
     for dy in range(hk):
         for dx in range(wk):
             grad_x[:, dy : dy + ho, dx : dx + wo, :] += (gf @ k[dy, dx].T).reshape(b_, ho, wo, cin)
@@ -103,27 +122,31 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
 def maxpool2_forward(x: np.ndarray):
     """2x2 max pooling, stride 2; odd trailing rows/columns are dropped.
 
-    The cache holds a uint8 winner code per output: 0..3 for r0c0, r0c1,
-    r1c0, r1c1, with the first maximum in that order winning ties."""
+    The cache is the input itself: the winners are found in backward."""
     ho, wo = x.shape[1] // 2, x.shape[2] // 2
-    r0c0, r0c1 = x[:, 0 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 0 : 2 * ho : 2, 1 : 2 * wo : 2]
-    r1c0, r1c1 = x[:, 1 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 1 : 2 * ho : 2, 1 : 2 * wo : 2]
-    top, bottom = np.maximum(r0c0, r0c1), np.maximum(r1c0, r1c1)
-    out = np.maximum(top, bottom)
-    top_code = (r0c0 != top).view(np.uint8)
-    bottom_code = (r1c0 != bottom).view(np.uint8) + 2
-    # top_code where the top row holds the maximum, else bottom_code
-    code = top_code + (bottom_code - top_code) * (top != out).view(np.uint8)
-    return out, (x.shape, code)
+    # a maximum is exact and, but for the sign of a zero, the same in any
+    # order: rows first, then columns, takes two passes instead of three
+    rows = np.maximum(x[:, 0 : 2 * ho : 2, : 2 * wo], x[:, 1 : 2 * ho : 2, : 2 * wo])
+    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2]), (x,)
 
 
 def maxpool2_backward(grad_out: np.ndarray, cache):
     """Each window slot s is one strided write of ``grad_out`` where slot s
-    won; an odd trailing row or column the forward pass dropped stays 0."""
-    x_shape, code = cache
+    won; an odd trailing row or column the forward pass dropped stays 0.
+
+    Slots 0..3 are r0c0, r0c1, r1c0, r1c1, and the first maximum in that
+    order wins a tie."""
+    (x,) = cache
     _, ho, wo, _ = grad_out.shape
-    even = x_shape[1:3] == (2 * ho, 2 * wo)
-    grad_x = np.empty(x_shape) if even else np.zeros(x_shape)
+    r0c0, r0c1 = x[:, 0 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 0 : 2 * ho : 2, 1 : 2 * wo : 2]
+    r1c0, r1c1 = x[:, 1 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 1 : 2 * ho : 2, 1 : 2 * wo : 2]
+    top, bottom = np.maximum(r0c0, r0c1), np.maximum(r1c0, r1c1)
+    top_code = (r0c0 != top).view(np.uint8)
+    bottom_code = (r1c0 != bottom).view(np.uint8) + 2
+    # top_code where the top row holds the maximum, else bottom_code
+    code = top_code + (bottom_code - top_code) * (top != np.maximum(top, bottom)).view(np.uint8)
+    even = x.shape[1:3] == (2 * ho, 2 * wo)
+    grad_x = np.empty(x.shape) if even else np.zeros(x.shape)
     for s in range(4):
         r, q = divmod(s, 2)
         np.multiply(grad_out, code == s, out=grad_x[:, r : 2 * ho : 2, q : 2 * wo : 2])
@@ -131,12 +154,14 @@ def maxpool2_backward(grad_out: np.ndarray, cache):
 
 
 def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0.0), (x,)
+    """max(x, 0); the cache is the output, which is > 0 exactly where x is."""
+    y = np.maximum(x, 0.0)
+    return y, (y,)
 
 
 def relu_backward(grad_out: np.ndarray, cache):
-    (x,) = cache
-    return grad_out * (x > 0.0)
+    (y,) = cache
+    return grad_out * (y > 0.0)
 
 
 def tanh_forward(x: np.ndarray):

@@ -11,12 +11,13 @@ gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
 that share ``x`` but not the parameters; a conv's binding builds the patch
 matrix on its first call and reuses it on the others.  ``take(cache, rows)``
 gives the cache that ``forward`` on just the samples ``rows`` would have
-recorded: fc's 2-D input, conv's patch rows in the layout they came in, the
-pool's winner codes, an activation's cached array, each with the batch
-shrunk to ``len(rows)``.  Only fc takes a per-task head width.  Kinds look
-the :mod:`dmtrl.layers` primitives up on that module at call time, so a
-tracer that swaps them there sees every call.  ``KINDS`` maps JSON tags to
-kinds.
+recorded.  Every cache holds the layer's input or an activation's output
+(see :mod:`dmtrl.layers`), so ``take`` is that array's rows ``x[rows]``,
+with fc's and conv's weight passed through; whatever backward derives from
+the input (patch rows, pool winners) it builds for those rows alone.  Only
+fc takes a per-task head width.  Kinds look the :mod:`dmtrl.layers`
+primitives up on that module at call time, so a tracer that swaps them there
+sees every call.  ``KINDS`` maps JSON tags to kinds.
 
 A network holds T task heads over common storage.  How a fully connected or
 convolutional layer keeps its parameters is the row of ``STORAGE`` for its
@@ -39,15 +40,17 @@ each slice gradient back onto the factors on its own.
 
 ``predict_tasks(x, tasks)`` scores several tasks on one batch in a single
 depth-first walk over the layers.  It carries a group of tasks that share an
-activation.  At each layer it binds the kind to that activation once, then
-splits the group by the storage slot each task reads: a tied layer keeps the
-group whole, any other parametrised layer gives each task its own path.  Each
-path runs to the output before the next one starts, so a tied trunk runs once
-per batch, a conv's patch matrix is built once per group, and at most one
-task path's activations are alive at a time.  ``predict`` and ``forward`` are
-the one-task walk; ``forward`` also records a tape of ``(kind, param layer or
-None, cache)`` per layer, which ``backward`` consumes in reverse, releasing
-each entry as it goes.
+activation.  At each layer it splits the group by the storage slot each task
+reads: a tied layer keeps the group whole, any other parametrised layer gives
+each task its own path, and where the group parts the kind is bound to the
+shared activation once for all paths.  Each path runs to the output before
+the next one starts, so a tied trunk runs once per batch, a conv's patch
+matrix is built once per group, and at most one task path's activations are
+alive at a time.  ``predict`` and ``forward`` are the one-task walk;
+``forward`` also records a tape of ``(kind, param layer or None, cache)`` per
+layer, which ``backward`` consumes in reverse, releasing each entry as it
+goes.  The tape keeps the activations and nothing derived from them (see
+:mod:`dmtrl.layers`).
 
 Samples are independent rows of every layer, so a sample whose row of the
 output gradient is all zero adds nothing to any gradient.  Under the hinge
@@ -63,6 +66,7 @@ gradients can differ from the whole-batch ones in the last bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -162,9 +166,9 @@ class Conv(_Kind):
 
         def forward(w, b):
             nonlocal patches
-            out, cache = nn.conv2d_forward(x, w, b, patches)
-            patches = cache[1]
-            return out, cache
+            if patches is None:
+                patches = nn.conv2d_patches(x, self.h, self.w)
+            return nn.conv2d_forward(x, w, b, patches)
 
         return forward
 
@@ -172,16 +176,8 @@ class Conv(_Kind):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
     def take(self, cache, rows):
-        """The patch rows of the samples in ``rows``, in the layout they
-        came in: each sample's (Ho·Wo, taps) block of a row-major matrix, or
-        each sample's stretch of every tap's run in a kernel-major one."""
-        x_shape, p, k = cache
-        taps = p.shape[1]
-        if p.flags.c_contiguous:
-            p = p.reshape(x_shape[0], -1, taps)[rows].reshape(-1, taps)
-        else:
-            p = p.T.reshape(taps, x_shape[0], -1)[:, rows].reshape(taps, -1).T
-        return (len(rows),) + x_shape[1:], p, k
+        x, k = cache
+        return x[rows], k
 
 
 @dataclass(frozen=True)
@@ -200,8 +196,8 @@ class MaxPool(_Kind):
         return (nn.maxpool2_backward(g, cache),)
 
     def take(self, cache, rows):
-        x_shape, code = cache
-        return (len(rows),) + x_shape[1:], code[rows]
+        (x,) = cache
+        return (x[rows],)
 
 
 @dataclass(frozen=True)
@@ -278,8 +274,13 @@ class NetworkSpec:
         self.input_shape = tuple(int(d) for d in self.input_shape)
         if self.tasks < 1:
             raise ValueError("need at least one task")
-        if self.head_dims is not None and len(self.head_dims) != self.tasks:
-            raise ValueError("head_dims must list one output width per task")
+        if self.head_dims is not None:
+            if len(self.head_dims) != self.tasks:
+                raise ValueError("head_dims must list one output width per task")
+            for d in self.head_dims:
+                if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+                    raise ValueError(f"head_dims must be integers >= 1, got {d!r}")
+            self.head_dims = [int(d) for d in self.head_dims]
         self._validate_chain()
 
     def d_out(self, index: int, task: int) -> int | None:
@@ -584,13 +585,13 @@ class MultiTaskNetwork:
         that never splits."""
         for i in range(start, len(self.spec.layers)):
             kind, layer = self.spec.layers[i].kind, self.param_layers.get(i)
-            run = kind.bind(h)
             paths = _split(layer, group)
             if len(paths) > 1:
+                run = kind.bind(h)
                 for params, sub in paths:
                     self._walk(run(*params)[0], sub, i + 1, out, None)
                 return
-            h, cache = run(*paths[0][0])
+            h, cache = kind.forward(h, *paths[0][0])
             if tape is not None:
                 tape.append((kind, layer, cache))
         out.update(dict.fromkeys(group, h))

@@ -22,7 +22,17 @@ sample with margin y f(x) >= 1: only the samples inside the margin or
 misclassified (the support vectors of Cortes & Vapnik 1995) carry gradient.
 In the benchmark's one-vs-all set-up that was 16-28% of a 64-row batch per
 epoch, and the network's backward pass runs only through those rows.  A
-multi-class task's softmax cross-entropy gives every row a gradient.
+multi-class task's softmax cross-entropy gives every row a gradient, so its
+backward pass runs on the whole batch, and since the tape keeps each conv's
+input rather than its patch matrix, each conv builds its patches twice per
+step, once for the output and once for the kernel gradient.  At batch 64 on
+one BLAS thread that is 0.55-0.71 ms more for the first demo-04 conv and
+0.37-0.47 ms for the second.  A 10-class demo-04 step (512 images, batch
+64, medians of 5 alternating runs) took 12.79 ms against 11.69 when the
+tape kept patch matrices.  In a process where glibc still mapped those
+arrays afresh each step (see the chunk in ``data.synth_digits``) it took
+15.88 ms against 17.11, with 1,756-2,267 minor page faults per step against
+2,274-2,658.
 
 Evaluation scores ``EVAL_BLOCK`` = 64 rows at a time, where the first
 demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so scoring

@@ -80,6 +80,45 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    @staticmethod
+    def crafted(path, tensors, count=None):
+        """A checkpoint of ``(name bytes, extents, values)`` entries as the
+        header says, with a valid CRC32 over whatever it claims."""
+        import zlib
+
+        blob = b"DMTL" + struct.pack("<II", 1, len(tensors) if count is None else count)
+        for name, shape, values in tensors:
+            blob += struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            blob += struct.pack(f"<{len(shape)}Q", *shape) + np.asarray(values, "<f8").tobytes()
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        return path
+
+    def test_crafted_reader_accepts_a_well_formed_file(self, tmp_path):
+        back = load_checkpoint(self.crafted(tmp_path / "t.ckpt", [(b"x", (2,), [1.0, 2.0])]))
+        assert_array_equal(back["x"], [1.0, 2.0])
+
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        path = self.crafted(tmp_path / "t.ckpt", [(b"\xff\xfe", (1,), [0.0])])
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_count_beyond_the_data_rejected(self, tmp_path):
+        path = self.crafted(tmp_path / "t.ckpt", [(b"x", (1,), [0.0])], count=2)
+        with pytest.raises(CheckpointError, match="truncated inside tensor 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [(2 ** 40, 2 ** 40), (0, 2 ** 63)],
+                             ids=["product-overflows-int64", "empty-but-unindexable"])
+    def test_extents_numpy_cannot_hold_rejected(self, tmp_path, shape):
+        path = self.crafted(tmp_path / "t.ckpt", [(b"x", shape, [])])
+        with pytest.raises(CheckpointError, match="tensor 'x'"):
+            load_checkpoint(path)
+
+    def test_name_stored_twice_rejected(self, tmp_path):
+        path = self.crafted(tmp_path / "t.ckpt", [(b"x", (1,), [1.0]), (b"x", (1,), [2.0])])
+        with pytest.raises(CheckpointError, match="'x' is stored twice"):
+            load_checkpoint(path)
+
     def test_soft_network_round_trip(self, tmp_path, rng):
         from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec
 

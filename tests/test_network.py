@@ -84,6 +84,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="layer 0: head_dims"):
             NetworkSpec((6, 6, 1), [LayerSpec(Conv(3, 3, 1, 2), I)], 2, head_dims=head_dims)
 
+    @pytest.mark.parametrize("head_dims", [[0, 2], [-1, 2], [2.5, 2], [2.0, 2], [True, 2],
+                                           ["2", 2], [None, 2]])
+    def test_head_widths_must_be_integers_at_least_one(self, head_dims):
+        with pytest.raises(ValueError, match="head_dims must be integers >= 1"):
+            NetworkSpec((4,), [LayerSpec(FC(4, 3), I)], 2, head_dims=head_dims)
+
+    def test_numpy_integer_head_widths_kept_as_ints(self):
+        spec = NetworkSpec((4,), [LayerSpec(FC(4, 3), I)], 2, head_dims=np.array([1, 8]))
+        assert spec.head_dims == [1, 8] and all(type(d) is int for d in spec.head_dims)
+
     def test_layer_that_is_not_a_kind_named(self):
         with pytest.raises(ValueError, match="layer 1: 'fc' is not a layer kind"):
             NetworkSpec((4,), [LayerSpec(FC(4, 4), I), LayerSpec("fc", I)], 1)
@@ -556,6 +566,48 @@ ACTIVE = {  # which of 6 samples carry gradient
 }
 
 
+class TestTape:
+    """``forward`` records each layer's input, never a matrix derived from
+    it: backward rebuilds patch rows and pool winners for the rows it runs."""
+
+    @staticmethod
+    def _tape_bytes(net) -> int:
+        """Distinct bytes the tape keeps alive: every cached array's base,
+        counted once however many entries hold it or a view of it."""
+        roots, todo = {}, [cache for _, _, cache in net._tape[1]]
+        while todo:
+            a = todo.pop()
+            if isinstance(a, tuple):
+                todo.extend(a)
+            elif isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                roots[id(a)] = a.nbytes
+        return sum(roots.values())
+
+    @pytest.mark.parametrize("mode, init", [(I, PlainRandom()), (TUK, RandomDecompose(0.1))],
+                             ids=["independent", "tucker"])
+    def test_demo04_tape_holds_inputs_not_patch_matrices(self, rng, mode, init):
+        # conv5-8 / pool / conv4-16 / pool / fc256-64 / fc64-1 at batch 64:
+        # the first conv's patch matrix alone is 7.03 MiB, and a tape of
+        # patch matrices and winner codes held 15.39 MiB
+        kinds = [Conv(5, 5, 1, 8), Activation("relu"), MaxPool(),
+                 Conv(4, 4, 8, 16), Activation("relu"), MaxPool(),
+                 FC(256, 64), Activation("relu"), FC(64, 1)]
+        spec = NetworkSpec((28, 28, 1), [LayerSpec(k, mode if k.parametrised else None)
+                                         for k in kinds], 10)
+        net = build_network(spec, init, 0)
+        net.forward(3, rng.random((64, 28, 28, 1)))
+        assert self._tape_bytes(net) <= 4.5 * 2 ** 20
+
+    def test_relu_and_the_pool_after_it_share_one_array(self, rng):
+        net = build_network(conv_spec(I), PlainRandom(), 0)
+        net.forward(0, rng.normal(size=(4, 8, 8, 1)))
+        (_, _, conv), (_, _, relu), (_, _, pool), _ = net._tape[1]
+        assert relu[0] is pool[0]
+        assert all(a is not relu[0] for a in conv)  # the conv output is not kept
+
+
 class TestRestrictedBackward:
     """Backward runs only through the samples whose output gradient is not
     all zero, and accumulates what the dense pass over every row does."""
@@ -598,14 +650,13 @@ class TestRestrictedBackward:
         real_conv, real_pool = layers_module.conv2d_backward, layers_module.maxpool2_backward
 
         def conv(grad_out, cache, need_grad_x=True):
-            x_shape, p, _ = cache
-            ho, wo = grad_out.shape[1:3]
-            seen.append(("conv", len(grad_out), x_shape[0], len(p) // (ho * wo)))
+            x, _ = cache
+            seen.append(("conv", len(grad_out), len(x)))
             return real_conv(grad_out, cache, need_grad_x=need_grad_x)
 
         def pool(grad_out, cache):
-            x_shape, code = cache
-            seen.append(("pool", len(grad_out), x_shape[0], len(code)))
+            (x,) = cache
+            seen.append(("pool", len(grad_out), len(x)))
             return real_pool(grad_out, cache)
 
         monkeypatch.setattr(layers_module, "conv2d_backward", conv)
@@ -614,7 +665,7 @@ class TestRestrictedBackward:
         out = net.forward(0, x)
         net.backward(0, np.ones_like(out) * np.reshape(active, (-1, 1, 1, 1)))
         n = sum(active)
-        assert seen == [("conv", n, n, n), ("pool", n, n, n), ("conv", n, n, n)]
+        assert seen == [("conv", n, n), ("pool", n, n), ("conv", n, n)]
 
     def test_softmax_head_step_bit_identical_to_dense(self, rng):
         from dmtrl.layers import softmax_ce_loss
