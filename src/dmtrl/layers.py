@@ -10,11 +10,16 @@ are the activations themselves:
 * fc: ``(x, w)``.
 * conv: ``(x, k)``.  Forward and the kernel gradient each build the patch
   matrix (im2col) of the input they are handed, so a backward pass over a
-  few samples builds only their patch rows.
+  few samples builds only their patch rows.  The one exception: a forward
+  pass handed a patch matrix its caller keeps alive anyway (one batch's,
+  shared by several kernels) caches ``(x, k, p)``, and the kernel gradient
+  reads that ``p`` instead of building it again.
 * 2x2 max pool: ``(x,)``.  Forward takes only the maxima; backward finds
   the winners again in the rows it is given.
-* relu: ``(y,)``, the output, which is > 0 exactly where the input is.  The
-  pool after a relu caches that same array, and the relu's input is freed.
+* relu: ``(y,)``, the output, which is > 0 exactly where the input is.
+  Whatever runs next (in a network, a conv or fc; see
+  :mod:`dmtrl.network` for why the pool runs first) caches that same array
+  as its input.
 * tanh: ``(y,)``.
 
 Convolution uses valid padding and stride 1.  The forward pass and the kernel
@@ -36,7 +41,9 @@ in 1.77 ms against 2.70; its kernel gradient stayed at 1.6 ms.  For the
 8-channel second conv, a kernel-major product took 1.31 ms against 0.76.
 Caching inputs keeps a batch-64 demo-04 training tape at 4.13 MiB; its
 patch matrices and pool winner codes would hold 15.39 MiB, 7.03 MiB of that
-the first conv's.
+the first conv's.  A tape whose first conv ran on a shared patch matrix
+holds that matrix too (11.16 MiB), one per training cycle rather than per
+step.
 """
 
 from __future__ import annotations
@@ -85,8 +92,9 @@ def conv2d_patches(x: np.ndarray, hk: int, wk: int) -> np.ndarray:
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     """Valid cross-correlation of a B x Hi x Wi x C batch with an
     H x W x C x M kernel stack, stride 1.  ``patches``, when given, is
-    :func:`conv2d_patches` of ``x``, built once for several kernels.  The
-    cache is ``(x, k)``; the backward pass builds its own patch rows."""
+    :func:`conv2d_patches` of ``x``, built once for several kernels; the
+    cache is then ``(x, k, patches)``, else ``(x, k)``, and the backward
+    pass builds its own patch rows."""
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-way input and kernel")
     hk, wk, cin, m = k.shape
@@ -100,16 +108,17 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     # one product per output row: faster here than one over all B·Ho·Wo rows
     out = p.reshape(len(x), x.shape[1] - hk + 1, x.shape[2] - wk + 1, -1) @ k.reshape(-1, m)
     out += b
-    return out, (x, k)
+    return out, (x, k) if patches is None else (x, k, patches)
 
 
 def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
-    x, k = cache
+    x, k, *p = cache
     hk, wk, cin, m = k.shape
     b_, ho, wo, _ = grad_out.shape
     gf = grad_out.reshape(-1, m)
     grad_b = np.ones(gf.shape[0]) @ gf  # a BLAS product beats a column sum here
-    grad_k = (gf.T @ conv2d_patches(x, hk, wk)).T.reshape(k.shape)
+    p = p[0] if p else conv2d_patches(x, hk, wk)
+    grad_k = (gf.T @ p).T.reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
     grad_x = np.zeros(x.shape)

@@ -9,15 +9,16 @@ raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
 ``grad_x`` and give their ``weight_shape`` and Glorot bound.  ``bind(x)``
 gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
 that share ``x`` but not the parameters; a conv's binding builds the patch
-matrix on its first call and reuses it on the others.  ``take(cache, rows)``
-gives the cache that ``forward`` on just the samples ``rows`` would have
-recorded.  Every cache holds the layer's input or an activation's output
-(see :mod:`dmtrl.layers`), so ``take`` is that array's rows ``x[rows]``,
-with fc's and conv's weight passed through; whatever backward derives from
-the input (patch rows, pool winners) it builds for those rows alone.  Only
-fc takes a per-task head width.  Kinds look the :mod:`dmtrl.layers`
-primitives up on that module at call time, so a tracer that swaps them there
-sees every call.  ``KINDS`` maps JSON tags to kinds.
+matrix on its first call and reuses it on the others, and its caches hold
+that matrix too.  ``take(cache, rows)`` gives the cache that ``forward`` on
+just the samples ``rows`` would have recorded.  Every cache holds the
+layer's input or an activation's output (see :mod:`dmtrl.layers`), so
+``take`` is that array's rows ``x[rows]``, with fc's and conv's weight
+passed through and a bound conv's patch matrix dropped; whatever backward
+derives from the input (patch rows, pool winners) it builds for those rows
+alone.  Only fc takes a per-task head width.  Kinds look the
+:mod:`dmtrl.layers` primitives up on that module at call time, so a tracer
+that swaps them there sees every call.  ``KINDS`` maps JSON tags to kinds.
 
 A network holds T task heads over common storage.  How a fully connected or
 convolutional layer keeps its parameters is the row of ``STORAGE`` for its
@@ -33,13 +34,29 @@ from named arrays, gives a task's weight, and lists the named parameters or
 their gradients, which accumulate per slot; a soft row's slot t holds the
 gradient of task t's weight slice.
 
+The network runs an execution plan, built once from the spec: a list of
+``(kind, param layer or None)`` steps, the spec's layers in order except
+that every relu followed by a 2x2 max pool runs as the pool followed by the
+relu.  The relu then touches a quarter of the elements, forward and
+backward.  The swap keeps every bit.  Relu is monotone, so relu(max) is the
+max of the relus, and relu never gives -0 (``maximum(-0., 0.)`` is +0), so
+both orders give the same values.  A window whose maximum is positive has
+the same first maximum either way, so the pool routes the gradient to the
+same input; any other window's pooled value is 0, and the relu's zero mask
+gives every one of its inputs ``g * 0`` in both orders, the sign of zero
+included.  A tanh is not moved: it saturates, mapping distinct inputs to
+equal outputs, which could move a pool winner.  Specs, config JSON,
+manifests and parameter names (``layer{i}.<kind>``) stay as written.  The
+pool now caches the conv output and the relu the pooled output, which is
+also the next layer's input.
+
 A softly shared layer never builds its stacked tensor during training: a
 forward pass composes only the requested task's slice straight from the
 factors (cached until the factors change), and listing the gradients maps
 each slice gradient back onto the factors on its own.
 
 ``predict_tasks(x, tasks)`` scores several tasks on one batch in a single
-depth-first walk over the layers.  It carries a group of tasks that share an
+depth-first walk over the plan.  It carries a group of tasks that share an
 activation.  At each layer it splits the group by the storage slot each task
 reads: a tied layer keeps the group whole, any other parametrised layer gives
 each task its own path, and where the group parts the kind is bound to the
@@ -48,9 +65,12 @@ the next one starts, so a tied trunk runs once per batch, a conv's patch
 matrix is built once per group, and at most one task path's activations are
 alive at a time.  ``predict`` and ``forward`` are the one-task walk;
 ``forward`` also records a tape of ``(kind, param layer or None, cache)`` per
-layer, which ``backward`` consumes in reverse, releasing each entry as it
+step, which ``backward`` consumes in reverse, releasing each entry as it
 goes.  The tape keeps the activations and nothing derived from them (see
-:mod:`dmtrl.layers`).
+:mod:`dmtrl.layers`), but for the patch matrix of a first conv that
+``forward`` ran through ``bind(x)``: tasks that train on one batch share
+that binding (see :func:`dmtrl.training.train`), and a backward pass over
+the whole batch reads its matrix for the kernel gradient.
 
 Samples are independent rows of every layer, so a sample whose row of the
 output gradient is all zero adds nothing to any gradient.  Under the hinge
@@ -176,7 +196,7 @@ class Conv(_Kind):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
     def take(self, cache, rows):
-        x, k = cache
+        x, k, *_ = cache
         return x[rows], k
 
 
@@ -495,6 +515,17 @@ class _ParamLayer:
                 acc[slot] = np.array(g, dtype=np.float64)
 
 
+def _execution_plan(steps) -> list:
+    """The spec's ``(kind, param layer or None)`` steps as the network runs
+    them: in order, but for every relu followed by a 2x2 pool, which run as
+    the pool followed by the relu (see the module docstring)."""
+    plan = list(steps)
+    for i in range(len(plan) - 1):
+        if plan[i][0] == Activation("relu") and isinstance(plan[i + 1][0], MaxPool):
+            plan[i], plan[i + 1] = plan[i + 1], plan[i]
+    return plan
+
+
 def _split(layer, group) -> list:
     """``(params, tasks)`` for each subgroup of ``group`` that reads one
     storage slot of ``layer``; the whole group when it has no parameters."""
@@ -513,6 +544,8 @@ class MultiTaskNetwork:
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
         self.param_layers = {i: _ParamLayer(i, spec) for i in spec.parametrised_indices()}
+        self._plan = _execution_plan((ls.kind, self.param_layers.get(i))
+                                     for i, ls in enumerate(spec.layers))
         self._tape = None
 
     @property
@@ -551,10 +584,20 @@ class MultiTaskNetwork:
         layer.invalidate()
 
     # -- forward / backward ----------------------------------------------
-    def forward(self, task: int, x: np.ndarray) -> np.ndarray:
-        """Task output for a batch, recording the tape :meth:`backward` needs."""
+    def bind(self, x: np.ndarray):
+        """The first step's kind bound to the batch ``x``, for :meth:`forward`
+        calls of several tasks on that batch: a first conv builds its patch
+        matrix once for all of them."""
+        return self._plan[0][0].bind(np.asarray(x, dtype=np.float64))
+
+    def forward(self, task: int, x: np.ndarray, first=None) -> np.ndarray:
+        """Task output for a batch, recording the tape :meth:`backward` needs.
+
+        ``first``, when given, is :meth:`bind` of this same ``x``; the first
+        step runs through it, and a conv's tape entry then holds the bound
+        patch matrix, which the kernel gradient over the whole batch reads."""
         tape = []
-        (h,) = self._run(x, [task], tape)
+        (h,) = self._run(x, [task], tape, first)
         self._tape = (task, tape)
         return h
 
@@ -570,28 +613,30 @@ class MultiTaskNetwork:
         depth-first walk (see the module docstring)."""
         return self._run(x, list(tasks))
 
-    def _run(self, x, tasks, tape=None):
+    def _run(self, x, tasks, tape=None, first=None):
         for task in tasks:
             if not 0 <= task < self.tasks:
                 raise ValueError(f"task {task} out of range [0, {self.tasks})")
         out = {}
         if tasks:
-            self._walk(np.asarray(x, dtype=np.float64), tasks, 0, out, tape)
+            self._walk(np.asarray(x, dtype=np.float64), tasks, 0, out, tape, first)
         return [out[t] for t in tasks]
 
-    def _walk(self, h, group, start, out, tape):
-        """Run layers ``start`` onwards for the tasks in ``group``, which share
-        the activation ``h``, into ``out[task]``; ``tape`` records a group
+    def _walk(self, h, group, start, out, tape, run=None):
+        """Run plan steps ``start`` onwards for the tasks in ``group``, which
+        share the activation ``h``, into ``out[task]``; ``run``, when given,
+        is step ``start``'s kind bound to ``h``, and ``tape`` records a group
         that never splits."""
-        for i in range(start, len(self.spec.layers)):
-            kind, layer = self.spec.layers[i].kind, self.param_layers.get(i)
+        for i in range(start, len(self._plan)):
+            kind, layer = self._plan[i]
             paths = _split(layer, group)
             if len(paths) > 1:
-                run = kind.bind(h)
+                run = run or kind.bind(h)
                 for params, sub in paths:
                     self._walk(run(*params)[0], sub, i + 1, out, None)
                 return
-            h, cache = kind.forward(h, *paths[0][0])
+            h, cache = run(*paths[0][0]) if run else kind.forward(h, *paths[0][0])
+            run = None
             if tape is not None:
                 tape.append((kind, layer, cache))
         out.update(dict.fromkeys(group, h))

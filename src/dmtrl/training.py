@@ -15,7 +15,15 @@ Two ways to initialise a softly shared network:
 Training interleaves tasks round-robin, one minibatch per task per cycle,
 with an optimiser step after each minibatch.  All randomness flows from the
 config seed; each task draws from its own identically seeded stream, so
-tasks with identical data see identical batch orders.
+tasks with identical data see identical batch orders.  Tasks that read one
+input array (every task of a one-vs-all suite, both heterogeneous tasks)
+therefore draw equal indices in every cycle.  Consecutive tasks that read
+the same array at equal indices share one gathered batch and one binding of
+the network's first layer (:meth:`~dmtrl.network.MultiTaskNetwork.bind`):
+a first conv builds its patch matrix (about 7 MiB for a 64-image demo-04
+batch) once per cycle instead of once per task, and the binding is dropped
+when the cycle ends.  Tasks whose arrays are separate, even if equal in
+value, each gather and bind their own batch.
 
 A binary task's hinge loss max(0, 1 - y f(x)) has a zero gradient for every
 sample with margin y f(x) >= 1: only the samples inside the margin or
@@ -23,16 +31,14 @@ misclassified (the support vectors of Cortes & Vapnik 1995) carry gradient.
 In the benchmark's one-vs-all set-up that was 16-28% of a 64-row batch per
 epoch, and the network's backward pass runs only through those rows.  A
 multi-class task's softmax cross-entropy gives every row a gradient, so its
-backward pass runs on the whole batch, and since the tape keeps each conv's
-input rather than its patch matrix, each conv builds its patches twice per
-step, once for the output and once for the kernel gradient.  At batch 64 on
-one BLAS thread that is 0.55-0.71 ms more for the first demo-04 conv and
-0.37-0.47 ms for the second.  A 10-class demo-04 step (512 images, batch
-64, medians of 5 alternating runs) took 12.79 ms against 11.69 when the
-tape kept patch matrices.  In a process where glibc still mapped those
-arrays afresh each step (see the chunk in ``data.synth_digits``) it took
-15.88 ms against 17.11, with 1,756-2,267 minor page faults per step against
-2,274-2,658.
+backward pass runs on the whole batch.  The tape keeps each conv's input
+rather than its patch matrix, so a conv builds its patches again for the
+kernel gradient (0.37-0.47 ms at batch 64 on one BLAS thread for the second
+demo-04 conv), except the first conv, whose kernel gradient reads the
+cycle's bound matrix.  A 10-class demo-04 step (one task, 512 images,
+batch 64, medians of 5 alternating runs, each the median of 5 timed
+rounds) took 10.21 ms against 11.11 when the first conv built its patches
+twice per step, with under 0.1 minor page faults per step either way.
 
 Evaluation scores ``EVAL_BLOCK`` = 64 rows at a time, where the first
 demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so scoring
@@ -252,9 +258,15 @@ def train(net: MultiTaskNetwork, datasets, config: TrainConfig):
         loss_sum = np.zeros(net.tasks)
         err_sum = np.zeros(net.tasks)
         for _ in range(cycles):
+            # the array and indices the batch x and its binding were taken from
+            source = source_idx = x = first = None
             for t in range(net.tasks):
                 idx = streams[t].next()
-                out = net.forward(t, datasets[t].inputs[idx])
+                if datasets[t].inputs is not source or not np.array_equal(idx, source_idx):
+                    source, source_idx = datasets[t].inputs, idx
+                    x = source[idx]
+                    first = net.bind(x)
+                out = net.forward(t, x, first)
                 loss, grad, err = task_loss(out, datasets[t], idx)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"non-finite loss at step {step} (task {t})")

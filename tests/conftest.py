@@ -3,7 +3,10 @@
 The oracles here are deliberately slow and dumb: nested index loops and
 central finite differences that never touch the vectorised code paths they
 are used to check.  ``full_compose`` is the exception: it builds the whole
-stacked tensor that per-task slices are compared with.
+stacked tensor that per-task slices are compared with, and so are the
+spec-order pair ``spec_order_forward`` / ``spec_order_backward``, which run a
+network's layers in the order its spec writes them, each kind called
+directly, with no execution plan and no shared binding.
 """
 
 import itertools
@@ -81,3 +84,48 @@ def five_mode_spec(head_dims=None, tasks=3):
                               (4, 3, "soft_tt"), (3, 2, "independent")]:
         layers += [LayerSpec(FC(d_in, d_out), SharingMode(mode)), LayerSpec(Activation("tanh"))]
     return NetworkSpec((6,), layers[:-1], tasks, head_dims)
+
+
+def spec_order_forward(net, task: int, x: np.ndarray):
+    """``(output, tape)`` of the spec's layers run in written order."""
+    h, tape = np.asarray(x, dtype=np.float64), []
+    for i, ls in enumerate(net.spec.layers):
+        layer = net.param_layers.get(i)
+        params = () if layer is None else (layer.weight_for(task), layer.bias_for(task))
+        h, cache = ls.kind.forward(h, *params)
+        tape.append((ls.kind, layer, cache))
+    return h, tape
+
+
+def spec_order_backward(tape, grad_out: np.ndarray):
+    """``(input gradient or None, {layer index: (grad_w, grad_b)})`` of a
+    :func:`spec_order_forward` tape, run only through the samples whose row
+    of ``grad_out`` is not all zero, each cache restricted by ``take``; the
+    input gradient has the full batch's shape."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    batch = len(g)
+    rows = np.flatnonzero(g.reshape(batch, -1).any(axis=1))
+    restrict = len(rows) < batch
+    if restrict:
+        g = g[rows]
+    grads = {}
+    for pos in reversed(range(len(tape))):
+        kind, layer, cache = tape[pos]
+        if restrict:
+            cache = kind.take(cache, rows)
+        g, *param_grads = kind.backward(g, cache, need_grad_x=pos > 0)
+        if layer is not None and len(rows):
+            grads[layer.index] = param_grads
+    if restrict and g is not None:
+        full = np.zeros((batch,) + g.shape[1:])
+        full[rows] = g
+        g = full
+    return g, grads
+
+
+def assert_bits_equal(got, want, err_msg=""):
+    """Equal arrays down to every bit, signs of zero included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape, err_msg
+    assert got.dtype == want.dtype == np.float64, err_msg
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), err_msg

@@ -19,7 +19,15 @@ from dmtrl.network import (
 from dmtrl.data import TaskDataset
 from dmtrl.training import PlainRandom, RandomDecompose, TrainConfig, init_from_stl, train
 
-from conftest import assert_grads_close, central_difference, five_mode_spec, full_compose
+from conftest import (
+    assert_bits_equal,
+    assert_grads_close,
+    central_difference,
+    five_mode_spec,
+    full_compose,
+    spec_order_backward,
+    spec_order_forward,
+)
 
 I, T, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.TIED,
                       SharingMode.SOFT_LAF, SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
@@ -166,14 +174,15 @@ class TestLayerKinds:
             monkeypatch.setattr(layers_module, name, counting)
         net = build_network(conv_spec(TUK), RandomDecompose(0.3), 5)
         x = rng.normal(size=(2, 8, 8, 1))
-        forward = ["conv2d_forward", "relu_forward", "maxpool2_forward", "fc_forward"]
+        # the spec's relu, maxpool runs as maxpool, relu
+        forward = ["conv2d_forward", "maxpool2_forward", "relu_forward", "fc_forward"]
         net.predict(0, x)
         assert calls == forward
         out = net.forward(0, x)
         assert calls == forward * 2
         net.backward(0, np.ones_like(out))
         assert calls == forward * 2 + [
-            "fc_backward", "maxpool2_backward", "relu_backward", "conv2d_backward"]
+            "fc_backward", "relu_backward", "maxpool2_backward", "conv2d_backward"]
 
 
 class TestPredictTasks:
@@ -600,12 +609,117 @@ class TestTape:
         net.forward(3, rng.random((64, 28, 28, 1)))
         assert self._tape_bytes(net) <= 4.5 * 2 ** 20
 
-    def test_relu_and_the_pool_after_it_share_one_array(self, rng):
+    def test_pool_caches_the_conv_output_and_the_relu_the_next_input(self, rng):
         net = build_network(conv_spec(I), PlainRandom(), 0)
-        net.forward(0, rng.normal(size=(4, 8, 8, 1)))
-        (_, _, conv), (_, _, relu), (_, _, pool), _ = net._tape[1]
-        assert relu[0] is pool[0]
-        assert all(a is not relu[0] for a in conv)  # the conv output is not kept
+        x = rng.normal(size=(4, 8, 8, 1))
+        net.forward(0, x)
+        (conv_kind, _, conv), (pool_kind, _, pool), (relu_kind, _, relu), (_, _, fc) = net._tape[1]
+        assert (conv_kind, pool_kind, relu_kind) == (Conv(3, 3, 1, 2), MaxPool(),
+                                                     Activation("relu"))
+        assert conv[0] is x and len(conv) == 2  # the plain forward keeps no patch matrix
+        assert pool[0].shape == (4, 6, 6, 2)  # the conv output, before any relu
+        assert relu[0].shape == (4, 3, 3, 2) and relu[0].min() >= 0.0
+        assert fc[0][0].base is relu[0]  # the fc input is the relu output, flattened
+
+
+def plan_spec(mode, tasks=3):
+    """Two conv blocks with relu, maxpool pairs (the second pools 3x3 to 1x1,
+    dropping a trailing row and column) and an fc head, every parametrised
+    layer in ``mode``."""
+    kinds = [Conv(3, 3, 1, 3), Activation("relu"), MaxPool(),
+             Conv(2, 2, 3, 4), Activation("relu"), MaxPool(),
+             FC(4, 5), Activation("relu"), FC(5, 2)]
+    return NetworkSpec((10, 10, 1), [LayerSpec(k, mode if k.parametrised else None)
+                                     for k in kinds], tasks)
+
+
+def with_zeros(rng, shape):
+    """Normal samples with a zero block and scattered zeros: at zero biases
+    the convs then give outputs of exactly 0, and pool windows whose
+    maximum is 0."""
+    x = rng.normal(size=shape) * (rng.random(shape) < 0.7)
+    x[:, :5, :5] = 0.0
+    return x
+
+
+class TestExecutionPlan:
+    """The network runs every relu, maxpool pair of its spec as maxpool,
+    relu, and gives the spec order's outputs and gradients to the bit."""
+
+    @pytest.mark.parametrize("active", [[1] * 6, [0, 1, 1, 0, 1, 0], [0] * 6],
+                             ids=["dense", "restricted", "none-active"])
+    @pytest.mark.parametrize("mode", list(SharingMode), ids=[m.value for m in SharingMode])
+    def test_bit_equal_to_spec_order(self, rng, mode, active):
+        net = build_network(plan_spec(mode), RandomDecompose(0.3), 4)
+        assert [type(k) for k, _ in net._plan[:3]] == [Conv, MaxPool, Activation]
+        task, x = 2, with_zeros(rng, (6, 10, 10, 1))
+        want_out, tape = spec_order_forward(net, task, x)
+        out = net.forward(task, x)
+        assert_bits_equal(out, want_out)
+        g = rng.normal(size=out.shape) * np.reshape(active, (-1, 1))
+        got_x = net.backward(task, g)
+        want_x, want = spec_order_backward(tape, g)
+        assert got_x is None and want_x is None
+        for i, layer in net.param_layers.items():
+            slot = layer.storage.slot(task)
+            assert (slot in layer._gw) == (i in want)
+            if i in want:
+                assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
+                assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
+
+    def test_pool_then_relu_equals_relu_then_pool_to_the_bit(self, rng):
+        pool, relu = MaxPool(), Activation("relu")
+        # ties, zeros of both signs, all-negative windows; odd height and width
+        x = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(64, 5, 7, 3))
+        g = rng.normal(size=(64, 2, 3, 3))
+        g[g > 1.0] = -0.0
+        y, relu_cache = relu.forward(x)
+        want, pool_cache = pool.forward(y)
+        (want_x,) = relu.backward(pool.backward(g, pool_cache, True)[0], relu_cache, True)
+        pooled, pool_cache = pool.forward(x)
+        got, relu_cache = relu.forward(pooled)
+        (got_x,) = pool.backward(relu.backward(g, relu_cache, True)[0], pool_cache, True)
+        assert_bits_equal(got, want)
+        assert_bits_equal(got_x, want_x)
+
+    @pytest.mark.parametrize("fn", ["relu", "tanh"])
+    def test_only_relu_runs_after_the_pool(self, rng, fn):
+        spec = NetworkSpec((8, 8, 1), [LayerSpec(Conv(3, 3, 1, 2), I), LayerSpec(Activation(fn)),
+                                       LayerSpec(MaxPool()), LayerSpec(FC(18, 3), I)], 2)
+        net = build_network(spec, PlainRandom(), 0)
+        order = ([Conv(3, 3, 1, 2), MaxPool(), Activation("relu"), FC(18, 3)] if fn == "relu"
+                 else [ls.kind for ls in spec.layers])
+        assert [k for k, _ in net._plan] == order
+        x = with_zeros(rng, (5, 8, 8, 1))
+        want_out, _ = spec_order_forward(net, 1, x)
+        assert_bits_equal(net.forward(1, x), want_out)
+
+    def test_spec_ending_in_relu_maxpool(self, rng):
+        spec = NetworkSpec((8, 8, 1), [LayerSpec(Conv(3, 3, 1, 2), TUK),
+                                       LayerSpec(Activation("relu")), LayerSpec(MaxPool())], 2)
+        net = build_network(spec, RandomDecompose(0.3), 1)
+        assert [type(k) for k, _ in net._plan] == [Conv, MaxPool, Activation]
+        x = with_zeros(rng, (4, 8, 8, 1))
+        want_out, tape = spec_order_forward(net, 0, x)
+        out = net.forward(0, x)
+        assert out.shape == (4, 3, 3, 2)
+        assert_bits_equal(out, want_out)
+        g = rng.normal(size=out.shape)
+        g[1] = 0.0
+        net.backward(0, g)
+        _, want = spec_order_backward(tape, g)
+        layer = net.param_layers[0]
+        assert_bits_equal(layer._gw[0], want[0][0])
+        assert_bits_equal(layer._gb[0], want[0][1])
+
+    @pytest.mark.parametrize("mode", list(SharingMode), ids=[m.value for m in SharingMode])
+    def test_predict_tasks_bit_equal_to_predict(self, rng, mode):
+        net = build_network(plan_spec(mode), RandomDecompose(0.3), 6)
+        x = with_zeros(rng, (7, 10, 10, 1))
+        for tasks in ([0, 1, 2], [2, 0]):
+            for t, out in zip(tasks, net.predict_tasks(x, tasks)):
+                assert_bits_equal(out, net.predict(t, x))
+                assert_bits_equal(out, spec_order_forward(net, t, x)[0])
 
 
 class TestRestrictedBackward:

@@ -1,13 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dmtrl.data import TaskDataset, synth_heterogeneous
+from dmtrl.data import TaskDataset, make_suite, synth_digits, synth_heterogeneous
 from dmtrl.factorization import compose_tt
 from dmtrl.network import (
     FC,
     Activation,
+    Conv,
     LayerSpec,
+    MaxPool,
     NetworkSpec,
     SharingMode,
     build_network,
@@ -17,17 +22,20 @@ from dmtrl.training import (
     PlainRandom,
     RandomDecompose,
     TrainConfig,
+    TrainRecord,
     evaluate_suite,
     evaluate_tasks,
     init_from_stl,
+    make_optimizer,
     pretrain_stl,
+    task_loss,
     train,
 )
 
-from conftest import full_compose
+from conftest import assert_bits_equal, full_compose, spec_order_backward, spec_order_forward
 
-I, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.SOFT_LAF,
-                   SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
+I, TIED, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.TIED, SharingMode.SOFT_LAF,
+                         SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
 
 
 def two_blob_task(task_id, rng, n=80, gap=3.0):
@@ -260,6 +268,32 @@ class TestTrainLoop:
                 assert_array_equal(opt.m[name], m[name])
                 assert_array_equal(opt.v[name], v[name])
 
+    @pytest.mark.parametrize("optimizer", ["momentum", "sgd"])
+    def test_momentum_and_sgd_match_textbook_update_bit_for_bit(self, rng, optimizer):
+        cfg = TrainConfig(optimizer=optimizer, lr=0.05, momentum=0.8)
+        shapes = {"small": (3,), "large": (4, 5, 2), "late": (2, 3)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: p.copy() for name, p in params.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = make_optimizer(cfg)
+        for step in range(6):
+            # a task's step updates only the parameters on its path
+            names = [["small", "large"], ["large"], ["small", "late"]][step % 3]
+            grads = {name: rng.normal(size=shapes[name]) for name in names}
+            opt.step({name: params[name] for name in names}, grads)
+            for name in names:
+                if optimizer == "momentum":  # v = mu v + g;  p -= lr v
+                    v[name] = cfg.momentum * v[name] + grads[name]
+                    want[name] -= cfg.lr * v[name]
+                else:
+                    want[name] -= cfg.lr * grads[name]
+            for name in shapes:
+                assert_array_equal(params[name], want[name], err_msg=f"{name} at step {step}")
+        if optimizer == "momentum":
+            assert sorted(opt.v) == sorted(shapes)
+            for name in shapes:
+                assert_array_equal(opt.v[name], v[name])
+
     def test_dataset_count_mismatch(self, rng):
         net = build_network(mlp_spec(I, I, 2), PlainRandom(), 0)
         with pytest.raises(ValueError):
@@ -376,3 +410,133 @@ class TestHeterogeneousSmoke:
         train(net, tasks_train, TrainConfig(epochs=15, batch_size=32, seed=13))
         errs = evaluate_tasks(net, tasks_test)
         assert errs[0] < 0.10 and errs[1] < 0.10
+
+
+def spec_order_train(net, datasets, config):
+    """:func:`train` with every task gathering its own batch and running the
+    spec's layers in written order (``conftest.spec_order_forward``)."""
+    from dmtrl.training import _BatchStream
+
+    opt = make_optimizer(config)
+    streams = [_BatchStream(len(ds), config.batch_size, np.random.default_rng(config.seed))
+               for ds in datasets]
+    cycles = max(1, math.ceil(max(len(ds) for ds in datasets) / config.batch_size))
+    log = []
+    for epoch in range(config.epochs):
+        loss_sum, err_sum = np.zeros(net.tasks), np.zeros(net.tasks)
+        for _ in range(cycles):
+            for t, ds in enumerate(datasets):
+                idx = streams[t].next()
+                out, tape = spec_order_forward(net, t, ds.inputs[idx])
+                loss, grad, err = task_loss(out, ds, idx)
+                for i, grads in spec_order_backward(tape, grad)[1].items():
+                    net.param_layers[i].accumulate(t, *grads)
+                opt.step(net.parameters(t), net.gradients(t))
+                net.zero_grads()
+                net.invalidate()
+                loss_sum[t] += loss
+                err_sum[t] += err
+        log += [TrainRecord(epoch, t, loss_sum[t] / cycles, err_sum[t] / cycles)
+                for t in range(net.tasks)]
+    return log
+
+
+def one_vs_all_case():
+    """Ten binary tasks over one shared 28x28 array; two conv blocks."""
+    tasks = make_suite(synth_digits(5, 48)).tasks
+    kinds = [Conv(5, 5, 1, 2), Activation("relu"), MaxPool(),
+             Conv(3, 3, 2, 3), Activation("relu"), MaxPool(), FC(75, 1)]
+    modes = [TUK, None, None, I, None, None, LAF]
+    return tasks, NetworkSpec((28, 28, 1), [LayerSpec(k, m) for k, m in zip(kinds, modes)], 10)
+
+
+def heterogeneous_case(separate):
+    """A binary and an 8-class softmax task over 16x16 inputs: one array, or
+    a copy each."""
+    tasks = synth_heterogeneous(3, 40)
+    if separate:
+        tasks = tuple(replace(ds, inputs=ds.inputs.copy()) for ds in tasks)
+    kinds = [Conv(3, 3, 1, 4), Activation("relu"), MaxPool(), FC(196, 8), Activation("relu"),
+             FC(8, 8)]
+    modes = [TT, None, None, TIED, None, I]
+    return tasks, NetworkSpec((16, 16, 1), [LayerSpec(k, m) for k, m in zip(kinds, modes)], 2,
+                              head_dims=[1, 8])
+
+
+CASES = {
+    "one-vs-all": (one_vs_all_case, 1),
+    "heterogeneous-one-array": (lambda: heterogeneous_case(False), 1),
+    "heterogeneous-two-arrays": (lambda: heterogeneous_case(True), 2),
+}
+
+
+class TestCycleBinding:
+    """Consecutive tasks that read one array at equal indices share one
+    gathered batch and one binding of the first layer per cycle."""
+
+    CONFIG = TrainConfig(epochs=2, batch_size=16, seed=5, lr=5e-3)
+
+    @staticmethod
+    def _count_first_conv_patches(monkeypatch):
+        """Patch matrices of 1-channel inputs (the first conv's), built in a
+        forward pass and in a backward pass."""
+        import dmtrl.layers as layers_module
+
+        built = {"forward": 0, "backward": 0}
+        in_backward = []
+        real_patches, real_backward = layers_module.conv2d_patches, layers_module.conv2d_backward
+
+        def patches(x, hk, wk):
+            if x.shape[-1] == 1:
+                built["backward" if in_backward else "forward"] += 1
+            return real_patches(x, hk, wk)
+
+        def backward(*args, **kwargs):
+            in_backward.append(True)
+            try:
+                return real_backward(*args, **kwargs)
+            finally:
+                in_backward.pop()
+
+        monkeypatch.setattr(layers_module, "conv2d_patches", patches)
+        monkeypatch.setattr(layers_module, "conv2d_backward", backward)
+        return built
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_forward_patch_matrix_per_array_and_cycle(self, monkeypatch, case):
+        make, arrays = CASES[case]
+        tasks, spec = make()
+        built = self._count_first_conv_patches(monkeypatch)
+        train(build_network(spec, RandomDecompose(0.3), 8), tasks, self.CONFIG)
+        cycles = math.ceil(max(len(ds) for ds in tasks) / self.CONFIG.batch_size)
+        assert built["forward"] == self.CONFIG.epochs * cycles * arrays
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_spec_order_per_task_batches(self, case):
+        tasks, spec = CASES[case][0]()
+        nets = [build_network(spec, RandomDecompose(0.3), 8) for _ in range(2)]
+        log = train(nets[0], tasks, self.CONFIG)
+        assert log == spec_order_train(nets[1], tasks, self.CONFIG)
+        got, want = nets[0].parameters(), nets[1].parameters()
+        assert list(got) == list(want)
+        for name in want:
+            assert_bits_equal(got[name], want[name], name)
+
+    def test_dense_kernel_gradient_reads_the_bound_patches(self, monkeypatch, rng):
+        tasks, spec = heterogeneous_case(False)
+        net = build_network(spec, RandomDecompose(0.3), 8)
+        x = tasks[1].inputs[:12]
+        want_out, tape = spec_order_forward(net, 1, x)
+        g = rng.normal(size=want_out.shape)  # every row carries gradient
+        _, want = spec_order_backward(tape, g)
+        built = self._count_first_conv_patches(monkeypatch)
+        first = net.bind(x)
+        net.forward(0, x, first)  # another task on the same binding
+        out = net.forward(1, x, first)
+        assert_bits_equal(out, want_out)
+        net.backward(1, g)
+        assert built == {"forward": 1, "backward": 0}
+        for i, layer in net.param_layers.items():
+            slot = layer.storage.slot(1)
+            assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
+            assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
