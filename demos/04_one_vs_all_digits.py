@@ -51,7 +51,7 @@ for label, mode in (("TT", SharingMode.SOFT_TT), ("Tucker", SharingMode.SOFT_TUC
           f"multiclass {res['multiclass']:.3f}, "
           f"params {count_parameters(net)['total'] / 1e3:.0f}K")
     rhos = [(net.param_layers[i].name,
-             sharing_strength(normalize_mixing(extract_mixing(net, i).s)))
+             sharing_strength(normalize_mixing(extract_mixing(net, i))))
             for i in sorted(net.param_layers)]
     print("  sharing strength by layer:",
           "  ".join(f"{n.split('.')[0]}={r:.3f}" for n, r in rhos))

@@ -38,5 +38,5 @@ print(f"binary-task error  {errs[0]:.3f}")
 print(f"8-class-task error {errs[1]:.3f}")
 
 for i in (0, 3):
-    rho = sharing_strength(normalize_mixing(extract_mixing(net, i).s))
+    rho = sharing_strength(normalize_mixing(extract_mixing(net, i)))
     print(f"sharing strength at layer {i} ({net.param_layers[i].name}): {rho:.3f}")

@@ -38,7 +38,7 @@ from .training import (
     pretrain_stl,
     train,
 )
-from .analysis import MixingMatrix, extract_mixing, normalize_mixing, sharing_strength, task_affinity
+from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_affinity
 from .checkpoint import load_checkpoint, load_network, save_checkpoint, save_network
 
 __version__ = "0.1.0"

@@ -17,33 +17,23 @@ would destroy the exact 0 and 1 readings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .network import MultiTaskNetwork, SharingMode
+from .network import MultiTaskNetwork
 
-__all__ = ["MixingMatrix", "extract_mixing", "normalize_mixing",
-           "sharing_strength", "task_affinity"]
-
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    s: np.ndarray          # K x T
-    layer_index: int
-    mode: SharingMode
+__all__ = ["extract_mixing", "normalize_mixing", "sharing_strength", "task_affinity"]
 
 
-def extract_mixing(net: MultiTaskNetwork, layer_index: int) -> MixingMatrix:
-    """The K x T task-mixing matrix of a softly shared layer."""
+def extract_mixing(net: MultiTaskNetwork, layer_index: int) -> np.ndarray:
+    """The K x T task-mixing matrix of a softly shared layer, as a copy."""
     layer = net.layer_state(layer_index)
     if not layer.mode.soft:
         raise ValueError(
             f"layer {layer_index} is {layer.mode.value}: no mixing matrix exists"
         )
-    s = layer.mode.scheme.mixing(layer.factors)
-    return MixingMatrix(np.array(s, dtype=np.float64), layer_index, layer.mode)
+    return np.array(layer.mode.scheme.mixing(layer.factors), dtype=np.float64)
 
 
 def normalize_mixing(s: np.ndarray) -> np.ndarray:

@@ -63,7 +63,6 @@ from .data import (
 from .network import build_network
 from .training import (
     PlainRandom,
-    RandomDecompose,
     StlInit,
     evaluate_suite,
     evaluate_tasks,
@@ -235,12 +234,8 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
             spec, tasks, replace(train_cfg, epochs=cfg.init.pretrain_epochs)))
         pretrain = "trained" if made else "reused"
         net = init_from_stl(stl, spec, cfg.init.epsilon)
-    elif _has_soft(spec):
-        if not isinstance(cfg.init, RandomDecompose):
-            raise ConfigError("softly shared layers need an stl or random_decompose init")
-        net = build_network(spec, cfg.init, run_seed)
-    else:
-        net = build_network(spec, PlainRandom(), run_seed)
+    else:  # parse_config lets only a random_decompose init reach a soft layer here
+        net = build_network(spec, cfg.init if _has_soft(spec) else PlainRandom(), run_seed)
     log = train(net, tasks, train_cfg)
     wall = time.perf_counter() - started
 
@@ -267,27 +262,21 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
 
 
 def eval_rows(net, manifest, payload):
-    """CSV rows (method, fraction, repeat, task, metric, value)."""
-    method = manifest.get("method", "custom")
-    fraction = manifest.get("fraction", 1.0)
-    repeat = manifest.get("repeat", 0)
-    rows = []
+    """CSV rows (method, fraction, repeat, task, metric, value): one error
+    row per task, then the payload kind's aggregate rows."""
+    cell = (manifest.get("method", "custom"), manifest.get("fraction", 1.0),
+            manifest.get("repeat", 0))
     if isinstance(payload, OneVsAllSuite):
-        scores = evaluate_suite(net, payload)
-        for t, err in enumerate(scores["per_task"]):
-            rows.append((method, fraction, repeat, str(t), "binary_error", err))
-        rows.append((method, fraction, repeat, "all", "mean_binary_error",
-                     scores["mean_binary"]))
-        rows.append((method, fraction, repeat, "all", "multiclass_error",
-                     scores["multiclass"]))
+        tasks, scores = payload.tasks, evaluate_suite(net, payload)
+        errors = scores["per_task"]
+        totals = [("mean_binary_error", scores["mean_binary"]),
+                  ("multiclass_error", scores["multiclass"])]
     else:
-        errors = evaluate_tasks(net, payload)
-        for t, err in enumerate(errors):
-            metric = "binary_error" if payload[t].binary else "class_error"
-            rows.append((method, fraction, repeat, str(t), metric, err))
-        rows.append((method, fraction, repeat, "all", "mean_error",
-                     float(np.mean(errors))))
-    return rows
+        tasks, errors = payload, evaluate_tasks(net, payload)
+        totals = [("mean_error", float(np.mean(errors)))]
+    rows = [(*cell, str(t), "binary_error" if ds.binary else "class_error", err)
+            for t, (ds, err) in enumerate(zip(tasks, errors))]
+    return rows + [(*cell, "all", metric, value) for metric, value in totals]
 
 
 def write_csv(path, rows):
@@ -305,14 +294,14 @@ def measure_report(net, manifest) -> list:
         layer = net.param_layers[i]
         if not layer.mode.soft:
             continue
-        mix = extract_mixing(net, i)
-        rho = sharing_strength(normalize_mixing(mix.s))
-        ranked = task_affinity(mix.s)
+        s = extract_mixing(net, i)
+        rho = sharing_strength(normalize_mixing(s))
+        ranked = task_affinity(s)
         rows.append({
             "layer": layer.name,
             "mode": layer.mode.value,
-            "k": int(mix.s.shape[0]),
-            "tasks": int(mix.s.shape[1]),
+            "k": int(s.shape[0]),
+            "tasks": int(s.shape[1]),
             "rho": rho,
             "top_pair": {"tasks": list(ranked[0][0]), "cosine": ranked[0][1]},
             "bottom_pair": {"tasks": list(ranked[-1][0]), "cosine": ranked[-1][1]},

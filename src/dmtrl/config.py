@@ -256,7 +256,6 @@ class ExperimentConfig:
     fractions: list = field(default_factory=lambda: [1.0])
     repeats: int = 1
     presets: list | None = None   # sweep only
-    name: str = "run"
 
     def n_param_layers(self) -> int:
         return sum(1 for k in self.architecture if k.parametrised)
@@ -282,6 +281,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     presets = obj.get("presets")
     if presets is not None:
         _json_list(presets, "field 'presets'")
+    if not isinstance(obj.get("name", ""), str):  # a label only; nothing reads it
+        raise ConfigError(f"field 'name' must be a string, got {obj['name']!r}")
     cfg = ExperimentConfig(
         tasks=tasks,
         input_shape=input_shape,
@@ -295,14 +296,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
                    for f in _json_list(obj.get("fractions", [1.0]), "field 'fractions'")],
         repeats=_json_int(obj.get("repeats", 1), "field 'repeats'", 1),
         presets=presets,
-        name=obj.get("name", "run"),
     )
     for f in cfg.fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"field 'fractions': {f} outside (0, 1]")
-    try:  # sharing expansion and the shape chain, for every preset a sweep runs
+    try:  # sharing expansion, the shape chain and the init, for every preset a sweep runs
         for sharing in [cfg.sharing, *(cfg.presets or ())]:
-            cfg.network_spec(sharing)
+            spec = cfg.network_spec(sharing)
+            if isinstance(cfg.init, PlainRandom) and any(
+                    ls.mode is not None and ls.mode.soft for ls in spec.layers):
+                raise ConfigError(f"field 'init': {sharing!r} has softly shared layers, "
+                                  "which need an stl or random_decompose init")
     except ConfigError:
         raise
     except ValueError as e:

@@ -63,10 +63,11 @@ each task its own path, and where the group parts the kind is bound to the
 shared activation once for all paths.  Each path runs to the output before
 the next one starts, so a tied trunk runs once per batch, a conv's patch
 matrix is built once per group, and at most one task path's activations are
-alive at a time.  ``predict`` and ``forward`` are the one-task walk;
-``forward`` also records a tape of ``(kind, param layer or None, cache)`` per
-step, which ``backward`` consumes in reverse, releasing each entry as it
-goes.  The tape keeps the activations and nothing derived from them (see
+alive at a time.  It is the only scoring entry point: one task is scored
+as ``predict_tasks(x, [t])[0]``.  ``forward`` is the one-task walk that
+records a tape of ``(kind, param layer or None, cache)`` per step, which
+``backward`` consumes in reverse, releasing each entry as it goes.  The
+tape keeps the activations and nothing derived from them (see
 :mod:`dmtrl.layers`), but for the patch matrix of a first conv that
 ``forward`` ran through ``bind(x)``: tasks that train on one batch share
 that binding (see :func:`dmtrl.training.train`), and a backward pass over
@@ -557,20 +558,6 @@ class MultiTaskNetwork:
             raise ValueError(f"layer {index} has no parameters")
         return self.param_layers[index]
 
-    def set_layer_factors(self, index, factors, biases=None):
-        """Install soft-sharing factors (and optionally per-task biases)."""
-        layer = self.layer_state(index)
-        scheme = layer.storage.scheme
-        if scheme is None or not isinstance(factors, scheme.record):
-            raise ValueError(f"layer {index} is {layer.mode.value}, got {type(factors).__name__}")
-        expected = layer.stacked_shape
-        if tuple(factors.out_shape) != expected:
-            raise ValueError(f"factors compose to {factors.out_shape}, layer needs {expected}")
-        layer.factors = factors
-        if biases is not None:
-            layer.biases = [np.asarray(b, dtype=np.float64).copy() for b in biases]
-        layer.invalidate()
-
     def set_layer_weights(self, index, weights, biases, epsilon=None):
         """Install layer ``index`` from T per-task weights and biases: a tied
         layer keeps their mean, an independent one copies, and a softly
@@ -601,16 +588,12 @@ class MultiTaskNetwork:
         self._tape = (task, tape)
         return h
 
-    def predict(self, task: int, x: np.ndarray) -> np.ndarray:
-        """Task output for a batch, equal to :meth:`forward`'s, without a tape.
+    def predict_tasks(self, x: np.ndarray, tasks) -> list:
+        """Each task's output for the batch ``x``, bit for bit :meth:`forward`'s,
+        from one depth-first walk (see the module docstring) without a tape.
 
         Each layer's cache is dropped as soon as the next layer runs, and any
         tape a previous :meth:`forward` recorded is left as it was."""
-        return self._run(x, [task])[0]
-
-    def predict_tasks(self, x: np.ndarray, tasks) -> list:
-        """``[self.predict(t, x) for t in tasks]``, bit for bit, from one
-        depth-first walk (see the module docstring)."""
         return self._run(x, list(tasks))
 
     def _run(self, x, tasks, tape=None, first=None):

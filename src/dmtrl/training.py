@@ -40,6 +40,15 @@ batch 64, medians of 5 alternating runs, each the median of 5 timed
 rounds) took 10.21 ms against 11.11 when the first conv built its patches
 twice per step, with under 0.1 minor page faults per step either way.
 
+Scoring has one prediction rule and one pass.  A binary task predicts the
+sign of its output 0, a multi-class task the argmax of its outputs.
+``task_loss`` (for the batch error it logs), ``evaluate_tasks`` and
+``evaluate_suite`` all count mismatches under that rule.  Both evaluators
+score each task's own inputs through one grouped pass; a one-vs-all suite is
+scored from its tasks' shared inputs, the one read-only array ``make_suite``
+converted, and its multi-class ranking error is the argmax rule applied to
+the same outputs, one column of binary scores per task.
+
 Evaluation scores ``EVAL_BLOCK`` = 64 rows at a time, where the first
 demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so scoring
 is not bound by memory traffic.  Tasks that read the same input array (every
@@ -208,18 +217,25 @@ def make_optimizer(cfg: TrainConfig):
     return {"sgd": _Sgd, "momentum": _Momentum, "adam": _Adam}[cfg.optimizer](cfg)
 
 
+def _error(out: np.ndarray, labels: np.ndarray, binary: bool) -> float:
+    """Share of rows whose prediction differs from ``labels``: a binary task
+    predicts the sign of output 0 (+1 for a positive score, else -1), a
+    multi-class task the argmax, ties going to the lowest class."""
+    pred = np.where(out[:, 0] > 0, 1, -1) if binary else out.argmax(1)
+    return np.count_nonzero(pred != labels) / len(labels)
+
+
 def task_loss(out: np.ndarray, ds: TaskDataset, idx: np.ndarray):
     """Mean loss, gradient w.r.t. the network output, and batch error rate."""
     y = ds.labels[idx]
     if ds.binary:
-        scores = out[:, 0]
-        losses, g = hinge_loss(scores, y)
+        losses, g = hinge_loss(out[:, 0], y)
         grad = np.zeros_like(out)
         grad[:, 0] = g / len(idx)
-        pred = np.where(scores > 0, 1, -1)
-        return float(losses.mean()), grad, float(np.mean(pred != y))
-    losses, grad = softmax_ce_loss(out, y)
-    return float(losses.mean()), grad / len(idx), float(np.mean(out.argmax(1) != y))
+    else:
+        losses, grad = softmax_ce_loss(out, y)
+        grad = grad / len(idx)
+    return float(losses.mean()), grad, _error(out, y, ds.binary)
 
 
 class _BatchStream:
@@ -322,50 +338,40 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
     return net
 
 
-def _score(net: MultiTaskNetwork, inputs: list) -> list:
-    """Each task's outputs for every row of its array in ``inputs``.  Tasks
-    reading the same array are scored together, ``EVAL_BLOCK`` rows per
+def _score(net: MultiTaskNetwork, datasets) -> tuple:
+    """Each task's outputs on its own inputs, and its error rate under
+    :func:`_error`.  Tasks reading the same array are scored together,
+    ``EVAL_BLOCK`` rows per
     :meth:`~dmtrl.network.MultiTaskNetwork.predict_tasks` call."""
     groups = {}
-    for t, x in enumerate(inputs):
-        groups.setdefault(id(x), (x, []))[1].append(t)
-    out = [None] * len(inputs)
+    for t, ds in enumerate(datasets):
+        if len(ds) == 0:
+            raise ValueError(f"task {ds.task_id} has an empty evaluation set")
+        groups.setdefault(id(ds.inputs), (ds.inputs, []))[1].append(t)
+    outs = [None] * len(datasets)
     for x, tasks in groups.values():
         blocks = [net.predict_tasks(x[lo : lo + EVAL_BLOCK], tasks)
                   for lo in range(0, len(x), EVAL_BLOCK)]
         for t, rows in zip(tasks, zip(*blocks)):
-            out[t] = np.concatenate(rows)
-    return out
+            outs[t] = np.concatenate(rows)
+    return outs, [_error(out, ds.labels, ds.binary) for ds, out in zip(datasets, outs)]
 
 
 def evaluate_tasks(net: MultiTaskNetwork, datasets):
     """Per-task error rates (sign mismatches for binary tasks, argmax
     mismatches for multi-class ones)."""
-    for ds in datasets:
-        if len(ds) == 0:
-            raise ValueError(f"task {ds.task_id} has an empty evaluation set")
-    errors = []
-    for ds, out in zip(datasets, _score(net, [ds.inputs for ds in datasets])):
-        pred = np.where(out[:, 0] > 0, 1, -1) if ds.binary else out.argmax(1)
-        errors.append(int(np.sum(pred != ds.labels)) / len(ds))
-    return errors
+    return _score(net, datasets)[1]
 
 
 def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite) -> dict:
-    """Binary error per task, their mean, and the ranking multi-class error.
-
-    Every suite task shares the source images, so one grouped scoring pass
-    serves both metrics."""
-    inputs = suite.source.float_inputs()
-    if len(inputs) == 0:
-        raise ValueError("empty evaluation set")
-    scores = np.column_stack([out[:, 0] for out in _score(net, [inputs] * net.tasks)])
-    per_task = [
-        float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
-        for t in range(net.tasks)
-    ]
+    """Binary error per task, their mean, and the ranking multi-class error:
+    each source image goes to the task with the highest score."""
+    if len(suite.tasks) != net.tasks:
+        raise ValueError(f"{net.tasks} tasks but a suite of {len(suite.tasks)}")
+    outs, per_task = _score(net, suite.tasks)
+    scores = np.column_stack([out[:, 0] for out in outs])
     return {
         "per_task": per_task,
         "mean_binary": float(np.mean(per_task)),
-        "multiclass": float(np.mean(scores.argmax(1) != suite.source.labels)),
+        "multiclass": _error(scores, suite.source.labels, binary=False),
     }

@@ -129,3 +129,13 @@ def assert_bits_equal(got, want, err_msg=""):
     assert got.shape == want.shape, err_msg
     assert got.dtype == want.dtype == np.float64, err_msg
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), err_msg
+
+
+def set_factors(net, index: int, factors, biases):
+    """Install soft-sharing ``factors`` and per-task ``biases`` on layer
+    ``index`` of ``net``."""
+    layer = net.layer_state(index)
+    assert tuple(factors.out_shape) == layer.stacked_shape
+    layer.factors = factors
+    layer.biases = [np.array(b, dtype=np.float64) for b in biases]
+    layer.invalidate()

@@ -10,11 +10,13 @@ from dmtrl.network import FC, LayerSpec, MultiTaskNetwork, NetworkSpec, SharingM
 from dmtrl.training import PlainRandom
 from dmtrl.network import build_network
 
+from conftest import set_factors
+
 
 def soft_net(mode, factors, tasks=3):
     spec = NetworkSpec((4,), [LayerSpec(FC(4, 2), mode)], tasks)
     net = MultiTaskNetwork(spec)
-    net.set_layer_factors(0, factors, biases=[np.zeros(2)] * tasks)
+    set_factors(net, 0, factors, biases=[np.zeros(2)] * tasks)
     return net
 
 
@@ -23,16 +25,16 @@ class TestExtractMixing:
         s = rng.normal(size=(2, 3))
         net = soft_net(SharingMode.SOFT_LAF, LAFFactors(rng.normal(size=(4, 2, 2)), s))
         got = extract_mixing(net, 0)
-        assert_array_equal(got.s, s)
-        assert got.mode is SharingMode.SOFT_LAF
+        assert_array_equal(got, s)
+        assert not np.shares_memory(got, net.layer_state(0).factors.s)
 
     def test_tucker_transposes_last_factor(self, rng):
         core = rng.normal(size=(2, 2, 2))
         us = [rng.normal(size=(4, 2)), rng.normal(size=(2, 2)), rng.normal(size=(3, 2))]
         net = soft_net(SharingMode.SOFT_TUCKER, TuckerFactors(core, us))
         got = extract_mixing(net, 0)
-        assert got.s.shape == (2, 3)
-        assert_array_equal(got.s, us[-1].T)
+        assert got.shape == (2, 3)
+        assert_array_equal(got, us[-1].T)
 
     def test_tt_returns_tail(self, rng):
         f = TTFactors(rng.normal(size=(4, 2)),
@@ -40,8 +42,8 @@ class TestExtractMixing:
                       rng.normal(size=(2, 3)))
         net = soft_net(SharingMode.SOFT_TT, f)
         got = extract_mixing(net, 0)
-        assert got.s.shape == (2, 3)
-        assert_array_equal(got.s, f.tail)
+        assert got.shape == (2, 3)
+        assert_array_equal(got, f.tail)
 
     def test_hard_layers_rejected(self):
         spec = NetworkSpec((4,), [LayerSpec(FC(4, 2), SharingMode.TIED)], 3)

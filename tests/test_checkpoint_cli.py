@@ -22,7 +22,7 @@ from dmtrl.config import ConfigError, load_config, parse_config, spec_to_json
 from dmtrl.network import SharingMode, build_network
 from dmtrl.training import RandomDecompose
 
-from conftest import five_mode_spec
+from conftest import five_mode_spec, set_factors
 
 
 class TestCheckpointFormat:
@@ -550,6 +550,26 @@ class TestConfigParsing:
         assert spec.layers[0].mode is SharingMode.SOFT_TT
         assert spec.layers[2].mode is SharingMode.INDEPENDENT
 
+    @pytest.mark.parametrize("name", [{"not": "a string"}, 3, None, ["run"]])
+    def test_name_must_be_a_string(self, name):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["name"] = name
+        with pytest.raises(ConfigError, match="'name'"):
+            parse_config(cfg)
+        cfg["name"] = "table"
+        parse_config(cfg)
+
+    @pytest.mark.parametrize("sharing, presets", [
+        ("stl", ["stl", "dmtrl-laf"]), ("dmtrl-tucker", None), (["independent", "soft_tt"], None),
+    ])
+    def test_plain_random_init_of_a_soft_preset_rejected(self, sharing, presets):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update(sharing=sharing, presets=presets, init={"policy": "plain_random"})
+        with pytest.raises(ConfigError, match="field 'init'"):
+            parse_config(cfg)
+        cfg["init"] = {"policy": "random_decompose"}
+        parse_config(cfg)
+
     def test_head_dims_on_conv_head_rejected(self, tmp_path):
         path = write_config(tmp_path, {
             "tasks": 2,
@@ -640,8 +660,8 @@ class TestCliCommands:
 
         spec = NetworkSpec((3,), [LayerSpec(FC(3, 2), SharingMode.SOFT_LAF)], 4)
         net = MultiTaskNetwork(spec)
-        net.set_layer_factors(0, LAFFactors(rng.normal(size=(3, 2, 4)), np.eye(4)),
-                              biases=[np.zeros(2)] * 4)
+        set_factors(net, 0, LAFFactors(rng.normal(size=(3, 2, 4)), np.eye(4)),
+                    biases=[np.zeros(2)] * 4)
         ckpt = tmp_path / "one_hot.ckpt"
         save_network(ckpt, net, extra={"method": "probe"})
         out = tmp_path / "measure.json"
@@ -664,6 +684,16 @@ class TestCliCommands:
         rc = self.run("measure", "--checkpoint", str(out / "stl_f1_r0.ckpt"),
                       "--out", str(tmp_path / "m.json"))
         assert rc != 0
+
+    def test_sweep_with_an_init_a_preset_cannot_use_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sharing": "stl", "presets": ["stl", "dmtrl-laf"],
+                                      "init": {"policy": "plain_random"}})
+        out = tmp_path / "sweep"
+        out.mkdir()
+        assert self.run("sweep", "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and "dmtrl-laf" in record["message"]
+        assert list(out.iterdir()) == []
 
     def test_sweep_cell_generates_each_digit_pool_once(self, tmp_path, monkeypatch):
         import dmtrl.cli as cli

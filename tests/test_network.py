@@ -25,6 +25,7 @@ from conftest import (
     central_difference,
     five_mode_spec,
     full_compose,
+    set_factors,
     spec_order_backward,
     spec_order_forward,
 )
@@ -176,7 +177,7 @@ class TestLayerKinds:
         x = rng.normal(size=(2, 8, 8, 1))
         # the spec's relu, maxpool runs as maxpool, relu
         forward = ["conv2d_forward", "maxpool2_forward", "relu_forward", "fc_forward"]
-        net.predict(0, x)
+        net.predict_tasks(x, [0])
         assert calls == forward
         out = net.forward(0, x)
         assert calls == forward * 2
@@ -187,7 +188,7 @@ class TestLayerKinds:
 
 class TestPredictTasks:
     """One depth-first walk scores several tasks exactly as per-task
-    ``predict`` calls do, and runs shared work once per group."""
+    ``forward`` calls do, and runs shared work once per group."""
 
     @pytest.mark.parametrize("head_dims", [None, [2, 1, 3]], ids=["equal", "heterogeneous"])
     @pytest.mark.parametrize("rows", [1, 63, 64, 65])
@@ -198,7 +199,7 @@ class TestPredictTasks:
             got = net.predict_tasks(x, tasks)
             assert len(got) == len(tasks)
             for t, out in zip(tasks, got):
-                assert np.array_equal(out, net.predict(t, x))
+                assert np.array_equal(out, net.forward(t, x))
 
     @staticmethod
     def _count_layer_calls(monkeypatch):
@@ -248,7 +249,7 @@ class TestPredictTasks:
         assert calls == {"conv2d_patches": 1, "conv2d_forward": 1, "relu_forward": 1,
                          "maxpool2_forward": 1, "fc_forward": 3}
         inputs = suite.source.float_inputs()
-        scores = np.column_stack([net.predict(t, inputs)[:, 0] for t in range(3)])
+        scores = np.column_stack([net.forward(t, inputs)[:, 0] for t in range(3)])
         assert got["multiclass"] == float(np.mean(scores.argmax(1) != suite.source.labels))
 
 
@@ -270,7 +271,7 @@ class TestBuild:
         f = TTFactors(np.random.default_rng(0).normal(size=(6, 2)),
                       [np.random.default_rng(1).normal(size=(2, 4, 2))],
                       np.random.default_rng(2).normal(size=(2, 3)))
-        net.set_layer_factors(0, f, biases=[np.zeros(4)] * 3)
+        set_factors(net, 0, f, biases=[np.zeros(4)] * 3)
         assert full_compose(net.layer_state(0).factors).shape == (6, 4, 3)
 
     def test_build_deterministic(self):
@@ -403,8 +404,8 @@ class TestForward:
         spec = NetworkSpec((5,), [LayerSpec(FC(5, 2), LAF)], tasks)
         net = MultiTaskNetwork(spec)
         l = rng.normal(size=(5, 2, tasks))
-        net.set_layer_factors(0, LAFFactors(l, np.eye(tasks)),
-                              biases=[np.zeros(2)] * tasks)
+        set_factors(net, 0, LAFFactors(l, np.eye(tasks)),
+                    biases=[np.zeros(2)] * tasks)
         x = rng.normal(size=(4, 5))
         for t in range(tasks):
             assert_allclose(net.forward(t, x), x @ l[:, :, t], rtol=1e-12)
@@ -436,11 +437,11 @@ class TestForward:
         net = build_network(conv_spec(mode, tasks=3), init, 5)
         x = rng.normal(size=(4, 8, 8, 1))
         for t in range(net.tasks):
-            assert_array_equal(net.predict(t, x), net.forward(t, x))
+            assert_array_equal(net.predict_tasks(x, [t])[0], net.forward(t, x))
 
     def test_backward_after_predict_raises(self, rng):
         net = build_network(conv_spec(TUK), RandomDecompose(0.3), 5)
-        out = net.predict(0, rng.normal(size=(2, 8, 8, 1)))
+        out = net.predict_tasks(rng.normal(size=(2, 8, 8, 1)), [0])[0]
         with pytest.raises(RuntimeError):
             net.backward(0, np.ones_like(out))
 
@@ -464,7 +465,7 @@ class TestForward:
         net = build_network(conv_spec(TUK, tasks=4), RandomDecompose(0.3), 5)
         x = rng.normal(size=(2, 8, 8, 1))
         out = net.forward(2, x)
-        net.predict(2, x)  # served from the per-task cache
+        net.predict_tasks(x, [2])  # served from the per-task cache
         net.backward(2, np.ones_like(out))
         net.gradients()
         assert calls == [2, 2]  # one slice per soft layer
@@ -718,7 +719,7 @@ class TestExecutionPlan:
         x = with_zeros(rng, (7, 10, 10, 1))
         for tasks in ([0, 1, 2], [2, 0]):
             for t, out in zip(tasks, net.predict_tasks(x, tasks)):
-                assert_bits_equal(out, net.predict(t, x))
+                assert_bits_equal(out, net.forward(t, x))
                 assert_bits_equal(out, spec_order_forward(net, t, x)[0])
 
 
@@ -870,7 +871,8 @@ class TestCountParameters:
         spec = NetworkSpec((3,), [LayerSpec(FC(3, 2), mode)], 4)
         net = MultiTaskNetwork(spec)
         if mode is LAF:
-            net.set_layer_factors(
+            set_factors(
+                net,
                 0,
                 LAFFactors(np.zeros((3, 2, k)), np.zeros((k, 4))),
                 biases=[np.zeros(2)] * 4,
@@ -909,7 +911,7 @@ class TestCountParameters:
         soft_counts = []
         for m, decomp in ((LAF, laf_decompose), (TUK, tucker_decompose), (TT, tt_decompose)):
             net = MultiTaskNetwork(spec_of(m))
-            net.set_layer_factors(0, decomp(stacked, eps), biases=[np.zeros(8)] * tasks)
+            set_factors(net, 0, decomp(stacked, eps), biases=[np.zeros(8)] * tasks)
             net.set_layer_weights(1, [np.zeros((8, 1))] * tasks, [np.zeros(1)] * tasks)
             soft_counts.append(count_parameters(net)["total"])
         assert count_parameters(tied)["total"] < min(soft_counts)
@@ -929,8 +931,8 @@ class TestReductionToMatrixCase:
 
         spec = NetworkSpec((d,), [LayerSpec(FC(d, 1), LAF)], tasks)
         net = MultiTaskNetwork(spec)
-        net.set_layer_factors(0, LAFFactors(l0.reshape(d, 1, k).copy(), s0.copy()),
-                              biases=[np.zeros(1)] * tasks)
+        set_factors(net, 0, LAFFactors(l0.reshape(d, 1, k).copy(), s0.copy()),
+                    biases=[np.zeros(1)] * tasks)
 
         # direct matrix implementation updated by plain SGD
         L, S = l0.copy(), s0.copy()

@@ -1,10 +1,14 @@
-"""The benchmark's tracer still finds the factor algebra it times.
+"""The benchmark's tracer still finds the factor algebra and the scoring it
+times.
 
 ``perfbench/spans.install`` wraps functions by name: it imports
 ``dmtrl.linalg`` and gives every ``compose*`` name in
 ``factorization.__all__`` other than ``compose_backward`` a hook that reads
-the result's ``size``.  The check runs in a fresh interpreter, since
-``install`` patches the dmtrl modules for the life of the process.
+the result's ``size``.  It traces ``evaluate_suite`` and ``evaluate_tasks``
+both as ``training.evaluate`` and does not fold the ``training`` module, so
+one evaluator calling the other would count that span twice.  The check
+runs in a fresh interpreter, since ``install`` patches the dmtrl modules for
+the life of the process.
 """
 
 import json
@@ -12,6 +16,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,13 +38,40 @@ for tag in fz.SCHEMES:
         w = fz.compose_task(f, t)
         fz.compose_backward(f, np.ones_like(w), task=t)
         elements += w.size
-print(json.dumps({"spans": sorted({name for name, _ in tracer.calls}),
-                  "composed": tracer.counts[("composed_elements", False)],
-                  "elements": elements}))
+out = {"spans": sorted({name for name, _ in tracer.calls}),
+       "composed": tracer.counts[("composed_elements", False)],
+       "elements": elements}
+
+from dmtrl import training
+from dmtrl.data import LabeledImages, make_suite
+from dmtrl.network import FC, LayerSpec, NetworkSpec, SharingMode, build_network
+
+suite = make_suite(LabeledImages(rng.integers(0, 256, (70, 4, 4), dtype=np.uint8),
+                                 np.arange(70) % 3, 3))
+net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), SharingMode.INDEPENDENT)], 3),
+                    training.PlainRandom(), 0)
+
+
+def calls(name, run):
+    before = tracer.calls[(name, False)]
+    run()
+    return tracer.calls[(name, False)] - before
+
+
+x, ds = suite.tasks[0].inputs[:8], suite.tasks[0]
+out["calls"] = {
+    "evaluate_suite": calls("training.evaluate", lambda: training.evaluate_suite(net, suite)),
+    "evaluate_tasks": calls("training.evaluate",
+                            lambda: training.evaluate_tasks(net, suite.tasks)),
+    "task_loss": calls("training.task_loss",
+                       lambda: training.task_loss(net.forward(0, x), ds, np.arange(8))),
+}
+print(json.dumps(out))
 """
 
 
-def test_spans_record_the_factor_algebra():
+@pytest.fixture(scope="module")
+def traced():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # write nothing under perfbench/
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -46,7 +79,14 @@ def test_spans_record_the_factor_algebra():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_spans_record_the_factor_algebra(traced):
     assert {"factorization.decompose", "factorization.compose",
-            "factorization.compose_backward", "linalg.thin_svd"} <= set(out["spans"])
-    assert out["composed"] == out["elements"]
+            "factorization.compose_backward", "linalg.thin_svd"} <= set(traced["spans"])
+    assert traced["composed"] == traced["elements"]
+
+
+def test_each_scoring_call_records_one_span(traced):
+    assert traced["calls"] == {"evaluate_suite": 1, "evaluate_tasks": 1, "task_loss": 1}

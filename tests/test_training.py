@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dmtrl.data import TaskDataset, make_suite, synth_digits, synth_heterogeneous
+from dmtrl.data import LabeledImages, TaskDataset, make_suite, synth_digits, synth_heterogeneous
 from dmtrl.factorization import compose_tt
 from dmtrl.network import (
     FC,
@@ -353,7 +353,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", [EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
                                    2 * EVAL_BLOCK + 37])
     def test_blocks_match_one_pass(self, n):
-        """Both evaluators agree with scoring every row in one ``predict``
+        """Both evaluators agree with scoring every row in one ``forward``
         call, on either side of the block boundary, with binary and
         multi-class heads."""
         from dmtrl.data import as_multiclass, make_suite, synth_digits
@@ -364,7 +364,7 @@ class TestEvaluate:
                                          LayerSpec(Activation("relu")),
                                          LayerSpec(FC(12, 1), I)], 2, head_dims=[2, 8])
         net = build_network(spec, RandomDecompose(0.1), 5)
-        whole = [net.predict(t, ds.inputs).argmax(1) for t, ds in enumerate(tasks)]
+        whole = [net.forward(t, ds.inputs).argmax(1) for t, ds in enumerate(tasks)]
         assert evaluate_tasks(net, tasks) == [
             int(np.sum(p != ds.labels)) / n for p, ds in zip(whole, tasks)]
 
@@ -374,7 +374,7 @@ class TestEvaluate:
                                          LayerSpec(FC(12, 1), I)], 10)
         net = build_network(spec, RandomDecompose(0.1), 5)
         inputs = suite.source.float_inputs()
-        scores = np.column_stack([net.predict(t, inputs)[:, 0] for t in range(10)])
+        scores = np.column_stack([net.forward(t, inputs)[:, 0] for t in range(10)])
         got = evaluate_suite(net, suite)
         assert got["per_task"] == [
             float(np.mean(np.where(scores[:, t] > 0, 1, -1) != suite.tasks[t].labels))
@@ -388,6 +388,66 @@ class TestEvaluate:
         empty = TaskDataset(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate_tasks(net, [empty])
+
+    def test_one_rule_for_loss_and_both_evaluators(self, rng):
+        """A score of exactly 0 predicts -1 and a tie goes to the lowest
+        class in ``task_loss``'s batch error and in both evaluators."""
+        n, tasks = 12, 3
+        labels = np.arange(n) % tasks
+        scores = rng.normal(size=(n, tasks))
+        scores[:4, 0] = 0.0                     # labels 0, 1, 2, 0: a zero never predicts +1
+        scores[4:6] = 1.5                       # three-way ties, labels 1 and 2
+        images = np.zeros((n, 2, 2), dtype=np.uint8)
+        images[:, 0, 0] = np.arange(n)
+        suite = make_suite(LabeledImages(images, labels, tasks))
+
+        def rows(x):  # each image carries its row index
+            return np.rint(x[:, 0, 0, 0] * 255).astype(int)
+
+        net = self._FixedScorer(lambda t, x: scores[rows(x), t][:, None], tasks)
+        got = evaluate_suite(net, suite)
+        sign = np.where(scores > 0, 1, -1)
+        want = [np.count_nonzero(sign[:, t] != suite.tasks[t].labels) / n for t in range(tasks)]
+        assert got["per_task"] == want
+        assert evaluate_tasks(net, suite.tasks) == want
+        assert got["multiclass"] == np.count_nonzero(scores.argmax(1) != labels) / n
+        idx = np.arange(n)
+        for t, ds in enumerate(suite.tasks):
+            assert task_loss(scores[:, t:t + 1], ds, idx)[2] == want[t]
+        multi = TaskDataset(0, suite.tasks[0].inputs, labels, tasks)
+        assert task_loss(scores, multi, idx)[2] == got["multiclass"]
+        ranker = self._FixedScorer(lambda t, x: scores[rows(x)], 1)
+        assert evaluate_tasks(ranker, [multi]) == [got["multiclass"]]
+
+    def test_suite_scored_from_its_tasks_inputs(self, rng, monkeypatch):
+        """``evaluate_suite`` reads the array ``make_suite`` converted and
+        never converts the source pixels again."""
+        suite = make_suite(LabeledImages(rng.integers(0, 256, (70, 4, 4), dtype=np.uint8),
+                                         rng.integers(0, 3, 70), 3))
+        net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), I)], 3),
+                            PlainRandom(), 1)
+        want = evaluate_tasks(net, suite.tasks)
+        seen = []
+
+        def scoring(x, tasks, _real=type(net).predict_tasks):
+            seen.append(np.shares_memory(x, suite.tasks[0].inputs))
+            return _real(net, x, tasks)
+
+        monkeypatch.setattr(net, "predict_tasks", scoring)
+        monkeypatch.setattr(LabeledImages, "float_inputs",
+                            lambda self: pytest.fail("source pixels converted again"))
+        got = evaluate_suite(net, suite)
+        assert got["per_task"] == want
+        assert seen == [True, True]  # 70 rows in two blocks
+
+    @pytest.mark.parametrize("tasks", [2, 4])
+    def test_suite_task_count_must_match_the_network(self, rng, tasks):
+        suite = make_suite(LabeledImages(rng.integers(0, 256, (8, 4, 4), dtype=np.uint8),
+                                         np.arange(8) % tasks, tasks))
+        net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), I)], 3),
+                            PlainRandom(), 1)
+        with pytest.raises(ValueError, match=f"3 tasks but a suite of {tasks}"):
+            evaluate_suite(net, suite)
 
 
 class TestHeterogeneousSmoke:
