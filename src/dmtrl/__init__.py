@@ -1,7 +1,7 @@
 """Multi-task neural networks whose layer weights are composed from shared
 and task-specific tensor factors, trained end to end."""
 
-from .linalg import SvdResult, rank_for_error, tensor, thin_svd
+from .linalg import rank_for_error, tensor, thin_svd
 from .factorization import (
     LAFFactors,
     TTFactors,

@@ -32,13 +32,28 @@ per kernel tap (dy, dx, channel).  Its memory layout follows the channel
 count.  A 1-channel input's matrix is stored kernel-major: each tap is one
 contiguous run over B·Ho·Wo, copied in long strides instead of B·Ho·Wo rows
 of hk·wk.  Wider inputs stay row-major.  Both layouts go through the same
-products, ``p @ k`` per output row and ``(grad_out.T @ p).T`` for the kernel
-gradient, and give the bits the row-major layout gave (``p.T @ grad_out``
-did not on a kernel-major 3x3x1x4 conv, where BLAS takes a small-matrix
-path).  At batch 64 on one BLAS thread, the first demo-04 conv (5x5x1x8 on
-28x28) built its patches in 0.77 ms against 1.79 row-major and ran forward
-in 1.77 ms against 2.70; its kernel gradient stayed at 1.6 ms.  For the
-8-channel second conv, a kernel-major product took 1.31 ms against 0.76.
+products, ``p @ k`` once per sample and ``(grad_out.T @ p).T`` once over
+the batch for the kernel gradient, and give the bits the row-major layout
+gave (``p.T @ grad_out`` did not on a kernel-major 3x3x1x4 conv, where BLAS
+takes a small-matrix path).  At batch 64 on one BLAS thread, the first
+demo-04 conv (5x5x1x8 on 28x28) built its patches in 0.77 ms against 1.79
+row-major and ran forward in 1.77 ms against 2.70; its kernel gradient
+stayed at 1.6 ms.  For the 8-channel second conv, a kernel-major product
+took 1.31 ms against 0.76.
+
+The forward product may regroup its rows: each output element is one
+hk·wk·C-long dot product whichever rows share a product, and one product per
+sample gives the bits one product per output row gave (the tests check this
+bit for bit on every conv shape the repo runs).  The block shape decides the
+speed (Goto & van de Geijn 2008).  At batch 64 on one BLAS thread (medians
+of 30 interleaved repeats), the first demo-04 conv's product took 0.74 ms
+per output row, 0.60 per sample and 1.21 as one product over all rows; the
+second conv's took 0.69 per row and 0.56 per sample.  The bias is then
+added as one (Ho·Wo, M) tile over each sample's contiguous Ho·Wo·M outputs:
+0.15 ms for the first conv against 0.38 through a broadcast whose inner
+loop is M = 8 long.  The kernel gradient sums over the rows, so their
+grouping decides its bits, and it stays one product.
+
 Caching inputs keeps a batch-64 demo-04 training tape at 4.13 MiB; its
 patch matrices and pool winner codes would hold 15.39 MiB, 7.03 MiB of that
 the first conv's.  A tape whose first conv ran on a shared patch matrix
@@ -67,7 +82,9 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
         raise ValueError(f"input width {x.shape[1]} != weight rows {w.shape[0]}")
     if b.shape != (w.shape[1],):
         raise ValueError(f"bias shape {b.shape} != ({w.shape[1]},)")
-    return x @ w + b, (x, w)
+    out = x @ w
+    out += b
+    return out, (x, w)
 
 
 def fc_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
@@ -105,10 +122,12 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
     if b.shape != (m,):
         raise ValueError(f"bias shape {b.shape} != ({m},)")
     p = conv2d_patches(x, hk, wk) if patches is None else patches
-    # one product per output row: faster here than one over all B·Ho·Wo rows
-    out = p.reshape(len(x), x.shape[1] - hk + 1, x.shape[2] - wk + 1, -1) @ k.reshape(-1, m)
-    out += b
-    return out, (x, k) if patches is None else (x, k, patches)
+    ho, wo = x.shape[1] - hk + 1, x.shape[2] - wk + 1
+    # one product per sample (see the module docstring), then the bias as
+    # one tile over each sample's contiguous Ho·Wo·M outputs
+    out = p.reshape(len(x), ho * wo, -1) @ k.reshape(-1, m)
+    out += np.tile(b, (ho * wo, 1))
+    return out.reshape(len(x), ho, wo, m), (x, k) if patches is None else (x, k, patches)
 
 
 def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):

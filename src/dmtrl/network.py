@@ -10,15 +10,18 @@ raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
 gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
 that share ``x`` but not the parameters; a conv's binding builds the patch
 matrix on its first call and reuses it on the others, and its caches hold
-that matrix too.  ``take(cache, rows)`` gives the cache that ``forward`` on
-just the samples ``rows`` would have recorded.  Every cache holds the
-layer's input or an activation's output (see :mod:`dmtrl.layers`), so
-``take`` is that array's rows ``x[rows]``, with fc's and conv's weight
-passed through and a bound conv's patch matrix dropped; whatever backward
-derives from the input (patch rows, pool winners) it builds for those rows
-alone.  Only fc takes a per-task head width.  Kinds look the
-:mod:`dmtrl.layers` primitives up on that module at call time, so a tracer
-that swaps them there sees every call.  ``KINDS`` maps JSON tags to kinds.
+that matrix too.  ``take(cache, rows, memo)`` gives the cache that
+``forward`` on just the samples ``rows`` would have recorded.  Every cache
+holds the layer's input or an activation's output (see :mod:`dmtrl.layers`;
+fc caches its input before flattening it), so ``take`` is that array's rows
+``x[rows]``, with fc's and conv's weight passed through and a bound conv's
+patch matrix dropped; whatever backward derives from the input (patch rows,
+pool winners) it builds for those rows alone.  A relu's or tanh's output is
+the next layer's input, one array in two caches; a backward pass hands
+every ``take`` one dict ``memo``, so its rows are copied once.  Only fc
+takes a per-task head width.  Kinds look the :mod:`dmtrl.layers` primitives
+up on that module at call time, so a tracer that swaps them there sees every
+call.  ``KINDS`` maps JSON tags to kinds.
 
 A network holds T task heads over common storage.  How a fully connected or
 convolutional layer keeps its parameters is the row of ``STORAGE`` for its
@@ -104,6 +107,14 @@ __all__ = [
 ]
 
 
+def _rows(a, rows, memo):
+    """``a[rows]``, copied once per backward pass for an array two adjacent
+    tape entries cache: ``memo`` keeps the last array taken and its rows."""
+    if memo.get("of") is not a:
+        memo.update(of=a, rows=a[rows])
+    return memo["rows"]
+
+
 class _Kind:
     """What the layer kinds share; the module docstring gives the contract."""
 
@@ -138,17 +149,17 @@ class FC(_Kind):
         return math.sqrt(6.0 / (self.d_in + self.d_out))
 
     def forward(self, x, w, b):
-        out, cache = nn.fc_forward(x.reshape(len(x), self.d_in), w, b)
-        return out, (cache, x.shape)
+        out, _ = nn.fc_forward(x.reshape(len(x), self.d_in), w, b)
+        return out, (x, w)  # the unflattened input, the array a relu before it caches
 
     def backward(self, g, cache, need_grad_x):
-        fc_cache, x_shape = cache
-        g, gw, gb = nn.fc_backward(g, fc_cache, need_grad_x=need_grad_x)
-        return (None if g is None else g.reshape(x_shape)), gw, gb
+        x, w = cache
+        g, gw, gb = nn.fc_backward(g, (x.reshape(len(x), self.d_in), w), need_grad_x=need_grad_x)
+        return (None if g is None else g.reshape(x.shape)), gw, gb
 
-    def take(self, cache, rows):
-        (x, w), x_shape = cache
-        return (x[rows], w), (len(rows),) + x_shape[1:]
+    def take(self, cache, rows, memo):
+        x, w = cache
+        return _rows(x, rows, memo), w
 
 
 @dataclass(frozen=True)
@@ -196,9 +207,9 @@ class Conv(_Kind):
     def backward(self, g, cache, need_grad_x):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
-    def take(self, cache, rows):
+    def take(self, cache, rows, memo):
         x, k, *_ = cache
-        return x[rows], k
+        return _rows(x, rows, memo), k
 
 
 @dataclass(frozen=True)
@@ -216,9 +227,9 @@ class MaxPool(_Kind):
     def backward(self, g, cache, need_grad_x):
         return (nn.maxpool2_backward(g, cache),)
 
-    def take(self, cache, rows):
+    def take(self, cache, rows, memo):
         (x,) = cache
-        return (x[rows],)
+        return (_rows(x, rows, memo),)
 
 
 @dataclass(frozen=True)
@@ -245,9 +256,9 @@ class Activation(_Kind):
     def backward(self, g, cache, need_grad_x):
         return (getattr(nn, f"{self.fn}_backward")(g, cache),)
 
-    def take(self, cache, rows):
+    def take(self, cache, rows, memo):
         (a,) = cache
-        return (a[rows],)
+        return (_rows(a, rows, memo),)
 
 
 KINDS = {tag: kind for kind in (FC, Conv, MaxPool, Activation) for tag in kind.tags}
@@ -645,10 +656,11 @@ class MultiTaskNetwork:
         restrict = len(rows) < batch
         if restrict:
             g = g[rows]
+        memo = {}  # a relu's output is the next layer's input: its rows are taken once
         while tape:  # each entry is released as soon as it is consumed
             kind, layer, cache = tape.pop()
             if restrict:
-                cache = kind.take(cache, rows)
+                cache = kind.take(cache, rows, memo)
             # nothing consumes the first layer's input gradient
             g, *grads = kind.backward(g, cache, need_grad_x=bool(tape))
             if layer is not None and len(rows):

@@ -58,11 +58,13 @@ tied trunk once, builds a conv's patch matrix once for all tasks that share
 its input, and finishes one task's path before it starts the next.  Peak
 memory is one task path plus one patch matrix per layer where the tasks part,
 not T stacked first-conv outputs (36,864 x 80 doubles, 22.5 MiB per block at
-T = 10).  Timing per-task ``evaluate_suite`` on that network, 10 Tucker or
-independent tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs,
-medians of 5 alternating runs) gave 663 / 832 / 1,109 / 1,182 / 1,196
-images/s (Tucker) and 698 / 850 / 1,180 / 1,248 / 1,234 (independent) at
-512 / 256 / 128 / 64 / 32-row blocks, with equal results at every size.
+T = 10).  Timing ``evaluate_suite`` on that network, 10 independent or
+Tucker tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs,
+medians of 10 interleaved passes per size in one process) gave 2,078 /
+2,285 / 2,247 / 2,160 / 1,345 / 964 images/s (independent) and 2,079 /
+2,288 / 2,342 / 2,160 / 1,416 / 981 (Tucker) at 16 / 32 / 64 / 128 / 256 /
+512-row blocks, with equal results at every size; 32 and 64 rows are within
+each other's spread.
 """
 
 from __future__ import annotations

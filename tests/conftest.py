@@ -2,11 +2,13 @@
 
 The oracles here are deliberately slow and dumb: nested index loops and
 central finite differences that never touch the vectorised code paths they
-are used to check.  ``full_compose`` is the exception: it builds the whole
-stacked tensor that per-task slices are compared with, and so are the
-spec-order pair ``spec_order_forward`` / ``spec_order_backward``, which run a
-network's layers in the order its spec writes them, each kind called
-directly, with no execution plan and no shared binding.
+are used to check.  There are three exceptions.  ``full_compose`` builds
+the whole stacked tensor that per-task slices are compared with.
+``conv2d_per_row`` is the conv forward's earlier grouping of its products,
+whose bits the current grouping must keep.  The spec-order pair
+``spec_order_forward`` / ``spec_order_backward`` runs a network's layers in
+the order its spec writes them, each kind called directly, with no
+execution plan and no shared binding.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from dmtrl.factorization import LAFFactors, TuckerFactors, compose_tt, compose_tucker
+from dmtrl.layers import conv2d_patches
 from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec, SharingMode
 
 
@@ -86,6 +89,17 @@ def five_mode_spec(head_dims=None, tasks=3):
     return NetworkSpec((6,), layers[:-1], tasks, head_dims)
 
 
+def conv2d_per_row(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None) -> np.ndarray:
+    """The conv forward as one product per output row plus the bias over a
+    trailing axis of length M: the earlier form of ``conv2d_forward``, whose
+    bits the one-product-per-sample form must keep."""
+    hk, wk, _, m = k.shape
+    p = conv2d_patches(x, hk, wk) if patches is None else patches
+    out = p.reshape(len(x), x.shape[1] - hk + 1, x.shape[2] - wk + 1, -1) @ k.reshape(-1, m)
+    out += b
+    return out
+
+
 def spec_order_forward(net, task: int, x: np.ndarray):
     """``(output, tape)`` of the spec's layers run in written order."""
     h, tape = np.asarray(x, dtype=np.float64), []
@@ -112,7 +126,7 @@ def spec_order_backward(tape, grad_out: np.ndarray):
     for pos in reversed(range(len(tape))):
         kind, layer, cache = tape[pos]
         if restrict:
-            cache = kind.take(cache, rows)
+            cache = kind.take(cache, rows, {})  # every cache's rows taken anew
         g, *param_grads = kind.backward(g, cache, need_grad_x=pos > 0)
         if layer is not None and len(rows):
             grads[layer.index] = param_grads

@@ -19,7 +19,7 @@ from dmtrl.layers import (
     tanh_forward,
 )
 
-from conftest import assert_grads_close, central_difference
+from conftest import assert_grads_close, central_difference, conv2d_per_row
 
 
 def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,6 +70,12 @@ class TestFullyConnected:
         assert_grads_close(gx, central_difference(loss, x))
         assert_grads_close(gw, central_difference(loss, w))
         assert_grads_close(gb, central_difference(loss, b))
+
+    def test_bias_added_in_place_keeps_bits(self, rng):
+        x, w, b = rng.normal(size=(33, 7)), rng.normal(size=(7, 5)), rng.normal(size=5)
+        out, (cx, cw) = fc_forward(x, w, b)
+        assert_array_equal(out, x @ w + b)
+        assert cx is x and cw is w
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -164,6 +170,27 @@ class TestConv2d:
         gx, _, _ = conv2d_backward(co, cache)
         assert gx.shape == x.shape
         assert_allclose(gx, conv2d_input_grad_reference(co, k), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 31, 32, 33, 60, 64, 65])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((28, 28, 1), (5, 5, 1, 8)),    # kernel-major patches
+        ((12, 12, 8), (4, 4, 8, 16)),   # row-major patches
+        ((16, 16, 1), (3, 3, 1, 4)),    # kernel-major patches
+    ], ids=["5x5x1x8", "4x4x8x16", "3x3x1x4"])
+    def test_bit_equal_to_one_product_per_output_row(self, rng, x_shape, k_shape, shared, batch):
+        """One product per sample regroups the rows of the per-row products
+        and keeps each output element's dot product, so every bit stays."""
+        x = rng.normal(size=(batch, *x_shape))
+        k = rng.normal(size=k_shape)
+        b = rng.normal(size=k_shape[-1])
+        p = conv2d_patches(x, *k_shape[:2]) if shared else None
+        out, cache = conv2d_forward(x, k, b, p)
+        want = conv2d_per_row(x, k, b, p)
+        assert out.shape == want.shape
+        assert_array_equal(out, want)
+        assert out.tobytes() == want.tobytes()  # signs of zero too
+        assert len(cache) == (3 if shared else 2) and cache[0] is x and cache[1] is k
 
     def test_kernel_larger_than_input(self, rng):
         with pytest.raises(ValueError):

@@ -159,7 +159,7 @@ class TestLayerKinds:
             else:
                 assert got == want
 
-        assert_same(kind.take(kind.forward(x, *params)[1], np.array(rows, dtype=np.intp)),
+        assert_same(kind.take(kind.forward(x, *params)[1], np.array(rows, dtype=np.intp), {}),
                     kind.forward(x[rows], *params)[1])
 
     def test_network_calls_primitives_through_layers_module(self, rng, monkeypatch):
@@ -620,7 +620,7 @@ class TestTape:
         assert conv[0] is x and len(conv) == 2  # the plain forward keeps no patch matrix
         assert pool[0].shape == (4, 6, 6, 2)  # the conv output, before any relu
         assert relu[0].shape == (4, 3, 3, 2) and relu[0].min() >= 0.0
-        assert fc[0][0].base is relu[0]  # the fc input is the relu output, flattened
+        assert fc[0] is relu[0]  # the fc input is the relu output, cached unflattened
 
 
 def plan_spec(mode, tasks=3):
@@ -782,6 +782,35 @@ class TestRestrictedBackward:
         n = sum(active)
         assert seen == [("conv", n, n), ("pool", n, n), ("conv", n, n)]
 
+    @pytest.mark.parametrize("fn", ["relu", "tanh"])
+    def test_activation_rows_are_the_next_layers_rows(self, rng, monkeypatch, fn):
+        """An activation's output is the next layer's input, one array in two
+        tape entries; a restricted backward takes its rows once, so the
+        activation's restricted cache is the next layer's restricted input."""
+        import dmtrl.layers as layers_module
+
+        seen = []
+        for name in ("conv2d_backward", "fc_backward", f"{fn}_backward"):
+            def spy(grad_out, cache, *args, _name=name, _real=getattr(layers_module, name),
+                    **kwargs):
+                seen.append((_name, cache[0]))
+                return _real(grad_out, cache, *args, **kwargs)
+
+            monkeypatch.setattr(layers_module, name, spy)
+        kinds = [Conv(3, 3, 1, 3), Activation(fn), Conv(2, 2, 3, 2), Activation(fn),
+                 FC(50, 4), Activation(fn), FC(4, 1)]
+        spec = NetworkSpec((8, 8, 1), [LayerSpec(k, I if k.parametrised else None)
+                                       for k in kinds], 2)
+        net = build_network(spec, PlainRandom(), 0)
+        out = net.forward(1, rng.normal(size=(6, 8, 8, 1)))
+        net.backward(1, rng.normal(size=out.shape) * np.c_[[1, 1, 0, 0, 1, 1]])
+        names = [name for name, _ in seen]
+        assert names == ["fc_backward", f"{fn}_backward"] * 2 + [
+            "conv2d_backward", f"{fn}_backward", "conv2d_backward"]
+        for (_, x), (_, y) in zip(seen[0:6:2], seen[1:6:2]):
+            assert len(y) == 4  # restricted to the rows that carry gradient
+            assert x is y or x.base is y  # fc flattens the very array the activation holds
+
     def test_softmax_head_step_bit_identical_to_dense(self, rng):
         from dmtrl.layers import softmax_ce_loss
         from dmtrl.training import make_optimizer
@@ -806,9 +835,9 @@ class TestRestrictedBackward:
         takes = []
         real_take = MaxPool.take
 
-        def counting(kind, cache, rows):
+        def counting(kind, cache, rows, memo):
             takes.append(len(rows))
-            return real_take(kind, cache, rows)
+            return real_take(kind, cache, rows, memo)
 
         monkeypatch.setattr(MaxPool, "take", counting)
         x = rng.normal(size=(24, 8, 8, 1))

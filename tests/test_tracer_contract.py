@@ -6,7 +6,9 @@ times.
 ``factorization.__all__`` other than ``compose_backward`` a hook that reads
 the result's ``size``.  It traces ``evaluate_suite`` and ``evaluate_tasks``
 both as ``training.evaluate`` and does not fold the ``training`` module, so
-one evaluator calling the other would count that span twice.  The check
+one evaluator calling the other would count that span twice.  Its
+``layers.conv2d_forward`` hook reads the input and the kernel as the call's
+first two positional arguments to size the patch matrix.  The check
 runs in a fresh interpreter, since ``install`` patches the dmtrl modules for
 the life of the process.
 """
@@ -44,7 +46,8 @@ out = {"spans": sorted({name for name, _ in tracer.calls}),
 
 from dmtrl import training
 from dmtrl.data import LabeledImages, make_suite
-from dmtrl.network import FC, LayerSpec, NetworkSpec, SharingMode, build_network
+from dmtrl.network import (Activation, Conv, FC, LayerSpec, NetworkSpec, SharingMode,
+                           build_network)
 
 suite = make_suite(LabeledImages(rng.integers(0, 256, (70, 4, 4), dtype=np.uint8),
                                  np.arange(70) % 3, 3))
@@ -66,6 +69,15 @@ out["calls"] = {
     "task_loss": calls("training.task_loss",
                        lambda: training.task_loss(net.forward(0, x), ds, np.arange(8))),
 }
+
+conv_net = build_network(
+    NetworkSpec((9, 8, 2), [LayerSpec(Conv(3, 2, 2, 4), SharingMode.INDEPENDENT),
+                            LayerSpec(Activation("relu")),
+                            LayerSpec(FC(7 * 7 * 4, 1), SharingMode.INDEPENDENT)], 1),
+    training.PlainRandom(), 0)
+out["conv"] = {"calls": calls("layers.conv2d_forward",
+                              lambda: conv_net.forward(0, rng.normal(size=(5, 9, 8, 2)))),
+               "patch_bytes": tracer.peaks["conv_patch_bytes"]}
 print(json.dumps(out))
 """
 
@@ -90,3 +102,10 @@ def test_spans_record_the_factor_algebra(traced):
 
 def test_each_scoring_call_records_one_span(traced):
     assert traced["calls"] == {"evaluate_suite": 1, "evaluate_tasks": 1, "task_loss": 1}
+
+
+def test_conv_span_reads_the_input_and_kernel_by_position(traced):
+    # perfbench's conv hook reads args[0] (the B x Hi x Wi x C input) and
+    # args[1] (the hk x wk x C x M kernel); batch 5, 9x8 inputs, 3x2 taps on
+    # 2 channels give 7x7 outputs
+    assert traced["conv"] == {"calls": 1, "patch_bytes": 8.0 * 5 * 7 * 7 * 3 * 2 * 2}
