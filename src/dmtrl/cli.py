@@ -110,13 +110,25 @@ def _digit_pool(data, split: str):
                         jitter=int(data.get("jitter", 3)), class_seed=cs)
 
 
-def train_pool(data: dict):
+def _idx_corpus(data: dict, split: str, input_shape):
+    """The IDX corpus of ``split``; with ``input_shape`` given, its images
+    must be that (H, W, 1) shape, so a corpus the network cannot take fails
+    here rather than inside a layer."""
+    pool = load_idx(data[f"{split}_images"], data[f"{split}_labels"])
+    shape = pool.images.shape[1:] + (1,)
+    if input_shape is not None and shape != tuple(input_shape):
+        raise ConfigError(f"the {split} IDX images have shape {shape}, "
+                          f"the config's input_shape is {tuple(input_shape)}")
+    return pool
+
+
+def train_pool(data: dict, input_shape=None):
     """The corpus every cell of a command samples its train tasks from, or
     None for the heterogeneous source, which generates each run's data from
-    the run seed."""
+    the run seed.  An IDX corpus is checked against ``input_shape``."""
     source = data["source"]
     if source == "idx":
-        return load_idx(data["train_images"], data["train_labels"])
+        return _idx_corpus(data, "train", input_shape)
     if source == "synthetic_digits":
         return _digit_pool(data, "train")
     return None
@@ -140,12 +152,12 @@ def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None, po
     return _fit_heads(tasks, head_dims)
 
 
-def build_eval_payload(data: dict, head_dims=None):
-    """Evaluation datasets: a one-vs-all suite or a plain task list."""
+def build_eval_payload(data: dict, head_dims=None, input_shape=None):
+    """Evaluation datasets: a one-vs-all suite or a plain task list.  An IDX
+    corpus is checked against ``input_shape``."""
     source = data["source"]
     if source == "idx":
-        pool = load_idx(data["test_images"], data["test_labels"])
-        return make_suite(pool, split="test")
+        return make_suite(_idx_corpus(data, "test", input_shape), split="test")
     if source == "synthetic_digits":
         return make_suite(_digit_pool(data, "test"), split="test")
     binary, multi = synth_heterogeneous(
@@ -219,7 +231,7 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
     shared = _Shared() if shared is None else shared
     run_seed = cfg.train.seed + repeat
     spec = cfg.network_spec(sharing)
-    pool, _ = shared.get("pool", lambda: train_pool(cfg.data))
+    pool, _ = shared.get("pool", lambda: train_pool(cfg.data, cfg.input_shape))
     tasks, _ = shared.get(("tasks", fraction, repeat), lambda: build_train_tasks(
         cfg.data, fraction, run_seed, cfg.head_dims, pool))
     train_cfg = replace(cfg.train, seed=run_seed)
@@ -336,7 +348,7 @@ def cmd_eval(args) -> int:
     net, manifest = load_network(args.checkpoint)
     data = _load_data_spec(args.data)
     head_dims = manifest["spec"].get("head_dims")
-    payload = build_eval_payload(data, head_dims)
+    payload = build_eval_payload(data, head_dims, net.spec.input_shape)
     write_csv(args.out, eval_rows(net, manifest, payload))
     return 0
 
@@ -367,7 +379,8 @@ def cmd_sweep(args) -> int:
         label = preset if isinstance(preset, str) else "custom"
         info = run_cell(cfg, preset, label, fraction, rep, args.out, shared)
         net, manifest = load_network(info["checkpoint"])
-        payload, _ = shared.get("payload", lambda: build_eval_payload(cfg.data, cfg.head_dims))
+        payload, _ = shared.get("payload", lambda: build_eval_payload(
+            cfg.data, cfg.head_dims, cfg.input_shape))
         rows = eval_rows(net, manifest, payload)
         rho = None
         if any(layer.mode.soft for layer in net.param_layers.values()):

@@ -10,6 +10,8 @@ heterogeneous experiments.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -17,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "LabeledImages", "TaskDataset", "OneVsAllSuite",
-    "load_idx", "write_idx",
+    "IdxError", "load_idx", "write_idx",
     "make_suite", "sample_fraction", "as_multiclass",
     "synth_heterogeneous", "heterogeneous_prototypes", "synth_digits",
 ]
@@ -98,37 +100,44 @@ class OneVsAllSuite:
     source: LabeledImages
 
 
+class IdxError(ValueError):
+    """An IDX file that is malformed or disagrees with its own header."""
+
+
 def _read_u32(f) -> int:
     raw = f.read(4)
     if len(raw) != 4:
-        raise ValueError("truncated IDX header")
+        raise IdxError("truncated IDX header")
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, magic_want: int, n_dims: int, what: str):
+    """The header extents and the payload of one IDX file.  The payload size
+    the header declares is checked against the file's size before anything
+    is read, so a crafted header cannot make the reader allocate more than
+    the file holds."""
+    with open(path, "rb") as f:
+        magic = _read_u32(f)
+        if magic != magic_want:
+            raise IdxError(f"bad {what} magic 0x{magic:08x}, want 0x{magic_want:08x}")
+        dims = [_read_u32(f) for _ in range(n_dims)]
+        declared, held = math.prod(dims), os.fstat(f.fileno()).st_size - f.tell()
+        if declared > held:
+            raise IdxError(f"truncated {what} payload: the header declares {declared} bytes "
+                           f"({' x '.join(map(str, dims))}), the file holds {held}")
+        return dims, np.frombuffer(f.read(declared), dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> LabeledImages:
-    """Parse the big-endian IDX image/label container pair."""
-    with open(images_path, "rb") as f:
-        magic = _read_u32(f)
-        if magic != IMAGE_MAGIC:
-            raise ValueError(f"bad image magic 0x{magic:08x}, want 0x{IMAGE_MAGIC:08x}")
-        count, rows, cols = _read_u32(f), _read_u32(f), _read_u32(f)
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(f"truncated image payload: {len(raw)} bytes for {count} images")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_u32(f)
-        if magic != LABEL_MAGIC:
-            raise ValueError(f"bad label magic 0x{magic:08x}, want 0x{LABEL_MAGIC:08x}")
-        n = _read_u32(f)
-        raw = f.read(n)
-        if len(raw) != n:
-            raise ValueError(f"truncated label payload: {len(raw)} bytes for {n} labels")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+    """Parse the big-endian IDX image/label container pair; a malformed pair
+    raises :class:`IdxError`."""
+    (count, rows, cols), images = _read_idx(images_path, IMAGE_MAGIC, 3, "image")
+    (n,), labels = _read_idx(labels_path, LABEL_MAGIC, 1, "label")
     if count != n:
-        raise ValueError(f"image/label count mismatch: {count} vs {n}")
+        raise IdxError(f"image/label count mismatch: {count} vs {n}")
     n_classes = int(labels.max()) + 1 if n else 1
-    return LabeledImages(images.copy(), labels.astype(np.int64), max(n_classes, 2))
+    return LabeledImages(images.reshape(count, rows, cols).copy(), labels.astype(np.int64),
+                         max(n_classes, 2))
 
 
 def write_idx(images_path, labels_path, ds: LabeledImages):

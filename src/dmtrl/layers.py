@@ -10,10 +10,8 @@ are the activations themselves:
 * fc: ``(x, w)``.
 * conv: ``(x, k)``.  Forward and the kernel gradient each build the patch
   matrix (im2col) of the input they are handed, so a backward pass over a
-  few samples builds only their patch rows.  The one exception: a forward
-  pass handed a patch matrix its caller keeps alive anyway (one batch's,
-  shared by several kernels) caches ``(x, k, p)``, and the kernel gradient
-  reads that ``p`` instead of building it again.
+  few samples builds only their patch rows.  A forward pass may be handed
+  a patch matrix built once for several kernels; it does not cache it.
 * 2x2 max pool: ``(x,)``.  Forward takes only the maxima; backward finds
   the winners again in the rows it is given.
 * relu: ``(y,)``, the output, which is > 0 exactly where the input is.
@@ -54,21 +52,49 @@ added as one (Ho·Wo, M) tile over each sample's contiguous Ho·Wo·M outputs:
 loop is M = 8 long.  The kernel gradient sums over the rows, so their
 grouping decides its bits, and it stays one product.
 
-Caching inputs keeps a batch-64 demo-04 training tape at 4.13 MiB; its
+A conv whose output goes straight into a 2x2 max pool (a network fuses such
+pairs into one step, see :mod:`dmtrl.network`) computes only the outputs the
+pool reads, in the order it reads them.  With ``slots``,
+:func:`conv2d_patches` crops the output grid to its even 2·ho x 2·wo part
+and orders each sample's rows slot-major, (r, q, i, j) for the output pixel
+(2i + r, 2j + q), in the layout the channel count picks, and
+:func:`conv2d_forward` returns the (B, 2, 2, ho, wo, M) output.  Each output
+is still one dot product, so it has the bits of the spec-order output,
+cropped and regrouped.  The bias can then wait until after the pool:
+rounding is monotone, so a window's largest z + b is its largest z plus b,
+to the bit (zeros of both signs and sums that round to a tie included),
+and a quarter of the outputs take the add.  The pool primitives take either
+layout through one view of the windows: a slot-major input's four slots
+are contiguous blocks, a (B, H, W, C) input's are strided views.  ``maxpool2_backward`` always
+returns its gradient in the (B, H, W, C) layout, of the full conv-output
+shape when given one, zero in a dropped row or column.  The conv backward
+then builds spec-order patch rows, so the kernel gradient keeps its row
+order and bits.  At batch 64 on one BLAS thread (one probe, minima of 200
+calls), the first demo-04 conv built its slot-major patches in 0.72 ms
+against 0.58 for all 24x24 outputs, and its pool took 0.22 ms against 0.32,
+whose second maximum read runs of only C = 8 doubles; the second conv (9x9
+outputs, of which the pool reads 8x8) built its patches in 0.28 ms against
+0.35 and ran its product in 0.31 against 0.38.
+
+Caching inputs keeps a batch-64 demo-04 training tape at 3.99 MiB, whether
+or not its first conv ran on a patch matrix shared by several tasks; its
 patch matrices and pool winner codes would hold 15.39 MiB, 7.03 MiB of that
-the first conv's.  A tape whose first conv ran on a shared patch matrix
-holds that matrix too (11.16 MiB), one per training cycle rather than per
-step.
+the first conv's.  Before conv and pool were fused, the tape held 4.13 MiB,
+and 11.16 MiB when it kept a shared first-conv patch matrix for the kernel
+gradient; a slot-major matrix would sum that gradient's rows in another
+order, so no tape keeps one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "fc_forward", "fc_backward",
-    "conv2d_patches", "conv2d_forward", "conv2d_backward",
+    "conv2d_patches", "conv2d_forward", "conv2d_backward", "bias_tile",
     "maxpool2_forward", "maxpool2_backward",
     "relu_forward", "relu_backward",
     "tanh_forward", "tanh_backward",
@@ -95,23 +121,35 @@ def fc_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def conv2d_patches(x: np.ndarray, hk: int, wk: int) -> np.ndarray:
+def conv2d_patches(x: np.ndarray, hk: int, wk: int, slots: bool = False) -> np.ndarray:
     """The (B·Ho·Wo, hk·wk·C) patch matrix of every valid hk x wk window of
     ``x``, columns in (dy, dx, channel) order to match a kernel's rows;
-    kernel-major for one channel, else row-major (see the module docstring)."""
+    kernel-major for one channel, else row-major (see the module docstring).
+
+    With ``slots``, only the rows of the 2·ho x 2·wo outputs a 2x2 max pool
+    reads (ho, wo = Ho // 2, Wo // 2), slot-major: each sample's rows run
+    over (r, q, i, j), the output pixel (2i + r, 2j + q)."""
     win = sliding_window_view(x, (hk, wk), axis=(1, 2))  # B, Ho, Wo, C, hk, wk
+    if slots:
+        b_, ho, wo = win.shape[0], win.shape[1] // 2, win.shape[2] // 2
+        win = win[:, : 2 * ho, : 2 * wo].reshape(b_, ho, 2, wo, 2, *win.shape[3:])
+        win = win.transpose(0, 2, 4, 1, 3, 5, 6, 7)  # B, r, q, i, j, C, hk, wk
+    grid, (c, dy, dx) = range(win.ndim - 3), range(win.ndim - 3, win.ndim)
     taps = hk * wk * x.shape[3]
     if x.shape[3] == 1:
-        return np.ascontiguousarray(win.transpose(4, 5, 3, 0, 1, 2)).reshape(taps, -1).T
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, taps)
+        return np.ascontiguousarray(win.transpose(dy, dx, c, *grid)).reshape(taps, -1).T
+    return np.ascontiguousarray(win.transpose(*grid, dy, dx, c)).reshape(-1, taps)
 
 
-def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
+def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None,
+                   slots: bool = False):
     """Valid cross-correlation of a B x Hi x Wi x C batch with an
-    H x W x C x M kernel stack, stride 1.  ``patches``, when given, is
-    :func:`conv2d_patches` of ``x``, built once for several kernels; the
-    cache is then ``(x, k, patches)``, else ``(x, k)``, and the backward
-    pass builds its own patch rows."""
+    H x W x C x M kernel stack, stride 1, plus the bias ``b`` (None for the
+    product alone).  With ``slots``, only the outputs a 2x2 max pool reads,
+    slot-major as (B, 2, 2, ho, wo, M) (see :func:`conv2d_patches`).
+    ``patches``, when given, is :func:`conv2d_patches` of ``x`` in that
+    same order, built once for several kernels.  The cache is ``(x, k)``:
+    the backward pass builds its own patch rows."""
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-way input and kernel")
     hk, wk, cin, m = k.shape
@@ -119,25 +157,34 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, patches=None):
         raise ValueError(f"channel mismatch: input {x.shape[3]}, kernel {cin}")
     if x.shape[1] < hk or x.shape[2] < wk:
         raise ValueError(f"kernel {hk}x{wk} larger than input {x.shape[1]}x{x.shape[2]}")
-    if b.shape != (m,):
+    if b is not None and b.shape != (m,):
         raise ValueError(f"bias shape {b.shape} != ({m},)")
-    p = conv2d_patches(x, hk, wk) if patches is None else patches
+    p = conv2d_patches(x, hk, wk, slots) if patches is None else patches
     ho, wo = x.shape[1] - hk + 1, x.shape[2] - wk + 1
+    grid = (2, 2, ho // 2, wo // 2) if slots else (ho, wo)
+    rows = math.prod(grid)
     # one product per sample (see the module docstring), then the bias as
-    # one tile over each sample's contiguous Ho·Wo·M outputs
-    out = p.reshape(len(x), ho * wo, -1) @ k.reshape(-1, m)
-    out += np.tile(b, (ho * wo, 1))
-    return out.reshape(len(x), ho, wo, m), (x, k) if patches is None else (x, k, patches)
+    # one tile over each sample's contiguous outputs
+    out = (p.reshape(len(x), rows, -1) @ k.reshape(-1, m)).reshape(len(x), *grid, m)
+    if b is not None:
+        out += bias_tile(b, out.shape[1:])
+    return out, (x, k)
+
+
+def bias_tile(b: np.ndarray, shape) -> np.ndarray:
+    """``b`` repeated over one sample's outputs of ``shape`` (channels
+    last), so a bias is added as one contiguous tile per sample rather than
+    through a broadcast whose inner loop is one channel row long."""
+    return np.tile(b, (math.prod(shape[:-1]), 1)).reshape(shape)
 
 
 def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
-    x, k, *p = cache
+    x, k = cache
     hk, wk, cin, m = k.shape
     b_, ho, wo, _ = grad_out.shape
     gf = grad_out.reshape(-1, m)
     grad_b = np.ones(gf.shape[0]) @ gf  # a BLAS product beats a column sum here
-    p = p[0] if p else conv2d_patches(x, hk, wk)
-    grad_k = (gf.T @ p).T.reshape(k.shape)
+    grad_k = (gf.T @ conv2d_patches(x, hk, wk)).T.reshape(k.shape)
     if not need_grad_x:
         return None, grad_k, grad_b
     grad_x = np.zeros(x.shape)
@@ -147,34 +194,55 @@ def conv2d_backward(grad_out: np.ndarray, cache, need_grad_x: bool = True):
     return grad_x, grad_k, grad_b
 
 
-def maxpool2_forward(x: np.ndarray):
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped.
+def _windows(x: np.ndarray) -> np.ndarray:
+    """The 2x2 pool windows of ``x`` as a (B, 2, 2, ho, wo, C) array whose
+    ``[:, r, q, i, j]`` is the pixel (2i + r, 2j + q): a slot-major ``x``
+    itself, whose four slots are contiguous blocks, else a strided view of
+    the (B, H, W, C) ``x``, whose odd trailing row or column no window
+    reads."""
+    if x.ndim == 6:
+        return x
+    b_, ho, wo, c = x.shape[0], x.shape[1] // 2, x.shape[2] // 2, x.shape[3]
+    return x[:, : 2 * ho, : 2 * wo].reshape(b_, ho, 2, wo, 2, c).transpose(0, 2, 4, 1, 3, 5)
 
-    The cache is the input itself: the winners are found in backward."""
-    ho, wo = x.shape[1] // 2, x.shape[2] // 2
-    # a maximum is exact and, but for the sign of a zero, the same in any
-    # order: rows first, then columns, takes two passes instead of three
-    rows = np.maximum(x[:, 0 : 2 * ho : 2, : 2 * wo], x[:, 1 : 2 * ho : 2, : 2 * wo])
-    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2]), (x,)
 
-
-def maxpool2_backward(grad_out: np.ndarray, cache):
-    """Each window slot s is one strided write of ``grad_out`` where slot s
-    won; an odd trailing row or column the forward pass dropped stays 0.
-
-    Slots 0..3 are r0c0, r0c1, r1c0, r1c1, and the first maximum in that
-    order wins a tie."""
-    (x,) = cache
-    _, ho, wo, _ = grad_out.shape
-    r0c0, r0c1 = x[:, 0 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 0 : 2 * ho : 2, 1 : 2 * wo : 2]
-    r1c0, r1c1 = x[:, 1 : 2 * ho : 2, 0 : 2 * wo : 2], x[:, 1 : 2 * ho : 2, 1 : 2 * wo : 2]
+def _winner_code(win: np.ndarray) -> np.ndarray:
+    """Per window of :func:`_windows`, the slot 0..3 (r0c0, r0c1, r1c0,
+    r1c1) of its maximum; the first maximum in that order wins a tie."""
+    r0c0, r0c1, r1c0, r1c1 = (win[:, r, q] for r in (0, 1) for q in (0, 1))
     top, bottom = np.maximum(r0c0, r0c1), np.maximum(r1c0, r1c1)
     top_code = (r0c0 != top).view(np.uint8)
     bottom_code = (r1c0 != bottom).view(np.uint8) + 2
     # top_code where the top row holds the maximum, else bottom_code
-    code = top_code + (bottom_code - top_code) * (top != np.maximum(top, bottom)).view(np.uint8)
-    even = x.shape[1:3] == (2 * ho, 2 * wo)
-    grad_x = np.empty(x.shape) if even else np.zeros(x.shape)
+    return top_code + (bottom_code - top_code) * (top != np.maximum(top, bottom)).view(np.uint8)
+
+
+def maxpool2_forward(x: np.ndarray):
+    """2x2 max pooling, stride 2, of a (B, H, W, C) batch, odd trailing
+    rows/columns dropped, or of a slot-major (B, 2, 2, ho, wo, C) one.
+
+    The cache is the input itself: the winners are found in backward."""
+    win = _windows(x)
+    # a maximum is exact, and np.maximum gives its second operand when zeros
+    # of both signs tie: this order, rows first and then columns, sets the
+    # bits; it takes two passes instead of three
+    rows = np.maximum(win[:, 0], win[:, 1])
+    return np.maximum(rows[:, 0], rows[:, 1]), (x,)
+
+
+def maxpool2_backward(grad_out: np.ndarray, cache, shape=None):
+    """The (B, H, W, C) gradient of the pool input: each window slot is one
+    strided write of ``grad_out`` where that slot won (see
+    :func:`_winner_code`), and an odd trailing row or column the forward
+    pass dropped stays 0.  ``shape`` is (B, H, W, C); by default the cached
+    input's, or for a slot-major cache the 2·ho x 2·wo it holds."""
+    (x,) = cache
+    code = _winner_code(_windows(x))
+    _, ho, wo, c = grad_out.shape
+    if shape is None:
+        shape = x.shape if x.ndim == 4 else (len(x), 2 * ho, 2 * wo, c)
+    even = tuple(shape[1:3]) == (2 * ho, 2 * wo)
+    grad_x = np.empty(shape) if even else np.zeros(shape)
     for s in range(4):
         r, q = divmod(s, 2)
         np.multiply(grad_out, code == s, out=grad_x[:, r : 2 * ho : 2, q : 2 * wo : 2])

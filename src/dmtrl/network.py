@@ -9,15 +9,15 @@ raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
 ``grad_x`` and give their ``weight_shape`` and Glorot bound.  ``bind(x)``
 gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
 that share ``x`` but not the parameters; a conv's binding builds the patch
-matrix on its first call and reuses it on the others, and its caches hold
-that matrix too.  ``take(cache, rows, memo)`` gives the cache that
-``forward`` on just the samples ``rows`` would have recorded.  Every cache
-holds the layer's input or an activation's output (see :mod:`dmtrl.layers`;
-fc caches its input before flattening it), so ``take`` is that array's rows
-``x[rows]``, with fc's and conv's weight passed through and a bound conv's
-patch matrix dropped; whatever backward derives from the input (patch rows,
-pool winners) it builds for those rows alone.  A relu's or tanh's output is
-the next layer's input, one array in two caches; a backward pass hands
+matrix on its first call and reuses it on the others, and no cache holds
+it.  ``take(cache, rows, memo)`` gives the cache that ``forward`` on just
+the samples ``rows`` would have recorded.  Every cache holds the layer's
+input or an activation's output (see :mod:`dmtrl.layers`; fc caches its
+input before flattening it, and a fused conv and pool its conv output
+too), so ``take`` is those arrays' rows ``x[rows]``, with fc's and conv's
+weight passed through; whatever backward derives from them (patch rows,
+pool winners) it builds for those rows alone.  A relu's or tanh's output
+is the next layer's input, one array in two caches; a backward pass hands
 every ``take`` one dict ``memo``, so its rows are copied once.  Only fc
 takes a per-task head width.  Kinds look the :mod:`dmtrl.layers` primitives
 up on that module at call time, so a tracer that swaps them there sees every
@@ -48,10 +48,23 @@ the same first maximum either way, so the pool routes the gradient to the
 same input; any other window's pooled value is 0, and the relu's zero mask
 gives every one of its inputs ``g * 0`` in both orders, the sign of zero
 included.  A tanh is not moved: it saturates, mapping distinct inputs to
-equal outputs, which could move a pool winner.  Specs, config JSON,
-manifests and parameter names (``layer{i}.<kind>``) stay as written.  The
-pool now caches the conv output and the relu the pooled output, which is
-also the next layer's input.
+equal outputs, which could move a pool winner.
+
+Every conv the plan then finds directly followed by a 2x2 pool runs with it
+as one plan-only step, :class:`_ConvPool`: the conv computes only the
+2·ho x 2·wo outputs the pool reads, slot-major, and the pool reads its
+four window slots as contiguous blocks (see :mod:`dmtrl.layers`).  A conv
+followed by a tanh and a pool keeps the standalone pool.  Every output is
+still one dot product, and the bias, added after the pool, gives each
+window the spec's maximum to the bit (rounding is monotone), so the step
+keeps the spec order's bits.  Its cache is the conv input, the kernel, the
+bias and the slot-major product; backward finds the winners in the conv
+output, product plus bias, scatters the pool gradient into that output's
+spec layout, zero in a row or column the pool drops, and runs the spec's
+conv backward on it.  Specs, config JSON, manifests, parameter
+names (``layer{i}.<kind>``) and the kinds ``Conv`` and ``MaxPool`` stay as
+written, and code that runs the spec's kinds one by one sees no change.
+The relu caches the pooled output, which is also the next layer's input.
 
 A softly shared layer never builds its stacked tensor during training: a
 forward pass composes only the requested task's slice straight from the
@@ -71,10 +84,10 @@ as ``predict_tasks(x, [t])[0]``.  ``forward`` is the one-task walk that
 records a tape of ``(kind, param layer or None, cache)`` per step, which
 ``backward`` consumes in reverse, releasing each entry as it goes.  The
 tape keeps the activations and nothing derived from them (see
-:mod:`dmtrl.layers`), but for the patch matrix of a first conv that
-``forward`` ran through ``bind(x)``: tasks that train on one batch share
-that binding (see :func:`dmtrl.training.train`), and a backward pass over
-the whole batch reads its matrix for the kernel gradient.
+:mod:`dmtrl.layers`), even when ``forward`` ran its first step through
+``bind(x)``, which the tasks that train on one batch share (see
+:func:`dmtrl.training.train`): a fused first conv's bound matrix is
+slot-major, and the kernel gradient builds the spec-order rows it sums.
 
 Samples are independent rows of every layer, so a sample whose row of the
 output gradient is all zero adds nothing to any gradient.  Under the hinge
@@ -190,8 +203,10 @@ class Conv(_Kind):
         hw = self.h * self.w
         return math.sqrt(6.0 / (hw * self.in_ch + hw * self.out_ch))
 
-    def forward(self, x, w, b):
-        return nn.conv2d_forward(x, w, b)
+    slots = False  # the patch row order, which the plan-only _ConvPool sets
+
+    def forward(self, x, w, b, patches=None):
+        return nn.conv2d_forward(x, w, b, patches)
 
     def bind(self, x):
         patches = None
@@ -199,8 +214,8 @@ class Conv(_Kind):
         def forward(w, b):
             nonlocal patches
             if patches is None:
-                patches = nn.conv2d_patches(x, self.h, self.w)
-            return nn.conv2d_forward(x, w, b, patches)
+                patches = nn.conv2d_patches(x, self.h, self.w, self.slots)
+            return self.forward(x, w, b, patches)
 
         return forward
 
@@ -208,7 +223,7 @@ class Conv(_Kind):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
     def take(self, cache, rows, memo):
-        x, k, *_ = cache
+        x, k = cache
         return _rows(x, rows, memo), k
 
 
@@ -262,6 +277,39 @@ class Activation(_Kind):
 
 
 KINDS = {tag: kind for kind in (FC, Conv, MaxPool, Activation) for tag in kind.tags}
+
+
+@dataclass(frozen=True)
+class _ConvPool(Conv):
+    """A conv and the 2x2 max pool right after it, as one plan step (see the
+    module docstring): the conv computes only the products the pool reads,
+    slot-major (:func:`dmtrl.layers.conv2d_patches`), the pool takes the
+    maxima of four contiguous blocks, and the bias is added to the pooled
+    output.  The cache is ``(x, k, b, z)``, z the slot-major product;
+    backward finds the winners in z + b, the spec's conv output, and
+    scatters the pool's gradient into that output's own layout, so the conv
+    backward is the spec's."""
+
+    slots = True
+
+    def out_shape(self, shape, d_out=None):
+        return MaxPool().out_shape(super().out_shape(shape, d_out))
+
+    def forward(self, x, w, b, patches=None):
+        z, _ = nn.conv2d_forward(x, w, None, patches, slots=True)
+        out, _ = nn.maxpool2_forward(z)
+        out += nn.bias_tile(b, out.shape[1:])
+        return out, (x, w, b, z)
+
+    def backward(self, g, cache, need_grad_x):
+        x, k, b, z = cache
+        y = z + nn.bias_tile(b, z.shape[1:])  # the conv output the spec's pool reads
+        g = nn.maxpool2_backward(g, (y,), (len(x), *super().out_shape(x.shape[1:])))
+        return nn.conv2d_backward(g, (x, k), need_grad_x=need_grad_x)
+
+    def take(self, cache, rows, memo):
+        x, k, b, z = cache
+        return _rows(x, rows, memo), k, b, z[rows]
 
 
 class SharingMode(Enum):
@@ -529,13 +577,20 @@ class _ParamLayer:
 
 def _execution_plan(steps) -> list:
     """The spec's ``(kind, param layer or None)`` steps as the network runs
-    them: in order, but for every relu followed by a 2x2 pool, which run as
-    the pool followed by the relu (see the module docstring)."""
+    them (see the module docstring): every relu followed by a 2x2 pool runs
+    as the pool followed by the relu, and every conv followed by a 2x2 pool
+    runs with it as one :class:`_ConvPool` step."""
     plan = list(steps)
     for i in range(len(plan) - 1):
         if plan[i][0] == Activation("relu") and isinstance(plan[i + 1][0], MaxPool):
             plan[i], plan[i + 1] = plan[i + 1], plan[i]
-    return plan
+    fused = []
+    for kind, layer in plan:
+        if isinstance(kind, MaxPool) and fused and type(fused[-1][0]) is Conv:
+            conv, layer = fused.pop()
+            kind = _ConvPool(conv.h, conv.w, conv.in_ch, conv.out_ch)
+        fused.append((kind, layer))
+    return fused
 
 
 def _split(layer, group) -> list:
@@ -592,8 +647,8 @@ class MultiTaskNetwork:
         """Task output for a batch, recording the tape :meth:`backward` needs.
 
         ``first``, when given, is :meth:`bind` of this same ``x``; the first
-        step runs through it, and a conv's tape entry then holds the bound
-        patch matrix, which the kernel gradient over the whole batch reads."""
+        step runs through it, and the tape is the one a plain forward
+        records."""
         tape = []
         (h,) = self._run(x, [task], tape, first)
         self._tape = (task, tape)

@@ -34,11 +34,12 @@ multi-class task's softmax cross-entropy gives every row a gradient, so its
 backward pass runs on the whole batch.  The tape keeps each conv's input
 rather than its patch matrix, so a conv builds its patches again for the
 kernel gradient (0.37-0.47 ms at batch 64 on one BLAS thread for the second
-demo-04 conv), except the first conv, whose kernel gradient reads the
-cycle's bound matrix.  A 10-class demo-04 step (one task, 512 images,
-batch 64, medians of 5 alternating runs, each the median of 5 timed
-rounds) took 10.21 ms against 11.11 when the first conv built its patches
-twice per step, with under 0.1 minor page faults per step either way.
+demo-04 conv), the first conv too: the cycle's bound matrix holds only the
+rows a pool reads, slot-major (see :mod:`dmtrl.network`), and the kernel
+gradient sums the spec-order rows.  A 10-class demo-04 step (one task, 512
+images, batch 64, medians of 5 alternating runs, each the median of 5 timed
+rounds, 0.25 minor page faults per step either way) took 11.01 ms against
+10.19 when the tape kept a spec-order bound matrix for the kernel gradient.
 
 Scoring has one prediction rule and one pass.  A binary task predicts the
 sign of its output 0, a multi-class task the argmax of its outputs.
@@ -59,12 +60,16 @@ its input, and finishes one task's path before it starts the next.  Peak
 memory is one task path plus one patch matrix per layer where the tasks part,
 not T stacked first-conv outputs (36,864 x 80 doubles, 22.5 MiB per block at
 T = 10).  Timing ``evaluate_suite`` on that network, 10 independent or
-Tucker tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs,
-medians of 10 interleaved passes per size in one process) gave 2,078 /
-2,285 / 2,247 / 2,160 / 1,345 / 964 images/s (independent) and 2,079 /
-2,288 / 2,342 / 2,160 / 1,416 / 981 (Tucker) at 16 / 32 / 64 / 128 / 256 /
-512-row blocks, with equal results at every size; 32 and 64 rows are within
-each other's spread.
+Tucker tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs, in
+the state the benchmark's set-up and one training round leave, medians of
+10 interleaved passes per size in one process, two processes per network)
+gave 2,544-3,147 / 2,768-3,331 / 2,956-3,357 / 2,767-3,441 / 2,283-2,792 /
+1,520-1,802 images/s (independent) and 2,676-3,180 / 2,961-3,484 /
+3,135-3,622 / 2,992-3,435 / 2,344-2,729 / 1,616-1,928 (Tucker) at 16 / 32 /
+64 / 128 / 256 / 512-row blocks, with equal results at every size, after
+the conv and pool became one step that computes only what the pool reads;
+64 and 128 rows are within each other's spread.  A fresh process without
+that set-up pays page faults on the patch matrices and reads slower.
 """
 
 from __future__ import annotations

@@ -636,6 +636,43 @@ class TestCliCommands:
         assert record["error"] == "ConfigError"
         assert "n_test" in record["message"]
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_idx_images_checked_against_input_shape(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        """A 16x16 IDX corpus under a 28x28x1 config fails with a ConfigError
+        naming both shapes before any layer runs."""
+        import dmtrl.layers as layers_module
+        from dmtrl.data import LabeledImages, write_idx
+
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split in ("train", "test"):
+            paths[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+            paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+            write_idx(paths[f"{split}_images"], paths[f"{split}_labels"],
+                      LabeledImages(rng.integers(0, 256, (40, 16, 16), dtype=np.uint8),
+                                    np.arange(40) % 10, 10))
+        data = {"source": "idx", **paths}
+        cfg = write_config(tmp_path, {"data": data})
+        if command == "eval":  # a checkpoint trained on the synthetic 28x28 digits
+            self.run("train", "--config", str(write_config(tmp_path, name="digits.json")),
+                     "--out", str(tmp_path / "runs"))
+            data_file = tmp_path / "data.json"
+            data_file.write_text(json.dumps(data))
+            argv = ["eval", "--checkpoint", str(tmp_path / "runs" / "dmtrl-tt_f1_r0.ckpt"),
+                    "--data", str(data_file), "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        layer_calls = []
+        for name in ("conv2d_forward", "fc_forward"):
+            monkeypatch.setattr(layers_module, name, lambda *a, **k: layer_calls.append(a))
+        assert self.run(*argv) != 0
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "(16, 16, 1)" in record["message"] and "(28, 28, 1)" in record["message"]
+        assert not layer_calls
+
     def test_eval_after_reload_matches(self, tmp_path, capsys):
         # training artifacts already verified; spot-check row content
         cfg = write_config(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmtrl.data import (
+    IdxError,
     LabeledImages,
     _DIGIT_SEGMENTS,
     _MASKS,
@@ -73,6 +74,26 @@ class TestIdxIO:
         data = img.read_bytes()
         img.write_bytes(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
+            load_idx(img, lab)
+
+    @pytest.mark.parametrize("count, rows, cols", [
+        (2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1),  # used to raise a bare OverflowError
+        (2 ** 20, 2 ** 20, 2 ** 20),              # used to raise MemoryError
+        (1, 65536, 65536),                        # 4 GiB declared
+    ], ids=["u32-max", "2^20", "65536-square"])
+    def test_oversized_image_header_rejected_before_reading(self, tmp_path, count, rows, cols):
+        """A 16-byte image header whose declared payload exceeds the file
+        raises IdxError giving both sizes, without allocating the payload."""
+        img, lab = write_fixture_idx(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        img.write_bytes(struct.pack(">IIII", 0x00000803, count, rows, cols))
+        with pytest.raises(IdxError, match=f"declares {count * rows * cols} bytes .* holds 0$"):
+            load_idx(img, lab)
+
+    def test_oversized_label_header_rejected_before_reading(self, tmp_path):
+        img, lab = write_fixture_idx(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        lab.write_bytes(struct.pack(">II", 0x00000801, 2 ** 32 - 1) + b"\x00")
+        with pytest.raises(IdxError, match=f"label payload: the header declares {2 ** 32 - 1} "
+                                           "bytes .* holds 1$"):
             load_idx(img, lab)
 
     def test_round_trip_bit_identical(self, tmp_path, rng):

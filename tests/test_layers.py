@@ -4,6 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dmtrl.layers import (
+    bias_tile,
     conv2d_backward,
     conv2d_forward,
     conv2d_patches,
@@ -19,7 +20,7 @@ from dmtrl.layers import (
     tanh_forward,
 )
 
-from conftest import assert_grads_close, central_difference, conv2d_per_row
+from conftest import assert_bits_equal, assert_grads_close, central_difference, conv2d_per_row
 
 
 def conv2d_reference(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,7 +191,48 @@ class TestConv2d:
         assert out.shape == want.shape
         assert_array_equal(out, want)
         assert out.tobytes() == want.tobytes()  # signs of zero too
-        assert len(cache) == (3 if shared else 2) and cache[0] is x and cache[1] is k
+        assert len(cache) == 2 and cache[0] is x and cache[1] is k  # never a patch matrix
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_slot_patch_rows_follow_the_pool_windows(self, rng, channels):
+        """Slot-major patches hold the rows of the cropped 2·ho x 2·wo
+        outputs, sample by sample in (r, q, i, j) order for the output pixel
+        (2i + r, 2j + q), in the layout the channel count picks."""
+        x = rng.normal(size=(2, 7, 8, channels))  # 5x7 outputs: ho, wo = 2, 3
+        p = conv2d_patches(x, 3, 2, slots=True)
+        assert p.shape == (2 * 4 * 2 * 3, 3 * 2 * channels)
+        assert p.T.flags.c_contiguous is (channels == 1)
+        full = conv2d_patches(x, 3, 2).reshape(2, 5, 7, -1)
+        want = [full[n, 2 * i + r, 2 * j + q] for n in range(2) for r in (0, 1) for q in (0, 1)
+                for i in range(2) for j in range(3)]
+        assert_array_equal(p, want)
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 65])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((28, 28, 1), (5, 5, 1, 8)),    # 24x24 outputs, kernel-major patches
+        ((12, 12, 8), (4, 4, 8, 16)),   # 9x9, row-major: the pool drops a row and a column
+        ((16, 16, 1), (3, 3, 1, 4)),    # 14x14, kernel-major
+        ((9, 10, 2), (3, 3, 2, 3)),     # 7x8, row-major: odd by even
+    ], ids=["5x5x1x8", "4x4x8x16", "3x3x1x4", "odd-by-even"])
+    def test_slots_are_the_pooled_outputs_regrouped_to_the_bit(self, rng, x_shape, k_shape,
+                                                                 shared, batch):
+        """The slot-major forward computes each output the pool reads as the
+        same dot product, so it is the spec-order output, cropped and
+        regrouped, to the bit."""
+        x = rng.normal(size=(batch, *x_shape))
+        k = rng.normal(size=k_shape)
+        b = rng.normal(size=k_shape[-1])
+        p = conv2d_patches(x, *k_shape[:2], slots=True) if shared else None
+        out, cache = conv2d_forward(x, k, b, p, slots=True)
+        want = conv2d_per_row(x, k, b)
+        _, ho, wo, m = want.shape
+        ho, wo = ho // 2, wo // 2
+        want = want[:, : 2 * ho, : 2 * wo].reshape(batch, ho, 2, wo, 2, m)
+        assert_bits_equal(out, want.transpose(0, 2, 4, 1, 3, 5))
+        assert len(cache) == 2 and cache[0] is x and cache[1] is k
+        bare, _ = conv2d_forward(x, k, None, p, slots=True)  # the product alone
+        assert_bits_equal(bare + bias_tile(b, bare.shape[1:]), out)
 
     def test_kernel_larger_than_input(self, rng):
         with pytest.raises(ValueError):
@@ -256,6 +298,28 @@ class TestMaxPool:
                         want_g[n, r, q, c] = co[n, i, j, c]
         assert_array_equal(out, want_out)
         assert_array_equal(g, want_g)
+
+    @pytest.mark.parametrize("shape", [(3, 6, 8, 2), (2, 7, 5, 3), (64, 24, 24, 8)],
+                             ids=["even", "odd", "demo04"])
+    def test_slot_major_input_gives_the_spec_layout_bits(self, rng, shape):
+        """A slot-major input pools to the bits of the same values in the
+        spec layout, and its gradient, scattered into that layout, routes to
+        the same winners: exact ties across slots, and -0.0 against +0.0,
+        included."""
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape)
+        b, h, w, c = shape
+        ho, wo = h // 2, w // 2
+        slots = x[:, : 2 * ho, : 2 * wo].reshape(b, ho, 2, wo, 2, c).transpose(0, 2, 4, 1, 3, 5)
+        out, cache = maxpool2_forward(x)
+        got, slot_cache = maxpool2_forward(np.ascontiguousarray(slots))
+        assert np.signbit(out[out == 0]).any() and not np.signbit(out[out == 0]).all()
+        assert_bits_equal(got, out)
+        co = rng.normal(size=out.shape)
+        co[co > 1.0] = -0.0
+        want = maxpool2_backward(co, cache)
+        assert_bits_equal(maxpool2_backward(co, slot_cache, x.shape), want)
+        if (h, w) == (2 * ho, 2 * wo):  # the default shape is the cropped one
+            assert_bits_equal(maxpool2_backward(co, slot_cache), want)
 
 
 class TestActivations:

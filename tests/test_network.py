@@ -13,6 +13,7 @@ from dmtrl.network import (
     MultiTaskNetwork,
     NetworkSpec,
     SharingMode,
+    _ConvPool,
     build_network,
     count_parameters,
 )
@@ -115,6 +116,8 @@ KIND_CASES = {  # a kind and the shape of one sample it takes
     "conv-kernel-major": (Conv(3, 3, 1, 4), (7, 6, 1)),    # one input channel
     "pool-even": (MaxPool(), (6, 8, 3)),
     "pool-odd": (MaxPool(), (7, 5, 2)),
+    "conv-pool": (_ConvPool(3, 2, 2, 5), (7, 6, 2)),       # a plan-only step: 5x5 pooled
+    "conv-pool-kernel-major": (_ConvPool(3, 3, 1, 4), (8, 7, 1)),
     "relu": (Activation("relu"), (4, 5, 2)),
     "tanh": (Activation("tanh"), (3,)),
 }
@@ -610,17 +613,37 @@ class TestTape:
         net.forward(3, rng.random((64, 28, 28, 1)))
         assert self._tape_bytes(net) <= 4.5 * 2 ** 20
 
+    def test_no_tape_entry_holds_a_patch_matrix(self, rng):
+        """A forward through the cycle's binding keeps what a plain forward
+        keeps: the binding's patch matrix (7.03 MiB for this first conv at
+        batch 64) is slot-major, and the kernel gradient builds its own."""
+        spec = NetworkSpec((28, 28, 1), [LayerSpec(k, I if k.parametrised else None) for k in
+                                         BLOCK_SPECS["24x24-9x9"][1]], 2)
+        net = build_network(spec, PlainRandom(), 0)
+        x = rng.random((64, 28, 28, 1))
+        net.forward(0, x)
+        plain = self._tape_bytes(net)
+        net.forward(1, x, net.bind(x))
+        assert self._tape_bytes(net) == plain < 4.0 * 2 ** 20
+        for kind, layer, cache in net._tape[1]:
+            if isinstance(kind, Conv):  # input, kernel, bias and slot-major product
+                assert [a.ndim for a in cache] == [4, 4, 1, 6]
+
     def test_pool_caches_the_conv_output_and_the_relu_the_next_input(self, rng):
         net = build_network(conv_spec(I), PlainRandom(), 0)
         x = rng.normal(size=(4, 8, 8, 1))
-        net.forward(0, x)
-        (conv_kind, _, conv), (pool_kind, _, pool), (relu_kind, _, relu), (_, _, fc) = net._tape[1]
-        assert (conv_kind, pool_kind, relu_kind) == (Conv(3, 3, 1, 2), MaxPool(),
-                                                     Activation("relu"))
-        assert conv[0] is x and len(conv) == 2  # the plain forward keeps no patch matrix
-        assert pool[0].shape == (4, 6, 6, 2)  # the conv output, before any relu
-        assert relu[0].shape == (4, 3, 3, 2) and relu[0].min() >= 0.0
-        assert fc[0] is relu[0]  # the fc input is the relu output, cached unflattened
+        for first in (None, net.bind(x)):
+            net.forward(0, x, first)
+            (block_kind, _, block), (relu_kind, _, relu), (_, _, fc) = net._tape[1]
+            assert (block_kind, relu_kind) == (_ConvPool(3, 3, 1, 2), Activation("relu"))
+            x_cached, k, b, z = block  # no patch matrix, bound or not
+            assert x_cached is x and k.shape == (3, 3, 1, 2)
+            assert b is net.param_layers[0].bias_for(0)
+            assert z.shape == (4, 2, 2, 3, 3, 2) and z.flags.c_contiguous  # slot-major, bias-free
+            want, _ = conv2d_forward(x, k, b)
+            assert_bits_equal((z + b).transpose(0, 3, 1, 4, 2, 5).reshape(4, 6, 6, 2), want)
+            assert relu[0].shape == (4, 3, 3, 2) and relu[0].min() >= 0.0
+            assert fc[0] is relu[0]  # the fc input is the relu output, cached unflattened
 
 
 def plan_spec(mode, tasks=3):
@@ -652,7 +675,7 @@ class TestExecutionPlan:
     @pytest.mark.parametrize("mode", list(SharingMode), ids=[m.value for m in SharingMode])
     def test_bit_equal_to_spec_order(self, rng, mode, active):
         net = build_network(plan_spec(mode), RandomDecompose(0.3), 4)
-        assert [type(k) for k, _ in net._plan[:3]] == [Conv, MaxPool, Activation]
+        assert [type(k) for k, _ in net._plan[:3]] == [_ConvPool, Activation, _ConvPool]
         task, x = 2, with_zeros(rng, (6, 10, 10, 1))
         want_out, tape = spec_order_forward(net, task, x)
         out = net.forward(task, x)
@@ -688,8 +711,8 @@ class TestExecutionPlan:
         spec = NetworkSpec((8, 8, 1), [LayerSpec(Conv(3, 3, 1, 2), I), LayerSpec(Activation(fn)),
                                        LayerSpec(MaxPool()), LayerSpec(FC(18, 3), I)], 2)
         net = build_network(spec, PlainRandom(), 0)
-        order = ([Conv(3, 3, 1, 2), MaxPool(), Activation("relu"), FC(18, 3)] if fn == "relu"
-                 else [ls.kind for ls in spec.layers])
+        order = ([_ConvPool(3, 3, 1, 2), Activation("relu"), FC(18, 3)] if fn == "relu"
+                 else [ls.kind for ls in spec.layers])  # a tanh keeps the standalone pool
         assert [k for k, _ in net._plan] == order
         x = with_zeros(rng, (5, 8, 8, 1))
         want_out, _ = spec_order_forward(net, 1, x)
@@ -699,7 +722,7 @@ class TestExecutionPlan:
         spec = NetworkSpec((8, 8, 1), [LayerSpec(Conv(3, 3, 1, 2), TUK),
                                        LayerSpec(Activation("relu")), LayerSpec(MaxPool())], 2)
         net = build_network(spec, RandomDecompose(0.3), 1)
-        assert [type(k) for k, _ in net._plan] == [Conv, MaxPool, Activation]
+        assert [type(k) for k, _ in net._plan] == [_ConvPool, Activation]
         x = with_zeros(rng, (4, 8, 8, 1))
         want_out, tape = spec_order_forward(net, 0, x)
         out = net.forward(0, x)
@@ -721,6 +744,88 @@ class TestExecutionPlan:
             for t, out in zip(tasks, net.predict_tasks(x, tasks)):
                 assert_bits_equal(out, net.forward(t, x))
                 assert_bits_equal(out, spec_order_forward(net, t, x)[0])
+
+
+BLOCK_SPECS = {  # input shape and layers; the conv outputs each block's pool reads
+    "24x24-9x9": ((28, 28, 1), [Conv(5, 5, 1, 8), Activation("relu"), MaxPool(),
+                                Conv(4, 4, 8, 16), Activation("relu"), MaxPool(), FC(256, 3)]),
+    "14x14": ((16, 16, 1), [Conv(3, 3, 1, 4), Activation("relu"), MaxPool(), FC(196, 3)]),
+    "7x8": ((9, 10, 2), [Conv(3, 3, 2, 3), Activation("relu"), MaxPool(), FC(36, 3)]),
+}
+
+
+class TestConvPoolBlock:
+    """A conv followed by a 2x2 pool runs as one plan step that computes
+    only the outputs the pool reads, slot-major, and gives the spec order's
+    outputs and gradients to the bit: even and odd conv outputs, odd by
+    even, batches around the 64-row block, the whole-batch and the
+    restricted backward, and zero ties from the zero input block."""
+
+    @pytest.mark.parametrize("backward", ["whole", "restricted"])
+    @pytest.mark.parametrize("batch", [1, 7, 64, 65])
+    @pytest.mark.parametrize("spec_name", list(BLOCK_SPECS))
+    @pytest.mark.parametrize("mode", list(SharingMode), ids=[m.value for m in SharingMode])
+    def test_bit_equal_to_spec_order(self, rng, mode, spec_name, batch, backward):
+        shape, kinds = BLOCK_SPECS[spec_name]
+        spec = NetworkSpec(shape, [LayerSpec(k, mode if k.parametrised else None) for k in kinds],
+                           2)
+        net = build_network(spec, RandomDecompose(0.3), 3)
+        assert _ConvPool in [type(k) for k, _ in net._plan]
+        assert not {MaxPool, Conv} & {type(k) for k, _ in net._plan}
+        x = with_zeros(rng, (batch, *shape))
+        want_out, tape = spec_order_forward(net, 1, x)
+        first = net.bind(x)
+        assert_bits_equal(net.predict_tasks(x, [1])[0], want_out)
+        assert_bits_equal(net.forward(1, x, first), want_out)
+        g = rng.normal(size=want_out.shape)
+        if backward == "restricted":
+            g[::2] = 0.0
+        net.backward(1, g)
+        _, want = spec_order_backward(tape, g)
+        for i, layer in net.param_layers.items():
+            slot = layer.storage.slot(1)
+            assert (slot in layer._gw) == (i in want)
+            if i in want:
+                assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
+                assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
+
+    @staticmethod
+    def _assert_step_is_the_conv_then_the_pool(rng, conv, x, k, b):
+        block = _ConvPool(conv.h, conv.w, conv.in_ch, conv.out_ch)
+        y, conv_cache = conv.forward(x, k, b)
+        want, pool_cache = MaxPool().forward(y)
+        out, cache = block.forward(x, k, b)
+        assert_bits_equal(out, want)
+        g = rng.normal(size=out.shape)
+        (g_y,) = MaxPool().backward(g, pool_cache, True)
+        for got, expected in zip(block.backward(g, cache, True),
+                                 conv.backward(g_y, conv_cache, True)):
+            assert_bits_equal(got, expected)
+
+    @pytest.mark.parametrize("bias", [[0.0, -0.0], [-0.0, 0.0], [1e16, -3.0], [-1e16, 0.5]],
+                             ids=["zeros", "negative-zeros", "large", "large-negative"])
+    def test_bias_added_after_the_pool_keeps_every_bit(self, rng, bias):
+        """Rounding is monotone, so a window's largest z + b is its largest z
+        plus b: the step adds the bias to the pooled output and gives the
+        spec's bits, zeros of both signs and sums that round to a tie (1e16
+        + 1 == 1e16) included; backward finds the winners in z + b."""
+        x = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0], size=(9, 6, 7, 1))
+        # a 1x1 kernel of ones: the product z is x in both channels
+        self._assert_step_is_the_conv_then_the_pool(rng, Conv(1, 1, 1, 2), x,
+                                                    np.ones((1, 1, 1, 2)), np.array(bias))
+
+    @pytest.mark.parametrize("shape, conv", [
+        ((12, 12, 8), Conv(4, 4, 8, 16)),  # 9x9 outputs, row-major patches
+        ((9, 10, 2), Conv(3, 3, 2, 3)),    # 7x8
+        ((8, 8, 1), Conv(3, 3, 1, 2)),     # 6x6, kernel-major patches
+    ], ids=["9x9", "7x8", "6x6"])
+    def test_step_is_the_conv_then_the_pool_to_the_bit(self, rng, shape, conv):
+        """The step's output and its input, kernel and bias gradients are the
+        spec kinds' run one after the other; the input gradient is zero in
+        the row and column the pool drops."""
+        self._assert_step_is_the_conv_then_the_pool(
+            rng, conv, with_zeros(rng, (7, *shape)), rng.normal(size=conv.weight_shape()),
+            np.zeros(conv.out_ch))
 
 
 class TestRestrictedBackward:
@@ -769,10 +874,10 @@ class TestRestrictedBackward:
             seen.append(("conv", len(grad_out), len(x)))
             return real_conv(grad_out, cache, need_grad_x=need_grad_x)
 
-        def pool(grad_out, cache):
-            (x,) = cache
-            seen.append(("pool", len(grad_out), len(x)))
-            return real_pool(grad_out, cache)
+        def pool(grad_out, cache, shape=None):
+            (y,) = cache  # the conv output, slot-major
+            seen.append(("pool", len(grad_out), len(y)))
+            return real_pool(grad_out, cache, shape)
 
         monkeypatch.setattr(layers_module, "conv2d_backward", conv)
         monkeypatch.setattr(layers_module, "maxpool2_backward", pool)
@@ -833,13 +938,13 @@ class TestRestrictedBackward:
 
     def test_hinge_training_runs_repeat_bit_for_bit(self, rng, monkeypatch):
         takes = []
-        real_take = MaxPool.take
+        real_take = _ConvPool.take
 
         def counting(kind, cache, rows, memo):
             takes.append(len(rows))
             return real_take(kind, cache, rows, memo)
 
-        monkeypatch.setattr(MaxPool, "take", counting)
+        monkeypatch.setattr(_ConvPool, "take", counting)
         x = rng.normal(size=(24, 8, 8, 1))
         datasets = [TaskDataset(t, x, np.where(x[:, 2 + t, 3, 0] > 0, 1, -1)) for t in range(2)]
         cfg = TrainConfig(epochs=6, batch_size=8, seed=3, lr=0.05)

@@ -546,10 +546,10 @@ class TestCycleBinding:
         in_backward = []
         real_patches, real_backward = layers_module.conv2d_patches, layers_module.conv2d_backward
 
-        def patches(x, hk, wk):
+        def patches(x, hk, wk, slots=False):
             if x.shape[-1] == 1:
                 built["backward" if in_backward else "forward"] += 1
-            return real_patches(x, hk, wk)
+            return real_patches(x, hk, wk, slots)
 
         def backward(*args, **kwargs):
             in_backward.append(True)
@@ -582,7 +582,10 @@ class TestCycleBinding:
         for name in want:
             assert_bits_equal(got[name], want[name], name)
 
-    def test_dense_kernel_gradient_reads_the_bound_patches(self, monkeypatch, rng):
+    def test_dense_backward_builds_its_own_spec_order_patches(self, monkeypatch, rng):
+        """The cycle's binding builds slot-major patches for the fused first
+        conv and pool; the tape keeps none, so a backward over the whole
+        batch builds the spec-order rows its kernel gradient sums."""
         tasks, spec = heterogeneous_case(False)
         net = build_network(spec, RandomDecompose(0.3), 8)
         x = tasks[1].inputs[:12]
@@ -595,7 +598,7 @@ class TestCycleBinding:
         out = net.forward(1, x, first)
         assert_bits_equal(out, want_out)
         net.backward(1, g)
-        assert built == {"forward": 1, "backward": 0}
+        assert built == {"forward": 1, "backward": 1}
         for i, layer in net.param_layers.items():
             slot = layer.storage.slot(1)
             assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
