@@ -10,11 +10,16 @@ everything.  Repeat r derives its seed as ``train.seed + r``; given the same
 config, outputs are bit-identical across runs (wall times live only in the
 JSON logs, never in the CSV).
 
+The ``data`` object's fields and defaults are its source's entry of
+``data.SOURCES``.  Every corpus a command builds must fit the network
+(:func:`_fit`) before any layer runs.
+
 One command computes each input its cells share once and hands it to every
-cell that needs it: the train pool (the synthetic digit pool or the IDX
-train set) and the evaluation payload once per command, and per (fraction,
-repeat) the sampled train tasks and the ``pretrain_stl`` network that every
-STL-initialised cell with a softly shared layer factorises.  A sweep runs
+cell that needs it: the train pool (a source's train corpus, unless the
+source draws one per run) and the evaluation payload once per command, and
+per (fraction, repeat) the sampled train tasks and the ``pretrain_stl``
+network that every STL-initialised cell with a softly shared layer
+factorises.  A sweep runs
 the cells of one (fraction, repeat) together and drops what they share after
 the last of them, so it holds one such group's inputs at a time per worker.
 
@@ -52,13 +57,13 @@ from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_a
 from .checkpoint import load_network, save_network, write_atomic
 from .config import ConfigError, ExperimentConfig, load_config, parse_data
 from .data import (
+    SOURCES,
+    LabeledImages,
     OneVsAllSuite,
     as_multiclass,
-    load_idx,
+    build_corpus,
     make_suite,
     sample_fraction,
-    synth_digits,
-    synth_heterogeneous,
 )
 from .network import build_network
 from .training import (
@@ -71,102 +76,62 @@ from .training import (
     train,
 )
 
-# pool seeds for synthetic corpora; repeats resample *subsets*, not the pool
-_TRAIN_POOL_SEED = 1009
-_TEST_POOL_SEED = 2003
-
 
 def _float17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _fit_heads(tasks, head_dims):
-    """Align task label structure with the configured head widths."""
-    if head_dims is None:
-        return tasks
-    out = []
-    for t, ds in enumerate(tasks):
-        width = head_dims[t]
-        if ds.binary and width == 2:
-            ds = as_multiclass(ds)
-        elif ds.binary and width != 1:
-            raise ConfigError(f"task {t}: binary labels need head width 1 or 2, got {width}")
-        elif not ds.binary and ds.n_classes != width:
-            raise ConfigError(
-                f"task {t}: {ds.n_classes} classes but head width {width}"
-            )
-        out.append(ds)
-    return out
+def _fit(corpus, split: str, spec):
+    """``corpus`` checked against the network ``spec`` (None checks nothing):
+    the spec's input shape, one dataset per task (a pool one per class), and
+    head widths that suit the labels: 1 for a one-vs-all task, the class
+    count for a multi-class task, 1 or 2 for a binary task (a 2-wide head
+    reads it as two classes).  A misfit raises ConfigError naming both."""
+    if spec is None:
+        return corpus
+    pool = isinstance(corpus, LabeledImages)
+    shape = corpus.images.shape[1:] + (1,) if pool else corpus[0].inputs.shape[1:]
+    if shape != tuple(spec.input_shape):
+        raise ConfigError(f"the {split} images have shape {shape}, "
+                          f"the network's input_shape is {tuple(spec.input_shape)}")
+    count = corpus.n_classes if pool else len(corpus)
+    if count != spec.tasks:
+        raise ConfigError(f"the {split} data holds {count} tasks, the network has {spec.tasks}")
+    if spec.head_dims is None:
+        return corpus
+    for t, width in enumerate(spec.head_dims):
+        classes = None if pool else corpus[t].n_classes
+        fits = (1,) if pool else (1, 2) if classes is None else (classes,)
+        if width not in fits:
+            raise ConfigError(f"task {t}: head_dims gives width {width}, its labels "
+                              f"need {' or '.join(map(str, fits))}")
+    return corpus if pool else [as_multiclass(ds) if width == 2 else ds
+                                for ds, width in zip(corpus, spec.head_dims)]
 
 
-def _digit_pool(data, split: str):
-    """The synthetic digit pool of one split ("train" or "test")."""
-    cs = int(data.get("class_seed", 11))
-    if split == "train":
-        seed, n = _TRAIN_POOL_SEED + cs, int(data.get("n_train", 60000))
-    else:
-        seed, n = _TEST_POOL_SEED + cs, int(data.get("n_test", 2000))
-    return synth_digits(seed, n, noise=float(data.get("noise", 0.35)),
-                        jitter=int(data.get("jitter", 3)), class_seed=cs)
+def train_pool(data: dict, spec=None, seed=None):
+    """The train corpus, checked against ``spec`` by :func:`_fit`: the one
+    every cell of a command samples its tasks from, or None without the run
+    ``seed`` for a source that draws its train corpus per run."""
+    if seed is None and SOURCES[data["source"]].per_run:
+        return None
+    return _fit(build_corpus(data, "train", seed), "train", spec)
 
 
-def _idx_corpus(data: dict, split: str, input_shape):
-    """The IDX corpus of ``split``; with ``input_shape`` given, its images
-    must be that (H, W, 1) shape, so a corpus the network cannot take fails
-    here rather than inside a layer."""
-    pool = load_idx(data[f"{split}_images"], data[f"{split}_labels"])
-    shape = pool.images.shape[1:] + (1,)
-    if input_shape is not None and shape != tuple(input_shape):
-        raise ConfigError(f"the {split} IDX images have shape {shape}, "
-                          f"the config's input_shape is {tuple(input_shape)}")
-    return pool
-
-
-def train_pool(data: dict, input_shape=None):
-    """The corpus every cell of a command samples its train tasks from, or
-    None for the heterogeneous source, which generates each run's data from
-    the run seed.  An IDX corpus is checked against ``input_shape``."""
-    source = data["source"]
-    if source == "idx":
-        return _idx_corpus(data, "train", input_shape)
-    if source == "synthetic_digits":
-        return _digit_pool(data, "train")
-    return None
-
-
-def build_train_tasks(data: dict, fraction: float, seed: int, head_dims=None, pool=None):
+def build_train_tasks(data: dict, fraction: float, seed: int, spec=None, pool=None):
     """Training task datasets for one run cell; ``pool`` is
     :func:`train_pool`'s corpus when the caller holds it already."""
-    if data["source"] != "synthetic_heterogeneous":
-        pool = train_pool(data) if pool is None else pool
-        return make_suite(sample_fraction(pool, fraction, seed)).tasks
-    binary, multi = synth_heterogeneous(
-        _TRAIN_POOL_SEED + seed,
-        int(data.get("n_train_per_task", 600)),
-        noise=float(data.get("noise", 0.08)),
-        class_seed=int(data.get("class_seed", 7)),
-    )
-    tasks = [binary, multi]
-    if fraction < 1.0:
-        tasks = [sample_fraction(t, fraction, seed) for t in tasks]
-    return _fit_heads(tasks, head_dims)
+    corpus = train_pool(data, spec, seed) if pool is None else pool
+    if isinstance(corpus, LabeledImages):
+        return make_suite(sample_fraction(corpus, fraction, seed)).tasks
+    return [sample_fraction(ds, fraction, seed) for ds in corpus]
 
 
-def build_eval_payload(data: dict, head_dims=None, input_shape=None):
-    """Evaluation datasets: a one-vs-all suite or a plain task list.  An IDX
-    corpus is checked against ``input_shape``."""
-    source = data["source"]
-    if source == "idx":
-        return make_suite(_idx_corpus(data, "test", input_shape), split="test")
-    if source == "synthetic_digits":
-        return make_suite(_digit_pool(data, "test"), split="test")
-    binary, multi = synth_heterogeneous(
-        _TEST_POOL_SEED,
-        int(data.get("n_test_per_task", 512)),
-        noise=float(data.get("noise", 0.08)),
-        class_seed=int(data.get("class_seed", 7)),
-    )
-    return _fit_heads([binary, multi], head_dims)
+def build_eval_payload(data: dict, spec=None):
+    """Evaluation datasets checked against ``spec``: a pool's one-vs-all
+    suite, or a plain task list."""
+    corpus = _fit(build_corpus(data, "test"), "test", spec)
+    return make_suite(corpus, split="test") if isinstance(corpus, LabeledImages) else corpus
 
 
 class _Shared:
@@ -231,9 +196,9 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
     shared = _Shared() if shared is None else shared
     run_seed = cfg.train.seed + repeat
     spec = cfg.network_spec(sharing)
-    pool, _ = shared.get("pool", lambda: train_pool(cfg.data, cfg.input_shape))
+    pool, _ = shared.get("pool", lambda: train_pool(cfg.data, spec))
     tasks, _ = shared.get(("tasks", fraction, repeat), lambda: build_train_tasks(
-        cfg.data, fraction, run_seed, cfg.head_dims, pool))
+        cfg.data, fraction, run_seed, spec, pool))
     train_cfg = replace(cfg.train, seed=run_seed)
     started = time.perf_counter()
     pretrain = None
@@ -346,9 +311,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net, manifest = load_network(args.checkpoint)
-    data = _load_data_spec(args.data)
-    head_dims = manifest["spec"].get("head_dims")
-    payload = build_eval_payload(data, head_dims, net.spec.input_shape)
+    payload = build_eval_payload(_load_data_spec(args.data), net.spec)
     write_csv(args.out, eval_rows(net, manifest, payload))
     return 0
 
@@ -379,8 +342,7 @@ def cmd_sweep(args) -> int:
         label = preset if isinstance(preset, str) else "custom"
         info = run_cell(cfg, preset, label, fraction, rep, args.out, shared)
         net, manifest = load_network(info["checkpoint"])
-        payload, _ = shared.get("payload", lambda: build_eval_payload(
-            cfg.data, cfg.head_dims, cfg.input_shape))
+        payload, _ = shared.get("payload", lambda: build_eval_payload(cfg.data, net.spec))
         rows = eval_rows(net, manifest, payload)
         rho = None
         if any(layer.mode.soft for layer in net.param_layers.values()):

@@ -22,6 +22,10 @@ A layer object's ``kind`` is a ``network.KINDS`` tag and its other fields
 are that kind's integer fields (an activation's ``fn`` is the tag itself).
 Manifests read their network spec through :func:`spec_from_json`, with the
 same checks as a config.
+
+A ``data`` object's fields and defaults are its source's entry of
+``data.SOURCES``.  Whether the data fits the network is known only once
+``dmtrl.cli`` builds it, so it is checked there.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
+from .data import SOURCES
 from .network import KINDS, LayerSpec, NetworkSpec, SharingMode
 from .training import PlainRandom, RandomDecompose, StlInit, TrainConfig
 
@@ -200,8 +205,7 @@ def _parse_init(obj: dict):
 # JSON integer, a float any number; the other fields are strings
 _LEAST = {"batch_size": 1, "epochs": 0, "seed": 0, "n_train": 1, "n_test": 1,
           "jitter": 0, "class_seed": 0, "n_train_per_task": 8, "n_test_per_task": 8,
-          "noise": 0.0, "lr": 0.0, "momentum": 0.0, "beta1": 0.0, "beta2": 0.0,
-          "adam_eps": 0.0}
+          "noise": 0.0, "lr": 0.0, "beta1": 0.0, "beta2": 0.0, "adam_eps": 0.0}
 
 
 def _check_values(obj: dict, where: str) -> dict:
@@ -217,9 +221,7 @@ def _check_values(obj: dict, where: str) -> dict:
 
 
 def _parse_train(obj: dict) -> TrainConfig:
-    allowed = ("optimizer", "lr", "momentum", "beta1", "beta2", "adam_eps",
-               "batch_size", "epochs", "seed")
-    _require_keys(obj, "train", (), allowed)
+    _require_keys(obj, "train", (), [f.name for f in fields(TrainConfig)])
     _check_values(obj, "train")
     try:
         return TrainConfig(**obj)
@@ -227,19 +229,11 @@ def _parse_train(obj: dict) -> TrainConfig:
         raise ConfigError(f"bad train settings: {e}")
 
 
-_DATA_FIELDS = {
-    "idx": (("source", "train_images", "train_labels", "test_images", "test_labels"), ()),
-    "synthetic_digits": (("source",),
-                         ("n_train", "n_test", "noise", "jitter", "class_seed")),
-    "synthetic_heterogeneous": (("source",),
-                                ("n_train_per_task", "n_test_per_task", "noise", "class_seed")),
-}
-
-
 def parse_data(obj) -> dict:
-    """A ``data`` object, read strictly (also by ``dmtrl eval --data``)."""
-    required, optional = _DATA_FIELDS[_tag(obj, "source", _DATA_FIELDS, "data")]
-    _require_keys(obj, "data", required, optional)
+    """A ``data`` object, read strictly against its ``data.SOURCES`` entry
+    (also by ``dmtrl eval --data``)."""
+    source = SOURCES[_tag(obj, "source", SOURCES, "data")]
+    _require_keys(obj, "data", ("source", *source.required), source.defaults)
     return dict(_check_values(obj, "data"))
 
 

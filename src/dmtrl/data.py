@@ -5,7 +5,7 @@ IDX container format), and converted to float64 inputs in [0, 1] when task
 datasets are built.  Two deterministic synthetic generators provide
 desk-scale corpora: a ten-class digit-style image set for one-vs-all task
 suites and a two-task set (binary + eight-class) over shared inputs for
-heterogeneous experiments.
+heterogeneous experiments.  :data:`SOURCES` builds a config's corpora.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "IdxError", "load_idx", "write_idx",
     "make_suite", "sample_fraction", "as_multiclass",
     "synth_heterogeneous", "heterogeneous_prototypes", "synth_digits",
+    "Source", "SOURCES", "build_corpus",
 ]
 
 IMAGE_MAGIC = 0x00000803
@@ -336,3 +337,60 @@ def synth_digits(seed: int, n: int, noise: float = 0.25, jitter: int = 3,
         base += rng.normal(scale=noise, size=base.shape)
         images[lo:hi] = _quantise(base)
     return LabeledImages(images, cls, 10)
+
+
+# pool seeds of the synthetic corpora: a repeat resamples a subset of its
+# split's corpus, not the corpus
+TRAIN_POOL_SEED = 1009
+TEST_POOL_SEED = 2003
+
+
+class Source:
+    """A data source: the fields its ``data`` object must give besides
+    ``source``, the optional ones with their defaults, ``build(fields,
+    split, run seed)`` for a split's corpus, and whether the train corpus is
+    drawn per run."""
+
+    def __init__(self, required: tuple, defaults: dict, build, per_run: bool = False):
+        self.required, self.defaults, self.build, self.per_run = required, defaults, build, per_run
+
+
+def _idx_corpus(data: dict, split: str, seed) -> LabeledImages:
+    return load_idx(data[f"{split}_images"], data[f"{split}_labels"])
+
+
+def _digit_corpus(data: dict, split: str, seed) -> LabeledImages:
+    cs = data["class_seed"]
+    pool_seed = (TRAIN_POOL_SEED if split == "train" else TEST_POOL_SEED) + cs
+    return synth_digits(pool_seed, data[f"n_{split}"], noise=float(data["noise"]),
+                        jitter=data["jitter"], class_seed=cs)
+
+
+def _heterogeneous_corpus(data: dict, split: str, seed) -> list:
+    pool_seed = TRAIN_POOL_SEED + seed if split == "train" else TEST_POOL_SEED
+    return list(synth_heterogeneous(pool_seed, data[f"n_{split}_per_task"],
+                                    noise=float(data["noise"]), class_seed=data["class_seed"]))
+
+
+# The sources a ``data`` object may name, each building a "train" and a
+# "test" corpus: ``idx`` reads an IDX image and label file per split;
+# ``synthetic_digits`` draws 28x28 ten-class pools; a pool
+# (:class:`LabeledImages`) gives one one-vs-all task per class.
+# ``synthetic_heterogeneous`` draws task pairs over 16x16 images, a binary
+# task and an 8-class one.
+SOURCES = {
+    "idx": Source(("train_images", "train_labels", "test_images", "test_labels"), {},
+                  _idx_corpus),
+    "synthetic_digits": Source(
+        (), {"n_train": 60000, "n_test": 2000, "noise": 0.35, "jitter": 3, "class_seed": 11},
+        _digit_corpus),
+    "synthetic_heterogeneous": Source(
+        (), {"n_train_per_task": 600, "n_test_per_task": 512, "noise": 0.08, "class_seed": 7},
+        _heterogeneous_corpus, per_run=True),
+}
+
+
+def build_corpus(data: dict, split: str, seed: int | None = None):
+    """The ``split`` corpus of a ``data`` object, for the run ``seed``."""
+    source = SOURCES[data["source"]]
+    return source.build({**source.defaults, **data}, split, seed)

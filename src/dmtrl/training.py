@@ -128,9 +128,8 @@ def _check_epsilon(epsilon):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"      # "sgd" | "momentum" | "adam"
+    optimizer: str = "adam"      # "sgd" | "adam"
     lr: float = 1e-3
-    momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -139,7 +138,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "momentum", "adam"):
+        if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size and epochs must be non-negative")
@@ -160,21 +159,6 @@ class _Sgd:
     def step(self, params, grads):
         for name, p in params.items():
             p -= self.lr * grads[name]
-
-
-class _Momentum:
-    def __init__(self, cfg):
-        self.lr, self.mu = cfg.lr, cfg.momentum
-        self.v = {}
-
-    def step(self, params, grads):
-        for name, p in params.items():
-            v = self.v.get(name)
-            if v is None:
-                v = self.v[name] = np.zeros_like(p)
-            v *= self.mu
-            v += grads[name]
-            p -= self.lr * v
 
 
 class _Adam:
@@ -221,7 +205,7 @@ class _Adam:
 
 
 def make_optimizer(cfg: TrainConfig):
-    return {"sgd": _Sgd, "momentum": _Momentum, "adam": _Adam}[cfg.optimizer](cfg)
+    return {"sgd": _Sgd, "adam": _Adam}[cfg.optimizer](cfg)
 
 
 def _error(out: np.ndarray, labels: np.ndarray, binary: bool) -> float:
@@ -350,6 +334,8 @@ def _score(net: MultiTaskNetwork, datasets) -> tuple:
     :func:`_error`.  Tasks reading the same array are scored together,
     ``EVAL_BLOCK`` rows per
     :meth:`~dmtrl.network.MultiTaskNetwork.predict_tasks` call."""
+    if len(datasets) != net.tasks:
+        raise ValueError(f"{net.tasks} tasks but {len(datasets)} datasets")
     groups = {}
     for t, ds in enumerate(datasets):
         if len(ds) == 0:
@@ -373,8 +359,6 @@ def evaluate_tasks(net: MultiTaskNetwork, datasets):
 def evaluate_suite(net: MultiTaskNetwork, suite: OneVsAllSuite) -> dict:
     """Binary error per task, their mean, and the ranking multi-class error:
     each source image goes to the task with the highest score."""
-    if len(suite.tasks) != net.tasks:
-        raise ValueError(f"{net.tasks} tasks but a suite of {len(suite.tasks)}")
     outs, per_task = _score(net, suite.tasks)
     scores = np.column_stack([out[:, 0] for out in outs])
     return {

@@ -441,6 +441,28 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     return path
 
 
+ARCH_16 = [
+    {"kind": "conv", "h": 5, "w": 5, "in_ch": 1, "out_ch": 2},
+    {"kind": "relu"},
+    {"kind": "maxpool"},
+    {"kind": "fc", "d_in": 72, "d_out": 1},
+]
+HETERO = {"source": "synthetic_heterogeneous", "n_train_per_task": 16, "n_test_per_task": 16}
+# config overrides whose data does not fit the network, and the values the
+# error names; the IDX case writes its files first
+MISFITS = {
+    "idx": (None, ["(16, 16, 1)", "(28, 28, 1)"]),
+    "digits_16x16": ({"input_shape": [16, 16, 1], "architecture": ARCH_16},
+                     ["(28, 28, 1)", "(16, 16, 1)"]),
+    "hetero_28x28": ({"tasks": 2, "head_dims": [1, 8], "data": HETERO},
+                     ["(16, 16, 1)", "(28, 28, 1)"]),
+    "hetero_3_tasks": ({"tasks": 3, "input_shape": [16, 16, 1], "architecture": ARCH_16,
+                        "data": HETERO}, ["holds 2 tasks", "has 3"]),
+    "digits_5_tasks": ({"tasks": 5}, ["holds 10 tasks", "has 5"]),
+    "digits_2_wide": ({"head_dims": [2] * 10}, ["width 2", "need 1"]),
+}
+
+
 class TestConfigParsing:
     def test_valid_config_parses(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -636,41 +658,46 @@ class TestCliCommands:
         assert record["error"] == "ConfigError"
         assert "n_test" in record["message"]
 
-    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    @pytest.mark.parametrize("command, case", [
+        pytest.param(command, case, id=command if case == "idx" else f"{command}-{case}")
+        for case in MISFITS for command in ("train", "sweep", "eval")])
     def test_idx_images_checked_against_input_shape(self, tmp_path, capsys, monkeypatch,
-                                                   command):
-        """A 16x16 IDX corpus under a 28x28x1 config fails with a ConfigError
-        naming both shapes before any layer runs."""
+                                                   command, case):
+        """A corpus that does not fit the config's network (a 16x16 IDX
+        corpus under a 28x28x1 config, synthetic images of the other size,
+        another task count, a head its labels cannot use) fails with a
+        ConfigError naming both values before any layer runs."""
         import dmtrl.layers as layers_module
         from dmtrl.data import LabeledImages, write_idx
+        from dmtrl.training import PlainRandom
 
-        rng = np.random.default_rng(0)
-        paths = {}
-        for split in ("train", "test"):
-            paths[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
-            paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
-            write_idx(paths[f"{split}_images"], paths[f"{split}_labels"],
-                      LabeledImages(rng.integers(0, 256, (40, 16, 16), dtype=np.uint8),
-                                    np.arange(40) % 10, 10))
-        data = {"source": "idx", **paths}
-        cfg = write_config(tmp_path, {"data": data})
-        if command == "eval":  # a checkpoint trained on the synthetic 28x28 digits
-            self.run("train", "--config", str(write_config(tmp_path, name="digits.json")),
-                     "--out", str(tmp_path / "runs"))
-            data_file = tmp_path / "data.json"
-            data_file.write_text(json.dumps(data))
-            argv = ["eval", "--checkpoint", str(tmp_path / "runs" / "dmtrl-tt_f1_r0.ckpt"),
-                    "--data", str(data_file), "--out", str(tmp_path / "r.csv")]
+        overrides, named = MISFITS[case]
+        if case == "idx":
+            rng = np.random.default_rng(0)
+            paths = {}
+            for split in ("train", "test"):
+                paths[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+                paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+                write_idx(paths[f"{split}_images"], paths[f"{split}_labels"],
+                          LabeledImages(rng.integers(0, 256, (40, 16, 16), dtype=np.uint8),
+                                        np.arange(40) % 10, 10))
+            overrides = {"data": {"source": "idx", **paths}}
+        cfg = write_config(tmp_path, overrides)
+        if command == "eval":  # a checkpoint of the config's network, scored on its data
+            spec = load_config(cfg).network_spec("stl")
+            save_network(tmp_path / "net.ckpt", build_network(spec, PlainRandom(), 0))
+            argv = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"),
+                    "--data", str(cfg), "--out", str(tmp_path / "r.csv")]
         else:
             argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
         capsys.readouterr()
         layer_calls = []
-        for name in ("conv2d_forward", "fc_forward"):
+        for name in ("conv2d_forward", "conv2d_patches", "fc_forward"):
             monkeypatch.setattr(layers_module, name, lambda *a, **k: layer_calls.append(a))
         assert self.run(*argv) != 0
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
-        assert "(16, 16, 1)" in record["message"] and "(28, 28, 1)" in record["message"]
+        assert all(value in record["message"] for value in named), record["message"]
         assert not layer_calls
 
     def test_eval_after_reload_matches(self, tmp_path, capsys):
@@ -733,16 +760,16 @@ class TestCliCommands:
         assert list(out.iterdir()) == []
 
     def test_sweep_cell_generates_each_digit_pool_once(self, tmp_path, monkeypatch):
-        import dmtrl.cli as cli
+        import dmtrl.data as data_module
 
         calls = []
-        real = cli.synth_digits
+        real = data_module.synth_digits
 
         def counting(seed, n, **kw):
             calls.append(n)
             return real(seed, n, **kw)
 
-        monkeypatch.setattr(cli, "synth_digits", counting)
+        monkeypatch.setattr(data_module, "synth_digits", counting)
         cfg = write_config(tmp_path, {"sharing": "stl", "init": {"policy": "plain_random"}})
         assert self.run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
         data = BASE_CONFIG["data"]
@@ -782,16 +809,17 @@ class TestSweepSharesInputs:
 
     def sweep(self, tmp_path, monkeypatch, threads):
         import dmtrl.cli as cli
+        import dmtrl.data as data_module
 
         calls = {"pretrain_stl": [], "synth_digits": []}
-        for name in calls:
-            real = getattr(cli, name)
+        for module, name in ((cli, "pretrain_stl"), (data_module, "synth_digits")):
+            real = getattr(module, name)
 
             def counting(*args, _real=real, _log=calls[name], **kw):
                 _log.append(args)
                 return _real(*args, **kw)
 
-            monkeypatch.setattr(cli, name, counting)
+            monkeypatch.setattr(module, name, counting)
         monkeypatch.setenv("DMTRL_THREADS", str(threads))
         cfg = write_config(tmp_path, SHARED_SWEEP)
         out = tmp_path / f"sweep{threads}"

@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion against the current API.
 
-Demo 04 (about two minutes of training) and demo 06 (the CLI path, which
-tests/test_checkpoint_cli.py covers) are left out.
+Demo 06 drives ``dmtrl train``, ``eval`` and ``measure`` through the CLI and
+writes its artifacts under the test's temporary directory.  Demo 04 (about
+two minutes of training) is left out.
 """
 
 import os
@@ -15,9 +16,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["02_factorisations", "03_multitask_network",
-                                  "05_heterogeneous_heads"])
-def test_demo_exits_cleanly(demo):
-    env = dict(os.environ)
+                                  "05_heterogeneous_heads", "06_cli_pipeline"])
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )

@@ -268,13 +268,11 @@ class TestTrainLoop:
                 assert_array_equal(opt.m[name], m[name])
                 assert_array_equal(opt.v[name], v[name])
 
-    @pytest.mark.parametrize("optimizer", ["momentum", "sgd"])
-    def test_momentum_and_sgd_match_textbook_update_bit_for_bit(self, rng, optimizer):
-        cfg = TrainConfig(optimizer=optimizer, lr=0.05, momentum=0.8)
+    def test_sgd_matches_textbook_update_bit_for_bit(self, rng):
+        cfg = TrainConfig(optimizer="sgd", lr=0.05)
         shapes = {"small": (3,), "large": (4, 5, 2), "late": (2, 3)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         want = {name: p.copy() for name, p in params.items()}
-        v = {name: np.zeros(shape) for name, shape in shapes.items()}
         opt = make_optimizer(cfg)
         for step in range(6):
             # a task's step updates only the parameters on its path
@@ -282,17 +280,9 @@ class TestTrainLoop:
             grads = {name: rng.normal(size=shapes[name]) for name in names}
             opt.step({name: params[name] for name in names}, grads)
             for name in names:
-                if optimizer == "momentum":  # v = mu v + g;  p -= lr v
-                    v[name] = cfg.momentum * v[name] + grads[name]
-                    want[name] -= cfg.lr * v[name]
-                else:
-                    want[name] -= cfg.lr * grads[name]
+                want[name] -= cfg.lr * grads[name]
             for name in shapes:
                 assert_array_equal(params[name], want[name], err_msg=f"{name} at step {step}")
-        if optimizer == "momentum":
-            assert sorted(opt.v) == sorted(shapes)
-            for name in shapes:
-                assert_array_equal(opt.v[name], v[name])
 
     def test_dataset_count_mismatch(self, rng):
         net = build_network(mlp_spec(I, I, 2), PlainRandom(), 0)
@@ -446,8 +436,18 @@ class TestEvaluate:
                                          np.arange(8) % tasks, tasks))
         net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), I)], 3),
                             PlainRandom(), 1)
-        with pytest.raises(ValueError, match=f"3 tasks but a suite of {tasks}"):
+        with pytest.raises(ValueError, match=f"3 tasks but {tasks} datasets"):
             evaluate_suite(net, suite)
+
+    def test_task_list_count_must_match_the_network(self, rng):
+        """A 3-task network scored on one dataset is rejected, not scored as
+        task 0 alone."""
+        net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), I)], 3),
+                            PlainRandom(), 1)
+        ds = TaskDataset(0, rng.random((8, 4, 4, 1)), np.where(np.arange(8) % 2, 1, -1))
+        with pytest.raises(ValueError, match="3 tasks but 1 datasets"):
+            evaluate_tasks(net, [ds])
+        assert len(evaluate_tasks(net, [ds] * 3)) == 3
 
 
 class TestHeterogeneousSmoke:
