@@ -26,7 +26,7 @@ spec = NetworkSpec(
      LayerSpec(MaxPool()),
      LayerSpec(FC(294, 24), SharingMode.SOFT_TT),
      LayerSpec(Activation("tanh")),
-     LayerSpec(FC(24, 1), SharingMode.INDEPENDENT)],
+     LayerSpec(FC(24, 8), SharingMode.INDEPENDENT)],
     tasks=2,
     head_dims=[2, 8],
 )

@@ -138,7 +138,7 @@ def layer_ranks(net: MultiTaskNetwork) -> dict:
     """Factorisation ranks per softly shared layer, for the manifest."""
     return {
         layer.name: {"scheme": layer.mode.value, "ranks": layer.mode.scheme.ranks(layer.factors)}
-        for _, layer in sorted(net.param_layers.items()) if layer.factors is not None
+        for _, layer in sorted(net.param_layers.items()) if layer.mode.soft
     }
 
 
@@ -180,7 +180,7 @@ def load_network(ckpt_path):
         raise CheckpointError(f"manifest holds no valid network spec: {e!r}") from e
     net = MultiTaskNetwork(spec)
     for layer in net.param_layers.values():
-        layer.storage.load(layer, arrays)
+        layer.load(arrays)
     unexpected = sorted(set(arrays) - set(net.parameters()))
     if unexpected:
         raise CheckpointError(f"checkpoint holds tensors the spec does not use: {unexpected}")

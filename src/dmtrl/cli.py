@@ -55,7 +55,7 @@ import numpy as np
 
 from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_affinity
 from .checkpoint import load_network, save_network, write_atomic
-from .config import ConfigError, ExperimentConfig, load_config, parse_data
+from .config import ConfigError, ExperimentConfig, load_config, parse_data, read_json
 from .data import (
     SOURCES,
     LabeledImages,
@@ -84,9 +84,10 @@ def _float17(x) -> str:
 def _fit(corpus, split: str, spec):
     """``corpus`` checked against the network ``spec`` (None checks nothing):
     the spec's input shape, one dataset per task (a pool one per class), and
-    head widths that suit the labels: 1 for a one-vs-all task, the class
-    count for a multi-class task, 1 or 2 for a binary task (a 2-wide head
-    reads it as two classes).  A misfit raises ConfigError naming both."""
+    each task's head width (``spec.head_width``) suiting its labels: 1 for a
+    one-vs-all task, the class count for a multi-class task, 1 or 2 for a
+    binary task (a 2-wide head reads it as two classes).  A misfit raises
+    ConfigError naming both."""
     if spec is None:
         return corpus
     pool = isinstance(corpus, LabeledImages)
@@ -97,16 +98,15 @@ def _fit(corpus, split: str, spec):
     count = corpus.n_classes if pool else len(corpus)
     if count != spec.tasks:
         raise ConfigError(f"the {split} data holds {count} tasks, the network has {spec.tasks}")
-    if spec.head_dims is None:
-        return corpus
-    for t, width in enumerate(spec.head_dims):
+    widths = [spec.head_width(t) for t in range(spec.tasks)]
+    for t, width in enumerate(widths):
         classes = None if pool else corpus[t].n_classes
         fits = (1,) if pool else (1, 2) if classes is None else (classes,)
         if width not in fits:
-            raise ConfigError(f"task {t}: head_dims gives width {width}, its labels "
+            raise ConfigError(f"task {t}: the head has width {width}, its labels "
                               f"need {' or '.join(map(str, fits))}")
     return corpus if pool else [as_multiclass(ds) if width == 2 else ds
-                                for ds, width in zip(corpus, spec.head_dims)]
+                                for ds, width in zip(corpus, widths)]
 
 
 def train_pool(data: dict, spec=None, seed=None):
@@ -137,12 +137,12 @@ def build_eval_payload(data: dict, spec=None):
 class _Shared:
     """The inputs several cells of one command need, each computed once.
 
-    Keys: "pool" and "payload" (once per command); ("tasks", fraction,
-    repeat) for the sampled train tasks; ("stl", fraction, repeat) for the
-    pretrained STL network.  The first ``get`` of a key runs ``make``; a
-    later one, in any thread, waits for that result.  A key counted in
-    ``uses`` is dropped after its last use, so a command keeps only what its
-    unfinished cells still need."""
+    Keys: "pool" (once per command); ("tasks", fraction, repeat) for the
+    sampled train tasks; ("stl", fraction, repeat) for the pretrained STL
+    network.  The first ``get`` of a key runs ``make``; a later one, in any
+    thread, waits for that result.  A key counted in ``uses`` is dropped
+    after its last use, so a command keeps only what its unfinished cells
+    still need."""
 
     def __init__(self, uses=None):
         self._lock = threading.Lock()
@@ -289,8 +289,7 @@ def measure_report(net, manifest) -> list:
 
 
 def _load_data_spec(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
+    obj = read_json(path)
     if isinstance(obj, dict) and "source" in obj:
         return parse_data(obj)
     if isinstance(obj, dict) and "data" in obj:
@@ -331,6 +330,9 @@ def cmd_sweep(args) -> int:
     grid = [(p, f, r) for p in presets for f in cfg.fractions
             for r in range(cfg.repeats)]
     workers = max(1, int(os.environ.get("DMTRL_THREADS", "1")))
+    # every preset has the same input shape, task count and head widths, so
+    # the test data fits them all or none, and no cell trains when it fits none
+    payload = build_eval_payload(cfg.data, cfg.network_spec(presets[0]))
     shared = _shared_for(cfg, grid)
     # cell i belongs to (fraction, repeat) group i % runs: run group by group,
     # so each group's shared inputs are dropped early; results keep grid order
@@ -342,7 +344,6 @@ def cmd_sweep(args) -> int:
         label = preset if isinstance(preset, str) else "custom"
         info = run_cell(cfg, preset, label, fraction, rep, args.out, shared)
         net, manifest = load_network(info["checkpoint"])
-        payload, _ = shared.get("payload", lambda: build_eval_payload(cfg.data, net.spec))
         rows = eval_rows(net, manifest, payload)
         rho = None
         if any(layer.mode.soft for layer in net.param_layers.values()):

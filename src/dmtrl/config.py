@@ -308,12 +308,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return cfg
 
 
+def read_json(path):
+    """The JSON value in the file ``path``: a config, or a data spec for
+    ``dmtrl eval --data``.  A file that is not UTF-8 JSON raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid UTF-8 JSON: {e}") from e
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}")
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_config(obj)

@@ -79,10 +79,9 @@ outputs, of which the pool reads 8x8) built its patches in 0.28 ms against
 Caching inputs keeps a batch-64 demo-04 training tape at 3.99 MiB, whether
 or not its first conv ran on a patch matrix shared by several tasks; its
 patch matrices and pool winner codes would hold 15.39 MiB, 7.03 MiB of that
-the first conv's.  Before conv and pool were fused, the tape held 4.13 MiB,
-and 11.16 MiB when it kept a shared first-conv patch matrix for the kernel
-gradient; a slot-major matrix would sum that gradient's rows in another
-order, so no tape keeps one.
+the first conv's.  No tape keeps a shared first-conv patch matrix for the
+kernel gradient either: a slot-major matrix would sum that gradient's rows
+in another order.
 """
 
 from __future__ import annotations

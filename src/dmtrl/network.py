@@ -2,40 +2,43 @@
 of five sharing modes.
 
 Each layer kind (:class:`FC`, which flattens its input, :class:`Conv`,
-:class:`MaxPool`, :class:`Activation`) has ``out_shape(shape, d_out)``,
-raising ``ValueError`` on an input it cannot take, ``forward(x, *params) ->
-(out, cache)`` and ``backward(g, cache, need_grad_x) -> (grad_x,
-*param_grads)``; fc and conv take a task's weight and bias, may skip
-``grad_x`` and give their ``weight_shape`` and Glorot bound.  ``bind(x)``
+:class:`MaxPool`, :class:`Activation`) has ``out_shape(shape)``, raising
+``ValueError`` on an input it cannot take, ``forward(x, *params) -> (out,
+cache)`` and ``backward(g, cache, need_grad_x) -> (grad_x, *param_grads)``;
+fc and conv take a task's weight and bias, may skip ``grad_x`` and give
+their ``weight_shape()``, whose fans give the Glorot bound.  ``bind(x)``
 gives ``forward`` on ``x`` as a function of the parameters alone, for tasks
 that share ``x`` but not the parameters; a conv's binding builds the patch
-matrix on its first call and reuses it on the others, and no cache holds
-it.  ``take(cache, rows, memo)`` gives the cache that ``forward`` on just
-the samples ``rows`` would have recorded.  Every cache holds the layer's
-input or an activation's output (see :mod:`dmtrl.layers`; fc caches its
-input before flattening it, and a fused conv and pool its conv output
-too), so ``take`` is those arrays' rows ``x[rows]``, with fc's and conv's
-weight passed through; whatever backward derives from them (patch rows,
-pool winners) it builds for those rows alone.  A relu's or tanh's output
-is the next layer's input, one array in two caches; a backward pass hands
-every ``take`` one dict ``memo``, so its rows are copied once.  Only fc
-takes a per-task head width.  Kinds look the :mod:`dmtrl.layers` primitives
-up on that module at call time, so a tracer that swaps them there sees every
-call.  ``KINDS`` maps JSON tags to kinds.
+matrix on its first call and reuses it on the others, and no cache holds it.
+``take(cache, rows, memo)`` gives the cache that ``forward`` on just the
+samples ``rows`` would have recorded.  Every cache holds the layer's input
+or an activation's output (see :mod:`dmtrl.layers`; fc caches its input
+before flattening it, and a fused conv and pool its conv output too), so
+``take`` is the first cache entry's rows ``x[rows]``, with the other entries
+(fc's and conv's weight) passed through; whatever backward derives from them
+(patch rows, pool winners) it builds for those rows alone.  A relu's or
+tanh's output is the next layer's input, one array in two caches; a backward
+pass hands every ``take`` one dict ``memo``, so its rows are copied once.
+Kinds look the :mod:`dmtrl.layers` primitives up on that module at call
+time, so a tracer that swaps them there sees every call.  ``KINDS`` maps
+JSON tags to kinds.
 
-A network holds T task heads over common storage.  How a fully connected or
-convolutional layer keeps its parameters is the row of ``STORAGE`` for its
-:class:`SharingMode`, and no other code tells the modes apart.  A tied layer
-keeps one weight ``w`` and bias ``b`` for every task, an independent layer a
-weight ``w{t}`` and bias ``b{t}`` per task t: they are one dense row with
-one slot or with T.  A soft row (LAF, Tucker or TT) keeps the T task weights
-as the slices of one stacked tensor, stored as factors of its
-``factorization.SCHEMES`` entry, and a bias ``b{t}`` per task.  Every row
-builds a layer from random draws, from T task weights and biases (their mean
-when tied, copies when independent, the factors of their stack when soft) or
-from named arrays, gives a task's weight, and lists the named parameters or
-their gradients, which accumulate per slot; a soft row's slot t holds the
-gradient of task t's weight slice.
+A network holds T task heads over common parameters.  Each fully connected
+or convolutional layer keeps its own in one of two parameter-layer classes,
+picked by whether its :class:`SharingMode` is soft, and no other code tells
+the modes apart.  A :class:`_Dense` layer keeps its weights as they are: a
+``shared`` (tied) one a weight ``w`` and bias ``b`` for every task, an
+independent one a weight ``w{t}`` and bias ``b{t}`` per task t, so one slot
+or T.  A :class:`_Soft` layer (LAF, Tucker or TT) keeps the T task weights
+as the slices of one stacked tensor, stored as factors of its ``scheme``
+(a ``factorization.SCHEMES`` entry), and a bias ``b{t}`` per task.  Either
+class builds the layer from random draws, from T task weights and biases
+(their mean when tied, copies when independent, the factors of their stack
+when soft) or from named arrays, gives a task's weight, and lists the named
+parameters or their gradients, which accumulate per slot; a soft layer's
+slot t holds the gradient of task t's weight slice.  A weight's shape is
+its kind's, except that the head, the last parametrised layer, is
+``NetworkSpec.head_width(t)`` wide for task t.
 
 The network runs an execution plan, built once from the spec: a list of
 ``(kind, param layer or None)`` steps, the spec's layers in order except
@@ -73,17 +76,17 @@ each slice gradient back onto the factors on its own.
 
 ``predict_tasks(x, tasks)`` scores several tasks on one batch in a single
 depth-first walk over the plan.  It carries a group of tasks that share an
-activation.  At each layer it splits the group by the storage slot each task
-reads: a tied layer keeps the group whole, any other parametrised layer gives
-each task its own path, and where the group parts the kind is bound to the
-shared activation once for all paths.  Each path runs to the output before
-the next one starts, so a tied trunk runs once per batch, a conv's patch
-matrix is built once per group, and at most one task path's activations are
-alive at a time.  It is the only scoring entry point: one task is scored
-as ``predict_tasks(x, [t])[0]``.  ``forward`` is the one-task walk that
-records a tape of ``(kind, param layer or None, cache)`` per step, which
-``backward`` consumes in reverse, releasing each entry as it goes.  The
-tape keeps the activations and nothing derived from them (see
+activation.  At each layer it splits the group by the parameter slot each
+task reads: a tied layer keeps the group whole, any other parametrised layer
+gives each task its own path, and where the group parts the kind is bound to
+the shared activation once for all paths.  Each path runs to the output
+before the next one starts, so a tied trunk runs once per batch, a conv's
+patch matrix is built once per group, and at most one task path's
+activations are alive at a time.  It is the only scoring entry point: one
+task is scored as ``predict_tasks(x, [t])[0]``.  ``forward`` is the one-task
+walk that records a tape of ``(kind, param layer or None, cache)`` per step,
+which ``backward`` consumes in reverse, releasing each entry as it goes.
+The tape keeps the activations and nothing derived from them (see
 :mod:`dmtrl.layers`), even when ``forward`` ran its first step through
 ``bind(x)``, which the tasks that train on one batch share (see
 :func:`dmtrl.training.train`): a fused first conv's bound matrix is
@@ -141,6 +144,16 @@ class _Kind:
     def bind(self, x):
         return partial(self.forward, x)
 
+    def take(self, cache, rows, memo):
+        return (_rows(cache[0], rows, memo), *cache[1:])
+
+    def glorot_bound(self) -> float:
+        """sqrt(6 / (fan_in + fan_out)), each fan a channel count times the
+        receptive field, summed as integers."""
+        *field, fan_in, fan_out = self.weight_shape()
+        r = math.prod(field)
+        return math.sqrt(6.0 / (r * fan_in + r * fan_out))
+
 
 @dataclass(frozen=True)
 class FC(_Kind):
@@ -149,17 +162,14 @@ class FC(_Kind):
     tags = ("fc",)
     parametrised = True
 
-    def out_shape(self, shape, d_out=None):
+    def out_shape(self, shape):
         d = int(np.prod(shape))
         if d != self.d_in:
             raise ValueError(f"fc expects {self.d_in} inputs, receives {d}")
-        return self.weight_shape(d_out)[1:]
+        return (self.d_out,)
 
-    def weight_shape(self, d_out=None):
-        return (self.d_in, self.d_out if d_out is None else d_out)
-
-    def glorot_bound(self) -> float:
-        return math.sqrt(6.0 / (self.d_in + self.d_out))
+    def weight_shape(self):
+        return (self.d_in, self.d_out)
 
     def forward(self, x, w, b):
         out, _ = nn.fc_forward(x.reshape(len(x), self.d_in), w, b)
@@ -169,10 +179,6 @@ class FC(_Kind):
         x, w = cache
         g, gw, gb = nn.fc_backward(g, (x.reshape(len(x), self.d_in), w), need_grad_x=need_grad_x)
         return (None if g is None else g.reshape(x.shape)), gw, gb
-
-    def take(self, cache, rows, memo):
-        x, w = cache
-        return _rows(x, rows, memo), w
 
 
 @dataclass(frozen=True)
@@ -184,9 +190,7 @@ class Conv(_Kind):
     tags = ("conv",)
     parametrised = True
 
-    def out_shape(self, shape, d_out=None):
-        if d_out is not None:
-            raise ValueError("head_dims sets a head's width, which only an fc head layer has")
+    def out_shape(self, shape):
         if len(shape) != 3:
             raise ValueError(f"conv needs (H, W, C) input, got {shape}")
         h, w, c = shape
@@ -196,12 +200,8 @@ class Conv(_Kind):
             raise ValueError(f"kernel {self.h}x{self.w} larger than input {h}x{w}")
         return (h - self.h + 1, w - self.w + 1, self.out_ch)
 
-    def weight_shape(self, d_out=None):
+    def weight_shape(self):
         return (self.h, self.w, self.in_ch, self.out_ch)
-
-    def glorot_bound(self) -> float:
-        hw = self.h * self.w
-        return math.sqrt(6.0 / (hw * self.in_ch + hw * self.out_ch))
 
     slots = False  # the patch row order, which the plan-only _ConvPool sets
 
@@ -222,16 +222,12 @@ class Conv(_Kind):
     def backward(self, g, cache, need_grad_x):
         return nn.conv2d_backward(g, cache, need_grad_x=need_grad_x)
 
-    def take(self, cache, rows, memo):
-        x, k = cache
-        return _rows(x, rows, memo), k
-
 
 @dataclass(frozen=True)
 class MaxPool(_Kind):
     tags = ("maxpool",)
 
-    def out_shape(self, shape, d_out=None):
+    def out_shape(self, shape):
         if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
             raise ValueError(f"cannot 2x2-pool input of shape {shape}")
         return (shape[0] // 2, shape[1] // 2, shape[2])
@@ -241,10 +237,6 @@ class MaxPool(_Kind):
 
     def backward(self, g, cache, need_grad_x):
         return (nn.maxpool2_backward(g, cache),)
-
-    def take(self, cache, rows, memo):
-        (x,) = cache
-        return (_rows(x, rows, memo),)
 
 
 @dataclass(frozen=True)
@@ -262,7 +254,7 @@ class Activation(_Kind):
     def tag(self) -> str:
         return self.fn
 
-    def out_shape(self, shape, d_out=None):
+    def out_shape(self, shape):
         return shape
 
     def forward(self, x):
@@ -270,10 +262,6 @@ class Activation(_Kind):
 
     def backward(self, g, cache, need_grad_x):
         return (getattr(nn, f"{self.fn}_backward")(g, cache),)
-
-    def take(self, cache, rows, memo):
-        (a,) = cache
-        return (_rows(a, rows, memo),)
 
 
 KINDS = {tag: kind for kind in (FC, Conv, MaxPool, Activation) for tag in kind.tags}
@@ -292,8 +280,8 @@ class _ConvPool(Conv):
 
     slots = True
 
-    def out_shape(self, shape, d_out=None):
-        return MaxPool().out_shape(super().out_shape(shape, d_out))
+    def out_shape(self, shape):
+        return MaxPool().out_shape(super().out_shape(shape))
 
     def forward(self, x, w, b, patches=None):
         z, _ = nn.conv2d_forward(x, w, None, patches, slots=True)
@@ -338,11 +326,15 @@ class LayerSpec:
 
 @dataclass
 class NetworkSpec:
-    """Architecture shared by all T task networks.
+    """Architecture shared by all T task networks, and the one owner of
+    their head widths (:meth:`head_width`).
 
-    ``input_shape`` is (H, W, C) for image input or (D,) for vectors.
-    ``head_dims``, when given, overrides the final FC layer's output width
-    per task; unequal head widths force that layer to be Independent.
+    ``input_shape`` is (H, W, C) for image input or (D,) for vectors.  The
+    head is the last parametrised layer.  ``head_dims``, when given, lists
+    one width per task, and the head must be an fc whose ``d_out`` (and so
+    its Glorot bound) is the widest of them; unequal widths need an
+    Independent head.  A spec that breaks a rule raises ``ValueError``, so
+    a config, a manifest and :func:`build_network` all refuse it.
     """
 
     input_shape: tuple
@@ -363,34 +355,39 @@ class NetworkSpec:
             self.head_dims = [int(d) for d in self.head_dims]
         self._validate_chain()
 
-    def d_out(self, index: int, task: int) -> int | None:
-        """Layer ``index``'s output width for ``task`` where ``head_dims``
-        overrides it (on the last parametrised layer), else None."""
-        if self.head_dims is None or index != self.parametrised_indices()[-1]:
-            return None
-        return int(self.head_dims[task])
+    def head_width(self, task: int) -> int:
+        """Task ``task``'s output width: its ``head_dims`` entry, else the
+        head's ``d_out``."""
+        if self.head_dims is not None:
+            return self.head_dims[task]
+        return self.layers[self.parametrised_indices()[-1]].kind.weight_shape()[-1]
 
     def parametrised_indices(self) -> list:
         return [i for i, ls in enumerate(self.layers) if ls.kind.parametrised]
 
     def _validate_chain(self):
+        shape = self.input_shape
         for i, ls in enumerate(self.layers):
             if not isinstance(ls.kind, _Kind):
                 raise ValueError(f"layer {i}: {ls.kind!r} is not a layer kind")
+            if ls.kind.parametrised and ls.mode is None:
+                raise ValueError(f"layer {i} needs a sharing mode")
+            try:
+                shape = ls.kind.out_shape(shape)
+            except ValueError as e:
+                raise ValueError(f"layer {i}: {e}") from None
         param_idx = self.parametrised_indices()
         if not param_idx:
             raise ValueError("network needs at least one parametrised layer")
-        for task in range(self.tasks):
-            shape = self.input_shape
-            for i, ls in enumerate(self.layers):
-                if ls.kind.parametrised and ls.mode is None:
-                    raise ValueError(f"layer {i} needs a sharing mode")
-                try:
-                    shape = ls.kind.out_shape(shape, self.d_out(i, task))
-                except ValueError as e:
-                    raise ValueError(f"layer {i}: {e}") from None
-        heterogeneous = self.head_dims is not None and len(set(self.head_dims)) > 1
-        if heterogeneous and self.layers[param_idx[-1]].mode is not SharingMode.INDEPENDENT:
+        if self.head_dims is None:
+            return
+        i, head = param_idx[-1], self.layers[param_idx[-1]]
+        if not isinstance(head.kind, FC):
+            raise ValueError(f"layer {i}: head_dims sets a head's width, which only an fc head has")
+        if head.kind.d_out != max(self.head_dims):
+            raise ValueError(f"layer {i}: the head has d_out {head.kind.d_out}, "
+                             f"head_dims needs the widest head's {max(self.head_dims)}")
+        if len(set(self.head_dims)) > 1 and head.mode is not SharingMode.INDEPENDENT:
             raise ValueError("tasks with different head widths need an Independent head layer")
 
 
@@ -407,143 +404,27 @@ def _stored(arrays: dict, name: str, shape=None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class _Dense:
-    """A dense row: weights kept as they are, one per slot.  A ``shared``
-    (tied) row has one slot serving every task, any other row slot t for
-    task t; soft rows keep their biases in the same slots."""
-
-    shared: bool = False
-    scheme: object = None  # a soft row's factor scheme
-
-    def slot(self, task: int) -> int:
-        return 0 if self.shared else task
-
-    def slots(self, layer, task=None):
-        """Every slot of the layer, or only the one serving ``task``."""
-        return range(1 if self.shared else layer.tasks) if task is None else (self.slot(task),)
-
-    def _name(self, layer, letter, slot) -> str:
-        return f"{layer.name}.{letter}{'' if self.shared else slot}"
-
-    def _slot_arrays(self, per_task) -> list:
-        """Per-task arrays as slot arrays: their mean in a shared slot, else copies."""
-        if self.shared:
-            return [np.mean(per_task, axis=0)]
-        return [np.array(a, dtype=np.float64) for a in per_task]
-
-    def _load(self, layer, arrays, letter, shape) -> list:
-        return [_stored(arrays, self._name(layer, letter, s), shape(s)) for s in self.slots(layer)]
-
-    def _slot_items(self, layer, task, grads, letter, values, acc):
-        """Named slot tensors, or the gradients accumulated in them."""
-        return ((self._name(layer, letter, s), acc[s] if grads else values[s])
-                for s in self.slots(layer, task) if s in acc or not grads)
-
-    def from_draws(self, layer, draw, epsilon):
-        shapes = [layer.weight_shape(s) for s in self.slots(layer)]
-        if len(set(shapes)) == 1:  # one draw, so identically configured tasks start identical
-            w0 = draw(shapes[0])
-            layer.weights = [w0.copy() for _ in shapes]
-        else:
-            layer.weights = [draw(s) for s in shapes]
-        layer.biases = [np.zeros(layer.bias_width(s)) for s in self.slots(layer)]
-
-    def from_tasks(self, layer, weights, biases, epsilon):
-        layer.weights, layer.biases = self._slot_arrays(weights), self._slot_arrays(biases)
-
-    def load(self, layer, arrays):
-        layer.weights = self._load(layer, arrays, "w", layer.weight_shape)
-        layer.biases = self._load(layer, arrays, "b", lambda s: (layer.bias_width(s),))
-
-    def weight(self, layer, task):
-        return layer.weights[self.slot(task)]
-
-    def items(self, layer, task=None, grads=False):
-        """(name, tensor) pairs of the layer's parameters, or of their
-        accumulated gradients (only where some accumulated); with ``task``
-        given, only the parameters that task's forward pass depends on."""
-        yield from self._slot_items(layer, task, grads, "w", layer.weights, layer._gw)
-        yield from self._slot_items(layer, task, grads, "b", layer.biases, layer._gb)
-
-
-class _Soft(_Dense):
-    """A soft row: the T task weights kept as one factor record of ``scheme``."""
-
-    def from_draws(self, layer, draw, epsilon):
-        if epsilon is None:
-            raise ValueError(
-                f"{layer.name} is softly shared; PlainRandom cannot pick its ranks "
-                "(use RandomDecompose or an STL-based initialisation)"
-            )
-        self.from_tasks(layer, [draw(layer.weight_shape(0)) for _ in range(layer.tasks)],
-                        [np.zeros(layer.bias_width(0))] * layer.tasks, epsilon)
-
-    def from_tasks(self, layer, weights, biases, epsilon):
-        layer.factors = decompose(self.scheme.tag, np.stack(weights, axis=-1), epsilon)
-        layer.biases = self._slot_arrays(biases)
-
-    def load(self, layer, arrays):
-        n = layer.name
-        tensors = [_stored(arrays, f"{n}.{name}")
-                   for name in self.scheme.names(len(layer.stacked_shape))]
-        try:
-            f = self.scheme.unpack(tensors)
-        except ValueError as e:  # the factor records' own consistency checks
-            raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
-        if tuple(f.out_shape) != layer.stacked_shape:
-            raise CheckpointError(
-                f"{n}: stored factors compose to {f.out_shape}, the spec needs {layer.stacked_shape}"
-            )
-        layer.factors = f
-        layer.biases = self._load(layer, arrays, "b", lambda s: (layer.bias_width(s),))
-
-    def weight(self, layer, task):
-        w = layer._slices.get(task)
-        if w is None:
-            w = layer._slices[task] = compose_task(layer.factors, task)
-        return w
-
-    def items(self, layer, task=None, grads=False):
-        pairs = self.scheme.items(layer.factors)
-        if grads:  # factor gradients summed over the tasks with an accumulated slice
-            out = {}
-            for t in sorted(layer._gw):
-                g = compose_backward(layer.factors, layer._gw[t], task=t)
-                for name, a in self.scheme.items(g):
-                    out[name] = out[name] + a if name in out else a
-            pairs = out.items()
-        for name, a in pairs:
-            yield f"{layer.name}.{name}", a
-        yield from self._slot_items(layer, task, grads, "b", layer.biases, layer._gb)
-
-
-STORAGE = {
-    SharingMode.TIED: _Dense(shared=True),
-    SharingMode.INDEPENDENT: _Dense(),
-    **{mode: _Soft(scheme=mode.scheme) for mode in SharingMode if mode.soft},
-}
-
-
-class _ParamLayer:
-    """One layer's parameters, kept by its mode's :data:`STORAGE` row, with
-    the gradient accumulators and the per-task weight cache."""
+    """A dense parameter layer: weights kept as they are, one per slot.  A
+    ``shared`` (tied) layer has one slot serving every task, an independent
+    one slot t for task t; a soft layer keeps its biases in the same slots."""
 
     def __init__(self, index, spec):
         self.index, self.spec = index, spec
         self.kind, self.mode = spec.layers[index].kind, spec.layers[index].mode
-        self.storage = STORAGE[self.mode]
+        self.shared = self.mode is SharingMode.TIED
         self.tasks = spec.tasks
+        self.head = index == spec.parametrised_indices()[-1]
         self.name = f"layer{index}.{self.kind.tag}"
-        self.weights = None          # dense rows: one array per slot
-        self.factors = None          # soft rows: the factor record
+        self.weights = None          # one array per slot
         self.biases = None           # one array per slot
-        self._slices = {}            # soft rows: task -> composed weight slice
+        self.invalidate()
         self.zero_grads()
 
-    # -- shapes ---------------------------------------------------------
+    # -- shapes and slots -------------------------------------------------
     def weight_shape(self, task):
-        return self.kind.weight_shape(self.spec.d_out(self.index, task))
+        shape = self.kind.weight_shape()
+        return shape[:-1] + (self.spec.head_width(task),) if self.head else shape
 
     def bias_width(self, task):
         return self.weight_shape(task)[-1]
@@ -552,27 +433,136 @@ class _ParamLayer:
     def stacked_shape(self):
         return self.weight_shape(0) + (self.tasks,)
 
-    # -- parameter access -----------------------------------------------
+    def slot(self, task: int) -> int:
+        return 0 if self.shared else task
+
+    def slots(self, task=None):
+        """Every slot of the layer, or only the one serving ``task``."""
+        return range(1 if self.shared else self.tasks) if task is None else (self.slot(task),)
+
+    def _name(self, letter, slot) -> str:
+        return f"{self.name}.{letter}{'' if self.shared else slot}"
+
+    # -- installing parameters --------------------------------------------
+    def _slot_arrays(self, per_task) -> list:
+        """Per-task arrays as slot arrays: their mean in a shared slot, else copies."""
+        if self.shared:
+            return [np.mean(per_task, axis=0)]
+        return [np.array(a, dtype=np.float64) for a in per_task]
+
+    def _load(self, arrays, letter, shape) -> list:
+        return [_stored(arrays, self._name(letter, s), shape(s)) for s in self.slots()]
+
+    def from_draws(self, draw, epsilon):
+        shapes = [self.weight_shape(s) for s in self.slots()]
+        if len(set(shapes)) == 1:  # one draw, so identically configured tasks start identical
+            w0 = draw(shapes[0])
+            self.weights = [w0.copy() for _ in shapes]
+        else:
+            self.weights = [draw(s) for s in shapes]
+        self.biases = [np.zeros(self.bias_width(s)) for s in self.slots()]
+
+    def from_tasks(self, weights, biases, epsilon):
+        self.weights, self.biases = self._slot_arrays(weights), self._slot_arrays(biases)
+
+    def load(self, arrays):
+        self.weights = self._load(arrays, "w", self.weight_shape)
+        self.biases = self._load(arrays, "b", lambda s: (self.bias_width(s),))
+
+    # -- parameter access -------------------------------------------------
     def weight_for(self, task) -> np.ndarray:
-        return self.storage.weight(self, task)
+        return self.weights[self.slot(task)]
 
     def bias_for(self, task) -> np.ndarray:
-        return self.biases[self.storage.slot(task)]
+        return self.biases[self.slot(task)]
 
     def invalidate(self):
-        self._slices = {}
+        """Drop what is derived from the parameters (a soft layer's slices)."""
+
+    def _slot_items(self, task, grads, letter, values, acc):
+        """Named slot tensors, or the gradients accumulated in them."""
+        return ((self._name(letter, s), acc[s] if grads else values[s])
+                for s in self.slots(task) if s in acc or not grads)
+
+    def items(self, task=None, grads=False):
+        """(name, tensor) pairs of the layer's parameters, or of their
+        accumulated gradients (only where some accumulated); with ``task``
+        given, only the parameters that task's forward pass depends on."""
+        yield from self._slot_items(task, grads, "w", self.weights, self._gw)
+        yield from self._slot_items(task, grads, "b", self.biases, self._gb)
 
     # -- gradients --------------------------------------------------------
     def zero_grads(self):
         self._gw, self._gb = {}, {}  # slot -> gradient of its weight (or task slice), bias
 
     def accumulate(self, task, grad_w, grad_b):
-        slot = self.storage.slot(task)
+        slot = self.slot(task)
         for acc, g in ((self._gw, grad_w), (self._gb, grad_b)):
             if slot in acc:
                 acc[slot] += g
             else:
                 acc[slot] = np.array(g, dtype=np.float64)
+
+
+class _Soft(_Dense):
+    """A soft parameter layer: the T task weights kept as one factor record
+    of its ``scheme``, each task's slice composed on first use and cached
+    until :meth:`invalidate`."""
+
+    def __init__(self, index, spec):
+        self.scheme = spec.layers[index].mode.scheme
+        self.factors = None
+        super().__init__(index, spec)
+
+    def invalidate(self):
+        self._slices = {}            # task -> composed weight slice
+
+    def from_draws(self, draw, epsilon):
+        if epsilon is None:
+            raise ValueError(
+                f"{self.name} is softly shared; PlainRandom cannot pick its ranks "
+                "(use RandomDecompose or an STL-based initialisation)"
+            )
+        self.from_tasks([draw(self.weight_shape(0)) for _ in range(self.tasks)],
+                        [np.zeros(self.bias_width(0))] * self.tasks, epsilon)
+
+    def from_tasks(self, weights, biases, epsilon):
+        self.factors = decompose(self.scheme.tag, np.stack(weights, axis=-1), epsilon)
+        self.biases = self._slot_arrays(biases)
+
+    def load(self, arrays):
+        n = self.name
+        tensors = [_stored(arrays, f"{n}.{name}")
+                   for name in self.scheme.names(len(self.stacked_shape))]
+        try:
+            f = self.scheme.unpack(tensors)
+        except ValueError as e:  # the factor records' own consistency checks
+            raise CheckpointError(f"{n}: inconsistent stored factors: {e}") from e
+        if tuple(f.out_shape) != self.stacked_shape:
+            raise CheckpointError(
+                f"{n}: stored factors compose to {f.out_shape}, the spec needs {self.stacked_shape}"
+            )
+        self.factors = f
+        self.biases = self._load(arrays, "b", lambda s: (self.bias_width(s),))
+
+    def weight_for(self, task) -> np.ndarray:
+        w = self._slices.get(task)
+        if w is None:
+            w = self._slices[task] = compose_task(self.factors, task)
+        return w
+
+    def items(self, task=None, grads=False):
+        pairs = self.scheme.items(self.factors)
+        if grads:  # factor gradients summed over the tasks with an accumulated slice
+            out = {}
+            for t in sorted(self._gw):
+                g = compose_backward(self.factors, self._gw[t], task=t)
+                for name, a in self.scheme.items(g):
+                    out[name] = out[name] + a if name in out else a
+            pairs = out.items()
+        for name, a in pairs:
+            yield f"{self.name}.{name}", a
+        yield from self._slot_items(task, grads, "b", self.biases, self._gb)
 
 
 def _execution_plan(steps) -> list:
@@ -595,22 +585,23 @@ def _execution_plan(steps) -> list:
 
 def _split(layer, group) -> list:
     """``(params, tasks)`` for each subgroup of ``group`` that reads one
-    storage slot of ``layer``; the whole group when it has no parameters."""
+    parameter slot of ``layer``; the whole group when it has no parameters."""
     if layer is None:
         return [((), group)]
     by_slot = {}
     for t in group:
-        by_slot.setdefault(layer.storage.slot(t), []).append(t)
+        by_slot.setdefault(layer.slot(t), []).append(t)
     return [((layer.weight_for(sub[0]), layer.bias_for(sub[0])), sub)
             for sub in by_slot.values()]
 
 
 class MultiTaskNetwork:
-    """T task networks over the storage described by a :class:`NetworkSpec`."""
+    """T task networks over the parameters described by a :class:`NetworkSpec`."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.param_layers = {i: _ParamLayer(i, spec) for i in spec.parametrised_indices()}
+        self.param_layers = {i: (_Soft if spec.layers[i].mode.soft else _Dense)(i, spec)
+                             for i in spec.parametrised_indices()}
         self._plan = _execution_plan((ls.kind, self.param_layers.get(i))
                                      for i, ls in enumerate(spec.layers))
         self._tape = None
@@ -619,7 +610,7 @@ class MultiTaskNetwork:
     def tasks(self) -> int:
         return self.spec.tasks
 
-    def layer_state(self, index) -> _ParamLayer:
+    def layer_state(self, index) -> _Dense:
         if index not in self.param_layers:
             raise ValueError(f"layer {index} has no parameters")
         return self.param_layers[index]
@@ -633,7 +624,7 @@ class MultiTaskNetwork:
         got = [np.shape(w) for w in weights], [np.shape(b) for b in biases]
         if got != (want, [s[-1:] for s in want]):
             raise ValueError(f"layer {index} needs task weights of shapes {want} and their biases")
-        layer.storage.from_tasks(layer, weights, biases, epsilon)
+        layer.from_tasks(weights, biases, epsilon)
         layer.invalidate()
 
     # -- forward / backward ----------------------------------------------
@@ -729,8 +720,7 @@ class MultiTaskNetwork:
     # -- parameter plumbing ------------------------------------------------
     def _items(self, task=None, grads=False):
         for i in sorted(self.param_layers):
-            layer = self.param_layers[i]
-            yield from layer.storage.items(layer, task, grads)
+            yield from self.param_layers[i].items(task, grads)
 
     def parameters(self, task=None) -> dict:
         """Every named parameter, or with ``task`` given only those on that
@@ -788,8 +778,7 @@ def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:
     for i in sorted(net.param_layers):
         layer = net.param_layers[i]
         bound = layer.kind.glorot_bound()
-        layer.storage.from_draws(layer, lambda shape: rng.uniform(-bound, bound, size=shape),
-                                 epsilon)
+        layer.from_draws(lambda shape: rng.uniform(-bound, bound, size=shape), epsilon)
     return net
 
 
@@ -805,7 +794,7 @@ def count_parameters(net: MultiTaskNetwork) -> dict:
             for t in range(net.tasks)
         )
         independent_total += ind
-        by_layer[layer.name] = sum(p.size for _, p in layer.storage.items(layer))
+        by_layer[layer.name] = sum(p.size for _, p in layer.items())
     total = sum(by_layer.values())
     return {
         "total": total,

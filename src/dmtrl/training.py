@@ -36,10 +36,7 @@ rather than its patch matrix, so a conv builds its patches again for the
 kernel gradient (0.37-0.47 ms at batch 64 on one BLAS thread for the second
 demo-04 conv), the first conv too: the cycle's bound matrix holds only the
 rows a pool reads, slot-major (see :mod:`dmtrl.network`), and the kernel
-gradient sums the spec-order rows.  A 10-class demo-04 step (one task, 512
-images, batch 64, medians of 5 alternating runs, each the median of 5 timed
-rounds, 0.25 minor page faults per step either way) took 11.01 ms against
-10.19 when the tape kept a spec-order bound matrix for the kernel gradient.
+gradient sums the spec-order rows.
 
 Scoring has one prediction rule and one pass.  A binary task predicts the
 sign of its output 0, a multi-class task the argmax of its outputs.
@@ -82,7 +79,6 @@ import numpy as np
 from .data import TaskDataset, OneVsAllSuite
 from .layers import hinge_loss, softmax_ce_loss
 from .network import (
-    FC,
     LayerSpec,
     MultiTaskNetwork,
     NetworkSpec,

@@ -81,10 +81,12 @@ def random_shape(rng, max_way=5, max_extent=4, min_way=1):
 
 def five_mode_spec(head_dims=None, tasks=3):
     """An fc network with one layer per sharing mode; the independent one
-    is the head, so ``head_dims`` may give the tasks different widths."""
+    is the head, 2 wide or as wide as the widest of ``head_dims``, which may
+    give the tasks different widths."""
     layers = []
+    head = 2 if head_dims is None else max(head_dims)
     for d_in, d_out, mode in [(6, 5, "tied"), (5, 4, "soft_laf"), (4, 4, "soft_tucker"),
-                              (4, 3, "soft_tt"), (3, 2, "independent")]:
+                              (4, 3, "soft_tt"), (3, head, "independent")]:
         layers += [LayerSpec(FC(d_in, d_out), SharingMode(mode)), LayerSpec(Activation("tanh"))]
     return NetworkSpec((6,), layers[:-1], tasks, head_dims)
 

@@ -284,6 +284,14 @@ class TestLoadNetworkValidation:
         with pytest.raises(CheckpointError, match="checkpoint_crc32"):
             load_network(path)
 
+    @pytest.mark.parametrize("d_out", [2, 4])
+    def test_head_d_out_other_than_the_widest_head_rejected(self, tmp_path, d_out):
+        path = tmp_path / "net.ckpt"
+        save_network(path, build_network(five_mode_spec([1, 3, 2]), RandomDecompose(0.3), 4))
+        self.edit_manifest(path, lambda m: m["spec"]["layers"][8].update(d_out=d_out))
+        with pytest.raises(CheckpointError, match=f"the head has d_out {d_out}"):
+            load_network(path)
+
     def test_unedited_pair_still_loads(self, tmp_path):
         path = self.save_pair(tmp_path, SharingMode.SOFT_TT)
         net, _ = load_network(path)
@@ -320,16 +328,6 @@ def mutated(tree, path, value):
     return out
 
 
-def effective_spec(spec):
-    """A spec's JSON with the head width blanked when ``head_dims`` gives
-    the widths instead: NetworkSpec ignores that field then, so a manifest
-    may hold any value there and still describe the same network."""
-    out = spec_to_json(spec)
-    if out["head_dims"] is not None:
-        out["layers"][spec.parametrised_indices()[-1]]["d_out"] = None
-    return out
-
-
 class TestCheckpointBoundary:
     """A damaged pair saved from a network with all five sharing modes
     either loads as that network or raises CheckpointError."""
@@ -354,7 +352,7 @@ class TestCheckpointBoundary:
                 except CheckpointError:
                     continue
                 loaded += 1
-                assert effective_spec(back.spec) == effective_spec(net.spec), (where, value)
+                assert spec_to_json(back.spec) == spec_to_json(net.spec), (where, value)
                 got = back.parameters()
                 assert sorted(got) == sorted(want), (where, value)
                 for name in want:
@@ -447,6 +445,13 @@ ARCH_16 = [
     {"kind": "maxpool"},
     {"kind": "fc", "d_in": 72, "d_out": 1},
 ]
+
+
+def head_wide(arch, d_out):
+    """``arch`` with its last layer, an fc, ``d_out`` wide."""
+    return arch[:-1] + [{**arch[-1], "d_out": d_out}]
+
+
 HETERO = {"source": "synthetic_heterogeneous", "n_train_per_task": 16, "n_test_per_task": 16}
 # config overrides whose data does not fit the network, and the values the
 # error names; the IDX case writes its files first
@@ -454,12 +459,20 @@ MISFITS = {
     "idx": (None, ["(16, 16, 1)", "(28, 28, 1)"]),
     "digits_16x16": ({"input_shape": [16, 16, 1], "architecture": ARCH_16},
                      ["(28, 28, 1)", "(16, 16, 1)"]),
-    "hetero_28x28": ({"tasks": 2, "head_dims": [1, 8], "data": HETERO},
+    "hetero_28x28": ({"tasks": 2, "head_dims": [1, 8], "data": HETERO,
+                      "architecture": head_wide(BASE_CONFIG["architecture"], 8)},
                      ["(16, 16, 1)", "(28, 28, 1)"]),
     "hetero_3_tasks": ({"tasks": 3, "input_shape": [16, 16, 1], "architecture": ARCH_16,
                         "data": HETERO}, ["holds 2 tasks", "has 3"]),
     "digits_5_tasks": ({"tasks": 5}, ["holds 10 tasks", "has 5"]),
-    "digits_2_wide": ({"head_dims": [2] * 10}, ["width 2", "need 1"]),
+    "digits_2_wide": ({"head_dims": [2] * 10,
+                       "architecture": head_wide(BASE_CONFIG["architecture"], 2)},
+                      ["width 2", "need 1"]),
+    # without head_dims, every head is as wide as the last fc
+    "digits_2_wide_fc": ({"architecture": head_wide(BASE_CONFIG["architecture"], 2)},
+                         ["task 0", "width 2", "need 1"]),
+    "hetero_1_wide_fc": ({"tasks": 2, "input_shape": [16, 16, 1], "architecture": ARCH_16,
+                          "data": HETERO}, ["task 1", "width 1", "need 8"]),
 }
 
 
@@ -563,7 +576,7 @@ class TestConfigParsing:
             "architecture": [
                 {"kind": "fc", "d_in": 36, "d_out": 8},
                 {"kind": "relu"},
-                {"kind": "fc", "d_in": 8, "d_out": 1},
+                {"kind": "fc", "d_in": 8, "d_out": 8},
             ],
             "input_shape": [6, 6, 1],
             "data": {"source": "synthetic_heterogeneous", "n_train_per_task": 64},
@@ -591,6 +604,22 @@ class TestConfigParsing:
             parse_config(cfg)
         cfg["init"] = {"policy": "random_decompose"}
         parse_config(cfg)
+
+    @pytest.mark.parametrize("d_out", [1, 9])
+    def test_head_d_out_must_be_the_widest_head(self, tmp_path, d_out):
+        path = write_config(tmp_path, {
+            "tasks": 2,
+            "head_dims": [2, 8],
+            "architecture": [
+                {"kind": "fc", "d_in": 36, "d_out": 8},
+                {"kind": "relu"},
+                {"kind": "fc", "d_in": 8, "d_out": d_out},
+            ],
+            "input_shape": [6, 6, 1],
+            "data": {"source": "synthetic_heterogeneous", "n_train_per_task": 64},
+        })
+        with pytest.raises(ConfigError, match=f"layer 2: the head has d_out {d_out}"):
+            load_config(path)
 
     def test_head_dims_on_conv_head_rejected(self, tmp_path):
         path = write_config(tmp_path, {
@@ -666,7 +695,8 @@ class TestCliCommands:
         """A corpus that does not fit the config's network (a 16x16 IDX
         corpus under a 28x28x1 config, synthetic images of the other size,
         another task count, a head its labels cannot use) fails with a
-        ConfigError naming both values before any layer runs."""
+        ConfigError naming both values before any layer runs; a sweep
+        writes no checkpoint."""
         import dmtrl.layers as layers_module
         from dmtrl.data import LabeledImages, write_idx
         from dmtrl.training import PlainRandom
@@ -699,6 +729,52 @@ class TestCliCommands:
         assert record["error"] == "ConfigError"
         assert all(value in record["message"] for value in named), record["message"]
         assert not layer_calls
+        assert not list((tmp_path / "x").glob("*.ckpt"))
+
+    def test_sweep_fits_the_test_split_before_any_cell_trains(self, tmp_path, capsys):
+        """28x28 train and 16x16 test images: the sweep refuses the test
+        split before its first cell trains, so it writes nothing."""
+        from dmtrl.data import LabeledImages, write_idx
+
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split, side in (("train", 28), ("test", 16)):
+            paths[f"{split}_images"] = str(tmp_path / f"{split}-images.idx")
+            paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels.idx")
+            write_idx(paths[f"{split}_images"], paths[f"{split}_labels"],
+                      LabeledImages(rng.integers(0, 256, (40, side, side), dtype=np.uint8),
+                                    np.arange(40) % 10, 10))
+        cfg = write_config(tmp_path, {"sharing": "stl", "data": {"source": "idx", **paths}})
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert self.run("sweep", "--config", str(cfg), "--out", str(out)) != 0
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "(16, 16, 1)" in record["message"] and "(28, 28, 1)" in record["message"]
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("fault", [b"{not json", b'{"tasks": "\xff"}'],
+                             ids=["not_json", "not_utf8"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unreadable_json_file_raises_config_error(self, tmp_path, capsys, command, fault):
+        """A config or an ``eval --data`` file that is not UTF-8 JSON fails
+        with a ConfigError naming the file."""
+        from dmtrl.training import PlainRandom
+
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(fault)
+        if command == "eval":
+            spec = load_config(write_config(tmp_path)).network_spec("stl")
+            save_network(tmp_path / "net.ckpt", build_network(spec, PlainRandom(), 0))
+            argv = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), "--data", str(bad),
+                    "--out", str(tmp_path / "r.csv")]
+        else:
+            argv = ["train", "--config", str(bad), "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert self.run(*argv) != 0
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError", record
+        assert str(bad) in record["message"]
 
     def test_eval_after_reload_matches(self, tmp_path, capsys):
         # training artifacts already verified; spot-check row content

@@ -71,13 +71,13 @@ class TestSpecValidation:
                                     LayerSpec(FC(72, 2), I)], 2)
 
     def test_heterogeneous_head_must_be_independent(self):
-        with pytest.raises(ValueError):
-            NetworkSpec((4,), [LayerSpec(FC(4, 1), LAF)], 2, head_dims=[2, 8])
+        with pytest.raises(ValueError, match="need an Independent head"):
+            NetworkSpec((4,), [LayerSpec(FC(4, 8), LAF)], 2, head_dims=[2, 8])
 
     def test_heterogeneous_head_independent_ok(self):
         spec = NetworkSpec(
             (4,),
-            [LayerSpec(FC(4, 3), LAF), LayerSpec(FC(3, 1), I)],
+            [LayerSpec(FC(4, 3), LAF), LayerSpec(FC(3, 8), I)],
             2,
             head_dims=[2, 8],
         )
@@ -101,8 +101,19 @@ class TestSpecValidation:
             NetworkSpec((4,), [LayerSpec(FC(4, 3), I)], 2, head_dims=head_dims)
 
     def test_numpy_integer_head_widths_kept_as_ints(self):
-        spec = NetworkSpec((4,), [LayerSpec(FC(4, 3), I)], 2, head_dims=np.array([1, 8]))
+        spec = NetworkSpec((4,), [LayerSpec(FC(4, 8), I)], 2, head_dims=np.array([1, 8]))
         assert spec.head_dims == [1, 8] and all(type(d) is int for d in spec.head_dims)
+
+    @pytest.mark.parametrize("d_out", [1, 3, 9])
+    def test_head_d_out_must_be_the_widest_head(self, d_out):
+        with pytest.raises(ValueError, match=f"layer 0: the head has d_out {d_out}"):
+            NetworkSpec((4,), [LayerSpec(FC(4, d_out), I)], 2, head_dims=[3, 5])
+
+    def test_head_width_from_head_dims_else_the_head(self):
+        spec = NetworkSpec((4,), [LayerSpec(FC(4, 5), I)], 2, head_dims=[3, 5])
+        assert [spec.head_width(t) for t in range(2)] == [3, 5]
+        spec = NetworkSpec((4,), [LayerSpec(FC(4, 5), I), LayerSpec(Activation("tanh"))], 2)
+        assert [spec.head_width(t) for t in range(2)] == [5, 5]
 
     def test_layer_that_is_not_a_kind_named(self):
         with pytest.raises(ValueError, match="layer 1: 'fc' is not a layer kind"):
@@ -354,7 +365,7 @@ def assert_same_parameters(got, want):
 
 class TestStorageRows:
     """Every sharing mode against an oracle that replays its draws and
-    installs its weights without the network's storage table."""
+    installs its weights without the network's parameter-layer classes."""
 
     @pytest.mark.parametrize("head_dims", [None, [1, 3, 2]], ids=["equal", "heterogeneous"])
     def test_build_network_replays_draws(self, head_dims):
@@ -685,7 +696,7 @@ class TestExecutionPlan:
         want_x, want = spec_order_backward(tape, g)
         assert got_x is None and want_x is None
         for i, layer in net.param_layers.items():
-            slot = layer.storage.slot(task)
+            slot = layer.slot(task)
             assert (slot in layer._gw) == (i in want)
             if i in want:
                 assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
@@ -783,7 +794,7 @@ class TestConvPoolBlock:
         net.backward(1, g)
         _, want = spec_order_backward(tape, g)
         for i, layer in net.param_layers.items():
-            slot = layer.storage.slot(1)
+            slot = layer.slot(1)
             assert (slot in layer._gw) == (i in want)
             if i in want:
                 assert_bits_equal(layer._gw[slot], want[i][0], layer.name)

@@ -352,7 +352,7 @@ class TestEvaluate:
         tasks = [as_multiclass(binary), multi]
         spec = NetworkSpec((16, 16, 1), [LayerSpec(FC(256, 12), TT),
                                          LayerSpec(Activation("relu")),
-                                         LayerSpec(FC(12, 1), I)], 2, head_dims=[2, 8])
+                                         LayerSpec(FC(12, 8), I)], 2, head_dims=[2, 8])
         net = build_network(spec, RandomDecompose(0.1), 5)
         whole = [net.forward(t, ds.inputs).argmax(1) for t, ds in enumerate(tasks)]
         assert evaluate_tasks(net, tasks) == [
@@ -462,7 +462,7 @@ class TestHeterogeneousSmoke:
             (16, 16, 1),
             [LayerSpec(FC(256, 32), TT),
              LayerSpec(Activation("tanh")),
-             LayerSpec(FC(32, 1), I)],
+             LayerSpec(FC(32, 8), I)],
             2,
             head_dims=[2, 8],
         )
@@ -600,6 +600,6 @@ class TestCycleBinding:
         net.backward(1, g)
         assert built == {"forward": 1, "backward": 1}
         for i, layer in net.param_layers.items():
-            slot = layer.storage.slot(1)
+            slot = layer.slot(1)
             assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
             assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
