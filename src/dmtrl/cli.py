@@ -14,27 +14,31 @@ The ``data`` object's fields and defaults are its source's entry of
 ``data.SOURCES``.  Every corpus a command builds must fit the network
 (:func:`_fit`) before any layer runs.
 
-One command computes each input its cells share once and hands it to every
-cell that needs it: the train pool (a source's train corpus, unless the
-source draws one per run) and the evaluation payload once per command, and
-per (fraction, repeat) the sampled train tasks and the ``pretrain_stl``
-network that every STL-initialised cell with a softly shared layer
-factorises.  A sweep runs
-the cells of one (fraction, repeat) together and drops what they share after
-the last of them, so it holds one such group's inputs at a time per worker.
+``train`` and ``sweep`` run their grid through one runner,
+:func:`run_grid`; ``train``'s one preset is the config's ``sharing``.  The
+runner builds the train pool (a source's train corpus, unless the source
+draws one per run) once, and per (fraction, repeat) group two once-values:
+the sampled train tasks and the ``pretrain_stl`` network that every
+STL-initialised cell with a softly shared layer factorises.  The first cell
+that asks for a once-value computes it, and a later one, in any thread,
+waits for it.  Only the group's cells hold its once-values, and the cells
+run group by group, so a command holds one group's inputs at a time per
+worker.  Results keep presets x fractions x repeats order.  A sweep builds
+its evaluation payload once, before the first cell.
 
 A cell's ``wall_time_s`` is its own elapsed time, from pretraining or
-initialisation to the end of training.  The cell that runs a shared STL
-pretraining counts it, and its log says ``"stl_pretrain": "trained"``; a
+initialisation to the end of training.  The cell that computes its group's
+STL pretraining counts it, and its log says ``"stl_pretrain": "trained"``; a
 cell that reuses that network counts only the wait for it (none with one
 thread), and its log says ``"stl_pretrain": "reused"``.  A cell without
 pretraining has no ``stl_pretrain`` entry.  So within a sweep, a soft
 preset's shorter ``wall_time_s`` may only mean that another preset paid for
 the pretraining, not that the method trains faster.
 
-The environment variable DMTRL_THREADS bounds the worker threads a sweep
-uses (default 1).  A cell that needs a shared input another thread is still
-computing waits for it rather than computing it again.
+The environment variable DMTRL_THREADS sets the worker threads the runner
+uses, for ``train`` and ``sweep`` alike (default 1); they share one queue of
+cells in group-major order.  A value that is not an integer >= 1 raises
+ConfigError before any cell trains.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ import os
 import sys
 import threading
 import time
-from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -134,85 +137,82 @@ def build_eval_payload(data: dict, spec=None):
     return make_suite(corpus, split="test") if isinstance(corpus, LabeledImages) else corpus
 
 
-class _Shared:
-    """The inputs several cells of one command need, each computed once.
+class _Once:
+    """``make()``'s value, computed by the first :meth:`get` while a later
+    caller, in any thread, waits on the lock for it.  The value lives as long
+    as this object; a ``make`` that raises runs again for the next caller."""
 
-    Keys: "pool" (once per command); ("tasks", fraction, repeat) for the
-    sampled train tasks; ("stl", fraction, repeat) for the pretrained STL
-    network.  The first ``get`` of a key runs ``make``; a later one, in any
-    thread, waits for that result.  A key counted in ``uses`` is dropped
-    after its last use, so a command keeps only what its unfinished cells
-    still need."""
+    def __init__(self, make):
+        self._make, self._lock = make, threading.Lock()
 
-    def __init__(self, uses=None):
-        self._lock = threading.Lock()
-        self._futures = {}
-        self._uses = Counter(uses)
-
-    def get(self, key, make):
-        """``make()``'s value for ``key``, and whether this call computed it."""
+    def get(self):
+        """The value, and whether this call computed it."""
         with self._lock:
-            future = self._futures.get(key)
-            made = future is None
+            made = self._make is not None
             if made:
-                future = self._futures[key] = Future()
-            if key in self._uses:
-                self._uses[key] -= 1
-                if not self._uses[key]:
-                    del self._futures[key], self._uses[key]
-        if made:
-            try:
-                future.set_result(make())
-            except BaseException as e:  # every waiting cell re-raises it
-                future.set_exception(e)
-        return future.result(), made
+                self._value, self._make = self._make(), None
+        return self._value, made
 
 
-def _has_soft(spec) -> bool:
-    return any(ls.mode is not None and ls.mode.soft for ls in spec.layers)
+def run_grid(cfg: ExperimentConfig, presets, out_dir: str, step=lambda info: info) -> list:
+    """``step`` of each :func:`run_cell` record of the presets x fractions x
+    repeats grid, in that order (see the module docstring)."""
+    value = os.environ.get("DMTRL_THREADS", "1")
+    threads = int(value) if value.isdecimal() else 0
+    if threads < 1:
+        raise ConfigError(f"DMTRL_THREADS must be an integer >= 1, got {value!r}")
+    spec = cfg.network_spec(presets[0])
+    pool = train_pool(cfg.data, spec)
 
-
-def _pretrains(cfg: ExperimentConfig, spec) -> bool:
-    return _has_soft(spec) and isinstance(cfg.init, StlInit)
-
-
-def _shared_for(cfg: ExperimentConfig, cells) -> _Shared:
-    """Shared inputs for the (sharing, fraction, repeat) ``cells`` of one
-    command, each per-run entry dropped after the last cell that uses it."""
-    uses = Counter()
-    for sharing, fraction, rep in cells:
-        uses["tasks", fraction, rep] += 1
-        if _pretrains(cfg, cfg.network_spec(sharing)):
-            uses["stl", fraction, rep] += 1
-    return _Shared(uses)
-
-
-def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
-             repeat: int, out_dir: str, shared: _Shared | None = None) -> dict:
-    """Train one (sharing, fraction, repeat) cell and write its artifacts.
-
-    ``shared`` holds the inputs the command's cells share (see the module
-    docstring); without it the cell computes its own."""
-    shared = _Shared() if shared is None else shared
-    run_seed = cfg.train.seed + repeat
-    spec = cfg.network_spec(sharing)
-    pool, _ = shared.get("pool", lambda: train_pool(cfg.data, spec))
-    tasks, _ = shared.get(("tasks", fraction, repeat), lambda: build_train_tasks(
-        cfg.data, fraction, run_seed, spec, pool))
-    train_cfg = replace(cfg.train, seed=run_seed)
-    started = time.perf_counter()
-    pretrain = None
-    if _pretrains(cfg, spec):
+    def group(fraction, repeat):
+        seed = cfg.train.seed + repeat
+        tasks = _Once(lambda: build_train_tasks(cfg.data, fraction, seed, spec, pool))
         # pretrain_stl's network depends on the architecture, the tasks, the
         # train settings at the run seed and pretrain_epochs; within one
         # command only the tasks (fraction, repeat) and the run seed (repeat)
         # vary, and _all_independent erases the preset's modes
-        stl, made = shared.get(("stl", fraction, repeat), lambda: pretrain_stl(
-            spec, tasks, replace(train_cfg, epochs=cfg.init.pretrain_epochs)))
+        stl = _Once(lambda: pretrain_stl(spec, tasks.get()[0], replace(
+            cfg.train, seed=seed, epochs=cfg.init.pretrain_epochs)))
+        return tasks, stl
+
+    def cells():  # group-major; a group's once-values go with its last cell
+        for fraction in cfg.fractions:
+            for repeat in range(cfg.repeats):
+                once = group(fraction, repeat)
+                for preset in presets:
+                    label = preset if isinstance(preset, str) else "custom"
+                    yield preset, label, fraction, repeat, out_dir, *once
+
+    def one(cell):
+        return step(run_cell(cfg, *cell))
+
+    if threads == 1:
+        done = list(map(one, cells()))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            done = list(executor.map(one, cells()))
+    n = len(presets)
+    return [cell for p in range(n) for cell in done[p::n]]
+
+
+def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
+             repeat: int, out_dir: str, tasks: _Once, stl: _Once) -> dict:
+    """Train one (sharing, fraction, repeat) cell and write its artifacts.
+
+    ``tasks`` and ``stl`` are its group's once-values (see the module
+    docstring): the sampled train tasks and the STL pretraining."""
+    run_seed = cfg.train.seed + repeat
+    spec = cfg.network_spec(sharing)
+    tasks, _ = tasks.get()
+    train_cfg = replace(cfg.train, seed=run_seed)
+    started = time.perf_counter()
+    pretrain = None
+    if spec.has_soft() and isinstance(cfg.init, StlInit):
+        stl, made = stl.get()
         pretrain = "trained" if made else "reused"
         net = init_from_stl(stl, spec, cfg.init.epsilon)
     else:  # parse_config lets only a random_decompose init reach a soft layer here
-        net = build_network(spec, cfg.init if _has_soft(spec) else PlainRandom(), run_seed)
+        net = build_network(spec, cfg.init if spec.has_soft() else PlainRandom(), run_seed)
     log = train(net, tasks, train_cfg)
     wall = time.perf_counter() - started
 
@@ -299,11 +299,7 @@ def _load_data_spec(path) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    label = cfg.sharing if isinstance(cfg.sharing, str) else "custom"
-    grid = [(cfg.sharing, f, r) for f in cfg.fractions for r in range(cfg.repeats)]
-    shared = _shared_for(cfg, grid)
-    cells = [run_cell(cfg, sharing, label, f, r, args.out, shared) for sharing, f, r in grid]
-    json.dump({"runs": cells}, sys.stdout, indent=2)
+    json.dump({"runs": run_grid(cfg, [cfg.sharing], args.out)}, sys.stdout, indent=2)
     print()
     return 0
 
@@ -327,45 +323,19 @@ def cmd_measure(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     presets = cfg.presets if cfg.presets is not None else [cfg.sharing]
-    grid = [(p, f, r) for p in presets for f in cfg.fractions
-            for r in range(cfg.repeats)]
-    workers = max(1, int(os.environ.get("DMTRL_THREADS", "1")))
     # every preset has the same input shape, task count and head widths, so
     # the test data fits them all or none, and no cell trains when it fits none
     payload = build_eval_payload(cfg.data, cfg.network_spec(presets[0]))
-    shared = _shared_for(cfg, grid)
-    # cell i belongs to (fraction, repeat) group i % runs: run group by group,
-    # so each group's shared inputs are dropped early; results keep grid order
-    runs = cfg.repeats * len(cfg.fractions)
-    order = sorted(range(len(grid)), key=lambda i: (i % runs, i))
 
-    def run_one(i):
-        preset, fraction, rep = grid[i]
-        label = preset if isinstance(preset, str) else "custom"
-        info = run_cell(cfg, preset, label, fraction, rep, args.out, shared)
+    def step(info):
         net, manifest = load_network(info["checkpoint"])
         rows = eval_rows(net, manifest, payload)
-        rho = None
-        if any(layer.mode.soft for layer in net.param_layers.values()):
-            rho = measure_report(net, manifest)
-        return info, rows, rho
+        return info, rows, measure_report(net, manifest) if net.spec.has_soft() else None
 
-    if workers == 1:
-        done = [run_one(i) for i in order]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_one, order))
-    results = [None] * len(grid)
-    for i, result in zip(order, done):
-        results[i] = result
-
-    all_rows = [row for _, rows, _ in results for row in rows]
-    write_csv(os.path.join(args.out, "results.csv"), all_rows)
-    summary = {
-        "cells": [
-            {**info, "sharing_report": rho} for info, _, rho in results
-        ]
-    }
+    results = run_grid(cfg, presets, args.out, step)
+    write_csv(os.path.join(args.out, "results.csv"),
+              [row for _, rows, _ in results for row in rows])
+    summary = {"cells": [{**info, "sharing_report": rho} for info, _, rho in results]}
     write_atomic(os.path.join(args.out, "sweep.json"),
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0

@@ -21,7 +21,8 @@ checkpoint manifests share with configs; :func:`layer_to_json` writes them.
 A layer object's ``kind`` is a ``network.KINDS`` tag and its other fields
 are that kind's integer fields (an activation's ``fn`` is the tag itself).
 Manifests read their network spec through :func:`spec_from_json`, with the
-same checks as a config.
+same checks as a config.  A config's architecture must also end in a
+vector, the per-sample output a head trains on.
 
 A ``data`` object's fields and defaults are its source's entry of
 ``data.SOURCES``.  Whether the data fits the network is known only once
@@ -296,15 +297,19 @@ def parse_config(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"field 'fractions': {f} outside (0, 1]")
     try:  # sharing expansion, the shape chain and the init, for every preset a sweep runs
         for sharing in [cfg.sharing, *(cfg.presets or ())]:
-            spec = cfg.network_spec(sharing)
-            if isinstance(cfg.init, PlainRandom) and any(
-                    ls.mode is not None and ls.mode.soft for ls in spec.layers):
+            if cfg.network_spec(sharing).has_soft() and isinstance(cfg.init, PlainRandom):
                 raise ConfigError(f"field 'init': {sharing!r} has softly shared layers, "
                                   "which need an stl or random_decompose init")
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"invalid network: {e}") from e
+    shape = input_shape
+    for kind in cfg.architecture:
+        shape = kind.out_shape(shape)
+    if len(shape) != 1:  # a task's predictions are one vector per sample
+        raise ConfigError(f"field 'architecture': the network's output has shape {shape}, "
+                          "the heads need a vector")
     return cfg
 
 

@@ -365,6 +365,10 @@ class NetworkSpec:
     def parametrised_indices(self) -> list:
         return [i for i, ls in enumerate(self.layers) if ls.kind.parametrised]
 
+    def has_soft(self) -> bool:
+        """Whether a layer is softly shared, so needs factors to start from."""
+        return any(ls.mode is not None and ls.mode.soft for ls in self.layers)
+
     def _validate_chain(self):
         shape = self.input_shape
         for i, ls in enumerate(self.layers):

@@ -4,6 +4,7 @@ import os
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -633,9 +634,50 @@ class TestConfigParsing:
             load_config(path)
 
 
+# architectures whose output is not one vector per sample, and its shape
+NOT_A_VECTOR = {
+    "conv": ([{"kind": "conv", "h": 5, "w": 5, "in_ch": 1, "out_ch": 1}], "(24, 24, 1)"),
+    "conv_relu_maxpool": (BASE_CONFIG["architecture"][:3], "(12, 12, 2)"),
+}
+
+
 class TestCliCommands:
     def run(self, *argv):
         return main(list(argv))
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("case", NOT_A_VECTOR)
+    def test_architecture_without_a_vector_output_rejected(self, tmp_path, capsys,
+                                                          command, case):
+        """An architecture that ends in an image, not a vector, is refused
+        at the config boundary, naming its output shape, and nothing is
+        written."""
+        arch, shape = NOT_A_VECTOR[case]
+        cfg = write_config(tmp_path, {"architecture": arch})
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "architecture" in record["message"] and shape in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("threads", ["two", "0"])
+    def test_thread_count_that_is_not_a_positive_integer_rejected(
+            self, tmp_path, capsys, monkeypatch, command, threads):
+        """``train`` and ``sweep`` both read DMTRL_THREADS, and a value that
+        is not an integer >= 1 fails, naming the variable and the value,
+        before any cell trains."""
+        monkeypatch.setenv("DMTRL_THREADS", threads)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "DMTRL_THREADS" in record["message"] and repr(threads) in record["message"]
+        assert not out.exists()
 
     def test_train_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -930,3 +972,75 @@ class TestSweepSharesInputs:
         two = self.artifacts(self.sweep(tmp_path, monkeypatch, 2))
         assert "results.csv" in one and len(one) == 1 + 5 * 2 * 2 * 2
         assert one == two
+        # train runs its (fraction, repeat) cells on the same thread pool
+        overrides = {k: v for k, v in SHARED_SWEEP.items() if k != "presets"}
+        cfg = write_config(tmp_path, {**overrides, "sharing": "dmtrl-tucker"}, "train.json")
+        written = []
+        for threads in (1, 2):
+            monkeypatch.setenv("DMTRL_THREADS", str(threads))
+            out = tmp_path / f"train{threads}"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            logs = {p.name: json.loads(p.read_text())["records"] for p in out.glob("*.log.json")}
+            written.append((self.artifacts(out), logs))
+        assert len(written[0][0]) == 2 * 2 * 2 and len(written[0][1]) == 2 * 2
+        assert written[0] == written[1]
+
+    def test_once_value_computed_by_one_of_many_threads(self):
+        """Eight threads ask one slow once-value at a fast switch interval: its
+        ``make`` runs once, exactly one caller is told it computed the
+        value, and every caller gets that value."""
+        from dmtrl.cli import _Once
+
+        calls, got = [], []
+        once = _Once(lambda: time.sleep(0.01) or calls.append(None) or object())
+        start = threading.Barrier(8)
+
+        def ask():
+            start.wait(timeout=60)
+            got.append(once.get())
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(got) == 8
+        assert sum(made for _, made in got) == 1
+        assert len({id(value) for value, _ in got}) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_group_inputs_released(self, tmp_path, monkeypatch, threads):
+        """A sweep holds one (fraction, repeat) group's STL network at a
+        time: at every cell's start, at most one network that pretrain_stl
+        returned is still reachable."""
+        import gc
+        import weakref
+
+        import dmtrl.cli as cli
+
+        pretrained, alive = [], []
+        real_pretrain, real_cell = cli.pretrain_stl, cli.run_cell
+
+        def pretrain(*args, **kw):
+            net = real_pretrain(*args, **kw)
+            pretrained.append(weakref.ref(net))
+            return net
+
+        def cell(*args, **kw):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in pretrained))
+            return real_cell(*args, **kw)
+
+        monkeypatch.setattr(cli, "pretrain_stl", pretrain)
+        monkeypatch.setattr(cli, "run_cell", cell)
+        monkeypatch.setenv("DMTRL_THREADS", str(threads))
+        cfg = write_config(tmp_path, SHARED_SWEEP)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        assert len(pretrained) == 2 * 2 and len(alive) == 5 * 2 * 2
+        assert max(alive) == 1, alive
