@@ -58,7 +58,8 @@ import numpy as np
 
 from .analysis import extract_mixing, normalize_mixing, sharing_strength, task_affinity
 from .checkpoint import load_network, save_network, write_atomic
-from .config import ConfigError, ExperimentConfig, load_config, parse_data, read_json
+from .config import (ConfigError, ExperimentConfig, cell_label, cell_stem, load_config,
+                     parse_data, read_json)
 from .data import (
     SOURCES,
     LabeledImages,
@@ -180,8 +181,7 @@ def run_grid(cfg: ExperimentConfig, presets, out_dir: str, step=lambda info: inf
             for repeat in range(cfg.repeats):
                 once = group(fraction, repeat)
                 for preset in presets:
-                    label = preset if isinstance(preset, str) else "custom"
-                    yield preset, label, fraction, repeat, out_dir, *once
+                    yield preset, cell_label(preset), fraction, repeat, out_dir, *once
 
     def one(cell):
         return step(run_cell(cfg, *cell))
@@ -217,7 +217,7 @@ def run_cell(cfg: ExperimentConfig, sharing, label: str, fraction: float,
     wall = time.perf_counter() - started
 
     os.makedirs(out_dir, exist_ok=True)
-    stem = f"{label}_f{fraction:g}_r{repeat}"
+    stem = cell_stem(label, fraction, repeat)
     ckpt = os.path.join(out_dir, f"{stem}.ckpt")
     save_network(ckpt, net, extra={
         "method": label,

@@ -22,7 +22,8 @@ A layer object's ``kind`` is a ``network.KINDS`` tag and its other fields
 are that kind's integer fields (an activation's ``fn`` is the tag itself).
 Manifests read their network spec through :func:`spec_from_json`, with the
 same checks as a config.  A config's architecture must also end in a
-vector, the per-sample output a head trains on.
+vector, the per-sample output a head trains on, and no two cells of its
+grids may share a file stem (:func:`cell_stem`).
 
 A ``data`` object's fields and defaults are its source's entry of
 ``data.SOURCES``.  Whether the data fits the network is known only once
@@ -238,6 +239,16 @@ def parse_data(obj) -> dict:
     return dict(_check_values(obj, "data"))
 
 
+def cell_label(preset) -> str:
+    """A grid cell's method label: its preset's name, ``custom`` for a mode list."""
+    return preset if isinstance(preset, str) else "custom"
+
+
+def cell_stem(label: str, fraction: float, repeat: int) -> str:
+    """The file name stem of a grid cell's checkpoint, manifest and log."""
+    return f"{label}_f{fraction:g}_r{repeat}"
+
+
 @dataclass
 class ExperimentConfig:
     tasks: int
@@ -304,6 +315,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise
     except ValueError as e:
         raise ConfigError(f"invalid network: {e}") from e
+    for grid in (presets or (), [cfg.sharing]):  # the grids of dmtrl sweep and dmtrl train
+        stems = [cell_stem(cell_label(p), f, r)
+                 for p in grid for f in cfg.fractions for r in range(cfg.repeats)]
+        shared = [stem for stem in stems if stems.count(stem) > 1]
+        if shared:
+            raise ConfigError(f"two grid cells would write the same files '{shared[0]}.*': "
+                              "give the presets and fractions distinct names")
     shape = input_shape
     for kind in cfg.architecture:
         shape = kind.out_shape(shape)

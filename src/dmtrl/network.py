@@ -34,9 +34,9 @@ as the slices of one stacked tensor, stored as factors of its ``scheme``
 (a ``factorization.SCHEMES`` entry), and a bias ``b{t}`` per task.  Either
 class builds the layer from random draws, from T task weights and biases
 (their mean when tied, copies when independent, the factors of their stack
-when soft) or from named arrays, gives a task's weight, and lists the named
-parameters or their gradients, which accumulate per slot; a soft layer's
-slot t holds the gradient of task t's weight slice.  A weight's shape is
+when soft) or from named arrays, gives a task's weight, lists the named
+parameters, and names the gradients of a task's weight (a soft layer's
+slice) and bias.  A weight's shape is
 its kind's, except that the head, the last parametrised layer, is
 ``NetworkSpec.head_width(t)`` wide for task t.
 
@@ -69,28 +69,39 @@ names (``layer{i}.<kind>``) and the kinds ``Conv`` and ``MaxPool`` stay as
 written, and code that runs the spec's kinds one by one sees no change.
 The relu caches the pooled output, which is also the next layer's input.
 
-A softly shared layer never builds its stacked tensor during training: a
-forward pass composes only the requested task's slice straight from the
-factors (cached until the factors change), and listing the gradients maps
-each slice gradient back onto the factors on its own.
+A softly shared layer never builds its stacked tensor: each ``forward`` or
+``predict_tasks`` call composes once the slices its tasks read, so it sees
+every write to the factors.  Between calls a network holds its parameters
+and one pass: a ``forward``'s tape, then the named gradients its
+``backward`` gives, which ``gradients`` reads.
 
-``predict_tasks(x, tasks)`` scores several tasks on one batch in a single
-depth-first walk over the plan.  It carries a group of tasks that share an
-activation.  At each layer it splits the group by the parameter slot each
-task reads: a tied layer keeps the group whole, any other parametrised layer
-gives each task its own path, and where the group parts the kind is bound to
-the shared activation once for all paths.  Each path runs to the output
-before the next one starts, so a tied trunk runs once per batch, a conv's
-patch matrix is built once per group, and at most one task path's
-activations are alive at a time.  It is the only scoring entry point: one
-task is scored as ``predict_tasks(x, [t])[0]``.  ``forward`` is the one-task
-walk that records a tape of ``(kind, param layer or None, cache)`` per step,
-which ``backward`` consumes in reverse, releasing each entry as it goes.
-The tape keeps the activations and nothing derived from them (see
-:mod:`dmtrl.layers`), even when ``forward`` ran its first step through
-``bind(x)``, which the tasks that train on one batch share (see
-:func:`dmtrl.training.train`): a fused first conv's bound matrix is
-slot-major, and the kernel gradient builds the spec-order rows it sums.
+``predict_tasks(x, tasks)`` scores several tasks on any number of rows,
+``EVAL_BLOCK`` at a time, each block in one depth-first walk over the plan.
+It carries a group of tasks that share an activation.  At each layer it
+splits the group by the parameter slot each task reads: a tied layer keeps
+the group whole, any other parametrised layer gives each task its own path,
+and where the group parts the kind is bound to the shared activation once
+for all paths.  Each path runs to the output before the next one starts, so
+a tied trunk runs once per block, a conv's patch matrix is built once per
+group, and at most one task path's activations are alive at a time.  It is
+the only scoring entry point: one task is scored as
+``predict_tasks(x, [t])[0]``.  A block's outputs are the bits of ``forward``
+on that block.  ``EVAL_BLOCK`` = 64: the first demo-04 conv's patch matrix
+is then about 7 MiB (56 MiB at 512 rows), so scoring is not bound by memory
+traffic.  Timing ``evaluate_suite`` on that network (10 independent or
+Tucker tasks, 512 images, numpy 2.4, one BLAS thread, 2 shared vCPUs) gave
+2,956-3,357 (independent) and 3,135-3,622 (Tucker) images/s at 64-row
+blocks, within the spread of 128 rows and ahead of 16, 32, 256 and 512 rows
+(1,520-1,928 at 512), with equal results at every size.
+
+``forward`` is the one-task walk that records a tape of ``(kind, param
+layer or None, cache)`` per step, which ``backward`` consumes in reverse,
+releasing each entry as it goes.  The tape keeps the activations and
+nothing derived from them (see :mod:`dmtrl.layers`), even when ``forward``
+ran its first step through ``bind(x)``, which the tasks that train on one
+batch share (see :func:`dmtrl.training.train`): a fused first conv's bound
+matrix is slot-major, and the kernel gradient builds the spec-order rows it
+sums.
 
 Samples are independent rows of every layer, so a sample whose row of the
 output gradient is all zero adds nothing to any gradient.  Under the hinge
@@ -121,6 +132,9 @@ __all__ = [
     "SharingMode", "LayerSpec", "NetworkSpec",
     "MultiTaskNetwork", "build_network", "count_parameters",
 ]
+
+
+EVAL_BLOCK = 64  # rows per scoring walk; see the module docstring
 
 
 def _rows(a, rows, memo):
@@ -422,8 +436,6 @@ class _Dense:
         self.name = f"layer{index}.{self.kind.tag}"
         self.weights = None          # one array per slot
         self.biases = None           # one array per slot
-        self.invalidate()
-        self.zero_grads()
 
     # -- shapes and slots -------------------------------------------------
     def weight_shape(self, task):
@@ -480,46 +492,27 @@ class _Dense:
     def bias_for(self, task) -> np.ndarray:
         return self.biases[self.slot(task)]
 
-    def invalidate(self):
-        """Drop what is derived from the parameters (a soft layer's slices)."""
+    def items(self, task=None):
+        """(name, tensor) pairs of the layer's parameters; with ``task``
+        given, only those that task's forward pass depends on."""
+        for letter, values in (("w", self.weights), ("b", self.biases)):
+            yield from ((self._name(letter, s), values[s]) for s in self.slots(task))
 
-    def _slot_items(self, task, grads, letter, values, acc):
-        """Named slot tensors, or the gradients accumulated in them."""
-        return ((self._name(letter, s), acc[s] if grads else values[s])
-                for s in self.slots(task) if s in acc or not grads)
-
-    def items(self, task=None, grads=False):
-        """(name, tensor) pairs of the layer's parameters, or of their
-        accumulated gradients (only where some accumulated); with ``task``
-        given, only the parameters that task's forward pass depends on."""
-        yield from self._slot_items(task, grads, "w", self.weights, self._gw)
-        yield from self._slot_items(task, grads, "b", self.biases, self._gb)
-
-    # -- gradients --------------------------------------------------------
-    def zero_grads(self):
-        self._gw, self._gb = {}, {}  # slot -> gradient of its weight (or task slice), bias
-
-    def accumulate(self, task, grad_w, grad_b):
-        slot = self.slot(task)
-        for acc, g in ((self._gw, grad_w), (self._gb, grad_b)):
-            if slot in acc:
-                acc[slot] += g
-            else:
-                acc[slot] = np.array(g, dtype=np.float64)
+    def grad_items(self, task, grad_w, grad_b):
+        """(name, gradient) pairs of one pass of ``task`` that gave its
+        weight the gradient ``grad_w`` and its bias ``grad_b``."""
+        yield self._name("w", self.slot(task)), grad_w
+        yield self._name("b", self.slot(task)), grad_b
 
 
 class _Soft(_Dense):
     """A soft parameter layer: the T task weights kept as one factor record
-    of its ``scheme``, each task's slice composed on first use and cached
-    until :meth:`invalidate`."""
+    of its ``scheme``, a task's slice composed on each :meth:`weight_for`."""
 
     def __init__(self, index, spec):
         self.scheme = spec.layers[index].mode.scheme
         self.factors = None
         super().__init__(index, spec)
-
-    def invalidate(self):
-        self._slices = {}            # task -> composed weight slice
 
     def from_draws(self, draw, epsilon):
         if epsilon is None:
@@ -550,23 +543,18 @@ class _Soft(_Dense):
         self.biases = self._load(arrays, "b", lambda s: (self.bias_width(s),))
 
     def weight_for(self, task) -> np.ndarray:
-        w = self._slices.get(task)
-        if w is None:
-            w = self._slices[task] = compose_task(self.factors, task)
-        return w
+        return compose_task(self.factors, task)
 
-    def items(self, task=None, grads=False):
-        pairs = self.scheme.items(self.factors)
-        if grads:  # factor gradients summed over the tasks with an accumulated slice
-            out = {}
-            for t in sorted(self._gw):
-                g = compose_backward(self.factors, self._gw[t], task=t)
-                for name, a in self.scheme.items(g):
-                    out[name] = out[name] + a if name in out else a
-            pairs = out.items()
-        for name, a in pairs:
-            yield f"{self.name}.{name}", a
-        yield from self._slot_items(task, grads, "b", self.biases, self._gb)
+    def _named(self, f):
+        return ((f"{self.name}.{name}", a) for name, a in self.scheme.items(f))
+
+    def items(self, task=None):
+        yield from self._named(self.factors)
+        yield from ((self._name("b", s), self.biases[s]) for s in self.slots(task))
+
+    def grad_items(self, task, grad_w, grad_b):
+        yield from self._named(compose_backward(self.factors, grad_w, task=task))
+        yield self._name("b", self.slot(task)), grad_b
 
 
 def _execution_plan(steps) -> list:
@@ -588,15 +576,14 @@ def _execution_plan(steps) -> list:
 
 
 def _split(layer, group) -> list:
-    """``(params, tasks)`` for each subgroup of ``group`` that reads one
-    parameter slot of ``layer``; the whole group when it has no parameters."""
+    """The subgroups of ``group`` that read one parameter slot of ``layer``;
+    the whole group when it has no parameters."""
     if layer is None:
-        return [((), group)]
+        return [group]
     by_slot = {}
     for t in group:
         by_slot.setdefault(layer.slot(t), []).append(t)
-    return [((layer.weight_for(sub[0]), layer.bias_for(sub[0])), sub)
-            for sub in by_slot.values()]
+    return list(by_slot.values())
 
 
 class MultiTaskNetwork:
@@ -609,6 +596,7 @@ class MultiTaskNetwork:
         self._plan = _execution_plan((ls.kind, self.param_layers.get(i))
                                      for i, ls in enumerate(spec.layers))
         self._tape = None
+        self._grads = {}             # name -> gradient, of the current pass
 
     @property
     def tasks(self) -> int:
@@ -629,7 +617,6 @@ class MultiTaskNetwork:
         if got != (want, [s[-1:] for s in want]):
             raise ValueError(f"layer {index} needs task weights of shapes {want} and their biases")
         layer.from_tasks(weights, biases, epsilon)
-        layer.invalidate()
 
     # -- forward / backward ----------------------------------------------
     def bind(self, x: np.ndarray):
@@ -639,60 +626,72 @@ class MultiTaskNetwork:
         return self._plan[0][0].bind(np.asarray(x, dtype=np.float64))
 
     def forward(self, task: int, x: np.ndarray, first=None) -> np.ndarray:
-        """Task output for a batch, recording the tape :meth:`backward` needs.
+        """Task output for a batch, recording the tape :meth:`backward` needs
+        in place of the last pass and its gradients.
 
         ``first``, when given, is :meth:`bind` of this same ``x``; the first
         step runs through it, and the tape is the one a plain forward
         records."""
-        tape = []
-        (h,) = self._run(x, [task], tape, first)
+        tape, out, self._grads = [], {}, {}  # a new pass: the last one's gradients go
+        self._walk(np.asarray(x, dtype=np.float64), [task], 0, self._params([task]), out,
+                   tape, first)
         self._tape = (task, tape)
-        return h
+        return out[task]
 
     def predict_tasks(self, x: np.ndarray, tasks) -> list:
-        """Each task's output for the batch ``x``, bit for bit :meth:`forward`'s,
-        from one depth-first walk (see the module docstring) without a tape.
+        """Each task's output for the rows ``x``: per ``EVAL_BLOCK``-row
+        block, bit for bit :meth:`forward`'s, from one depth-first walk (see
+        the module docstring) without a tape.
 
         Each layer's cache is dropped as soon as the next layer runs, and any
         tape a previous :meth:`forward` recorded is left as it was."""
-        return self._run(x, list(tasks))
+        tasks = list(tasks)
+        x, params = np.asarray(x, dtype=np.float64), self._params(tasks)
+        blocks = []
+        for lo in range(0, max(len(x), 1), EVAL_BLOCK):
+            out = {}
+            if tasks:
+                self._walk(x[lo : lo + EVAL_BLOCK], tasks, 0, params, out, None)
+            blocks.append([out[t] for t in tasks])
+        return [np.concatenate(rows) for rows in zip(*blocks)]
 
-    def _run(self, x, tasks, tape=None, first=None):
+    def _params(self, tasks) -> list:
+        """Each plan step's ``{task: (weight, bias)}`` for ``tasks``, ``()``
+        for a step without parameters: each slice composed once."""
         for task in tasks:
             if not 0 <= task < self.tasks:
                 raise ValueError(f"task {task} out of range [0, {self.tasks})")
-        out = {}
-        if tasks:
-            self._walk(np.asarray(x, dtype=np.float64), tasks, 0, out, tape, first)
-        return [out[t] for t in tasks]
+        return [{t: () if layer is None else (layer.weight_for(t), layer.bias_for(t))
+                 for t in tasks} for _, layer in self._plan]
 
-    def _walk(self, h, group, start, out, tape, run=None):
+    def _walk(self, h, group, start, params, out, tape, run=None):
         """Run plan steps ``start`` onwards for the tasks in ``group``, which
-        share the activation ``h``, into ``out[task]``; ``run``, when given,
-        is step ``start``'s kind bound to ``h``, and ``tape`` records a group
-        that never splits."""
+        share the activation ``h``, into ``out[task]``, with the parameters
+        ``params`` (:meth:`_params`); ``run``, when given, is step
+        ``start``'s kind bound to ``h``, and ``tape`` records a group that
+        never splits."""
         for i in range(start, len(self._plan)):
             kind, layer = self._plan[i]
             paths = _split(layer, group)
             if len(paths) > 1:
                 run = run or kind.bind(h)
-                for params, sub in paths:
-                    self._walk(run(*params)[0], sub, i + 1, out, None)
+                for sub in paths:
+                    self._walk(run(*params[i][sub[0]])[0], sub, i + 1, params, out, None)
                 return
-            h, cache = run(*paths[0][0]) if run else kind.forward(h, *paths[0][0])
+            p = params[i][group[0]]
+            h, cache = run(*p) if run else kind.forward(h, *p)
             run = None
             if tape is not None:
                 tape.append((kind, layer, cache))
         out.update(dict.fromkeys(group, h))
 
     def backward(self, task: int, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients from one forward pass.
+        """Record the parameter gradients of the last forward pass (see
+        :meth:`gradients`).
 
-        Gradients add onto the existing accumulators, so several tasks can
-        contribute before an optimisation step consumes them.  Only the
-        samples whose row of ``grad_out`` is not all zero run backward (see
-        the module docstring); the returned input gradient has the full
-        batch's shape, zero in the rows of the other samples.
+        Only the samples whose row of ``grad_out`` is not all zero run
+        backward (see the module docstring); the returned input gradient has
+        the full batch's shape, zero in the rows of the other samples.
         """
         if self._tape is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -707,14 +706,20 @@ class MultiTaskNetwork:
         if restrict:
             g = g[rows]
         memo = {}  # a relu's output is the next layer's input: its rows are taken once
+        grads = []
         while tape:  # each entry is released as soon as it is consumed
             kind, layer, cache = tape.pop()
             if restrict:
                 cache = kind.take(cache, rows, memo)
             # nothing consumes the first layer's input gradient
-            g, *grads = kind.backward(g, cache, need_grad_x=bool(tape))
+            g, *param_grads = kind.backward(g, cache, need_grad_x=bool(tape))
             if layer is not None and len(rows):
-                layer.accumulate(task, *grads)
+                grads.append((layer, param_grads))
+        # named once the tape is freed: naming them in the loop, or keeping
+        # them into the next forward, tripled the page faults per step of a
+        # random-decompose Tucker demo-04 network (numpy 2.4, 2 vCPUs)
+        for layer, (grad_w, grad_b) in reversed(grads):
+            self._grads.update(layer.grad_items(task, grad_w, grad_b))
         if restrict and g is not None:
             full = np.zeros((batch,) + g.shape[1:])
             full[rows] = g
@@ -722,30 +727,18 @@ class MultiTaskNetwork:
         return g
 
     # -- parameter plumbing ------------------------------------------------
-    def _items(self, task=None, grads=False):
-        for i in sorted(self.param_layers):
-            yield from self.param_layers[i].items(task, grads)
-
     def parameters(self, task=None) -> dict:
         """Every named parameter, or with ``task`` given only those on that
         task's forward path (an optimiser step for that task updates no
         other task's private weights)."""
-        return dict(self._items(task))
+        return {name: a for i in sorted(self.param_layers)
+                for name, a in self.param_layers[i].items(task)}
 
     def gradients(self, task=None) -> dict:
-        """Accumulated gradients of :meth:`parameters` (of ``task``), zero
-        where none accumulated."""
-        out = dict(self._items(task, grads=True))
-        return {name: out[name] if name in out else np.zeros(p.shape)
+        """The last pass's gradients of :meth:`parameters` (of ``task``),
+        zero where its :meth:`backward` gave none or has not run."""
+        return {name: self._grads[name] if name in self._grads else np.zeros(p.shape)
                 for name, p in self.parameters(task).items()}
-
-    def zero_grads(self):
-        for layer in self.param_layers.values():
-            layer.zero_grads()
-
-    def invalidate(self):
-        for layer in self.param_layers.values():
-            layer.invalidate()
 
     def load_parameters(self, arrays: dict):
         """Overwrite parameters in place from a name -> array mapping."""
@@ -758,7 +751,6 @@ class MultiTaskNetwork:
             if a.shape != p.shape:
                 raise ValueError(f"{name}: stored shape {a.shape} != expected {p.shape}")
             p[...] = a
-        self.invalidate()
 
 
 def build_network(spec: NetworkSpec, init, seed: int) -> MultiTaskNetwork:

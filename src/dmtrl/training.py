@@ -12,15 +12,17 @@ Two ways to initialise a softly shared network:
   distribution, factorise at ``epsilon`` and keep the factors, so the
   recomposed tensors approximate the intended distribution.
 
-Training interleaves tasks round-robin, one minibatch per task per cycle,
-with an optimiser step after each minibatch.  All randomness flows from the
-config seed; each task draws from its own identically seeded stream, so
+Training interleaves tasks round-robin, one minibatch per task per cycle.  A
+step is ``forward``, ``task_loss``, ``backward`` and an optimiser step on
+the task's parameters with the gradients of that one pass, which
+``backward`` records and the next ``forward`` drops.  All randomness flows from
+the config seed; each task draws from its own identically seeded stream, so
 tasks with identical data see identical batch orders.  Tasks that read one
 input array (every task of a one-vs-all suite, both heterogeneous tasks)
-therefore draw equal indices in every cycle.  Consecutive tasks that read
-the same array at equal indices share one gathered batch and one binding of
-the network's first layer (:meth:`~dmtrl.network.MultiTaskNetwork.bind`):
-a first conv builds its patch matrix (about 7 MiB for a 64-image demo-04
+therefore draw equal indices in every cycle.  Consecutive tasks that read the
+same array at equal indices share one gathered batch and one binding of the
+network's first layer (:meth:`~dmtrl.network.MultiTaskNetwork.bind`): a
+first conv builds its patch matrix (about 7 MiB for a 64-image demo-04
 batch) once per cycle instead of once per task, and the binding is dropped
 when the cycle ends.  Tasks whose arrays are separate, even if equal in
 value, each gather and bind their own batch.
@@ -47,26 +49,15 @@ scored from its tasks' shared inputs, the one read-only array ``make_suite``
 converted, and its multi-class ranking error is the argmax rule applied to
 the same outputs, one column of binary scores per task.
 
-Evaluation scores ``EVAL_BLOCK`` = 64 rows at a time, where the first
-demo-04 conv's patch matrix is about 7 MiB (56 MiB at 512 rows), so scoring
-is not bound by memory traffic.  Tasks that read the same input array (every
-task of a one-vs-all suite, both heterogeneous tasks) are scored together:
-one ``predict_tasks`` call per block walks the layers depth-first, runs a
-tied trunk once, builds a conv's patch matrix once for all tasks that share
-its input, and finishes one task's path before it starts the next.  Peak
-memory is one task path plus one patch matrix per layer where the tasks part,
-not T stacked first-conv outputs (36,864 x 80 doubles, 22.5 MiB per block at
-T = 10).  Timing ``evaluate_suite`` on that network, 10 independent or
-Tucker tasks, 512 images (numpy 2.4, one BLAS thread, 2 shared vCPUs, in
-the state the benchmark's set-up and one training round leave, medians of
-10 interleaved passes per size in one process, two processes per network)
-gave 2,544-3,147 / 2,768-3,331 / 2,956-3,357 / 2,767-3,441 / 2,283-2,792 /
-1,520-1,802 images/s (independent) and 2,676-3,180 / 2,961-3,484 /
-3,135-3,622 / 2,992-3,435 / 2,344-2,729 / 1,616-1,928 (Tucker) at 16 / 32 /
-64 / 128 / 256 / 512-row blocks, with equal results at every size, after
-the conv and pool became one step that computes only what the pool reads;
-64 and 128 rows are within each other's spread.  A fresh process without
-that set-up pays page faults on the patch matrices and reads slower.
+Tasks that read the same input array (every task of a one-vs-all suite,
+both heterogeneous tasks) are scored together, in one ``predict_tasks``
+call: it composes each soft slice once and walks ``EVAL_BLOCK``-row blocks
+(see :mod:`dmtrl.network`) depth-first, runs a tied trunk once per block,
+builds a conv's patch matrix once for all tasks that share its input, and
+finishes one task's path before it starts the next.  Peak memory is one
+task path plus one patch matrix per layer where the tasks part, not T
+stacked first-conv outputs (36,864 x 80 doubles, 22.5 MiB per block at
+T = 10).
 """
 
 from __future__ import annotations
@@ -91,9 +82,6 @@ __all__ = [
     "pretrain_stl", "init_from_stl",
     "train", "evaluate_tasks", "evaluate_suite",
 ]
-
-EVAL_BLOCK = 64  # rows per scoring call; see the module docstring
-
 
 @dataclass(frozen=True)
 class StlInit:
@@ -138,6 +126,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size and epochs must be non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.adam_eps > 0.0):
+            raise ValueError("Adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0, got "
+                             f"{self.beta1}, {self.beta2} and {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +268,6 @@ def train(net: MultiTaskNetwork, datasets, config: TrainConfig):
                 # update only the parameters on this task's forward path:
                 # other tasks' private weights must not see optimiser steps
                 opt.step(net.parameters(t), net.gradients(t))
-                net.zero_grads()
-                net.invalidate()
                 loss_sum[t] += loss
                 err_sum[t] += err
                 step += 1
@@ -327,9 +316,8 @@ def init_from_stl(stl_net: MultiTaskNetwork, target_spec: NetworkSpec,
 
 def _score(net: MultiTaskNetwork, datasets) -> tuple:
     """Each task's outputs on its own inputs, and its error rate under
-    :func:`_error`.  Tasks reading the same array are scored together,
-    ``EVAL_BLOCK`` rows per
-    :meth:`~dmtrl.network.MultiTaskNetwork.predict_tasks` call."""
+    :func:`_error`.  Tasks reading the same array are scored together, in
+    one :meth:`~dmtrl.network.MultiTaskNetwork.predict_tasks` call."""
     if len(datasets) != net.tasks:
         raise ValueError(f"{net.tasks} tasks but {len(datasets)} datasets")
     groups = {}
@@ -339,10 +327,8 @@ def _score(net: MultiTaskNetwork, datasets) -> tuple:
         groups.setdefault(id(ds.inputs), (ds.inputs, []))[1].append(t)
     outs = [None] * len(datasets)
     for x, tasks in groups.values():
-        blocks = [net.predict_tasks(x[lo : lo + EVAL_BLOCK], tasks)
-                  for lo in range(0, len(x), EVAL_BLOCK)]
-        for t, rows in zip(tasks, zip(*blocks)):
-            outs[t] = np.concatenate(rows)
+        for t, out in zip(tasks, net.predict_tasks(x, tasks)):
+            outs[t] = out
     return outs, [_error(out, ds.labels, ds.binary) for ds, out in zip(datasets, outs)]
 
 

@@ -2,13 +2,16 @@
 
 The oracles here are deliberately slow and dumb: nested index loops and
 central finite differences that never touch the vectorised code paths they
-are used to check.  There are three exceptions.  ``full_compose`` builds
+are used to check.  There are four exceptions.  ``full_compose`` builds
 the whole stacked tensor that per-task slices are compared with.
 ``conv2d_per_row`` is the conv forward's earlier grouping of its products,
 whose bits the current grouping must keep.  The spec-order pair
 ``spec_order_forward`` / ``spec_order_backward`` runs a network's layers in
 the order its spec writes them, each kind called directly, with no
-execution plan and no shared binding.
+execution plan and no shared binding.  ``named_gradients`` names such a
+pass's gradients through the layers' own ``grad_items``, so a bit check
+against it compares the passes, and the finite-difference checks cover the
+naming.
 """
 
 import itertools
@@ -139,6 +142,25 @@ def spec_order_backward(tape, grad_out: np.ndarray):
     return g, grads
 
 
+def named_gradients(net, task: int, layer_grads: dict) -> dict:
+    """``net.gradients(task)`` of a pass that gave each layer index of
+    ``layer_grads`` its ``(grad_w, grad_b)`` (as :func:`spec_order_backward`
+    returns them): each layer names its own, the others read zero."""
+    named = {}
+    for i, (grad_w, grad_b) in layer_grads.items():
+        named.update(net.param_layers[i].grad_items(task, grad_w, grad_b))
+    return {name: named[name] if name in named else np.zeros(p.shape)
+            for name, p in net.parameters(task).items()}
+
+
+def assert_gradients_bits_equal(net, task: int, layer_grads: dict):
+    """``net.gradients(task)`` equals :func:`named_gradients` to the bit."""
+    got, want = net.gradients(task), named_gradients(net, task, layer_grads)
+    assert list(got) == list(want)
+    for name in want:
+        assert_bits_equal(got[name], want[name], name)
+
+
 def assert_bits_equal(got, want, err_msg=""):
     """Equal arrays down to every bit, signs of zero included."""
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
@@ -154,4 +176,3 @@ def set_factors(net, index: int, factors, biases):
     assert tuple(factors.out_shape) == layer.stacked_shape
     layer.factors = factors
     layer.biases = [np.array(b, dtype=np.float64) for b in biases]
-    layer.invalidate()

@@ -527,6 +527,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"'{field}' in {section}"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("adam_eps", 0), ("adam_eps", 0.0), ("beta1", 1.0), ("beta1", 2.0), ("beta2", 1),
+        ("beta2", 1.5),
+    ])
+    def test_adam_settings_outside_their_range_rejected(self, field, value):
+        """Adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0; a value outside
+        is refused when the config is read, not met as a non-finite loss or
+        a silently different update."""
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["train"][field] = value
+        with pytest.raises(ConfigError, match=f"bad train settings: Adam needs .*{value}"):
+            parse_config(cfg)
+
     def test_idx_paths_must_be_strings(self):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["data"] = {"source": "idx", "train_images": "a", "train_labels": "b",
@@ -677,6 +690,31 @@ class TestCliCommands:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
         assert "DMTRL_THREADS" in record["message"] and repr(threads) in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("overrides, stem", [
+        ({"presets": [["independent", "soft_tt"], ["soft_tt", "independent"]]}, "custom_f1_r0"),
+        ({"presets": ["stl", "stl"]}, "stl_f1_r0"),
+        ({"fractions": [0.5, 0.5000001]}, "dmtrl-tt_f0.5_r0"),
+        ({"presets": [["independent", "soft_tt"], ["soft_tt", "soft_tt"]],
+          "fractions": [0.5, 0.5000001]}, "custom_f0.5_r0"),
+    ], ids=["two-mode-lists", "repeated-preset", "fractions-printing-alike", "both"])
+    def test_cells_that_would_write_the_same_files_rejected(
+            self, tmp_path, capsys, monkeypatch, threads, command, overrides, stem):
+        """Two cells of a grid whose file stems are equal (every mode list is
+        labelled ``custom``, and fractions print with 6 digits) would
+        overwrite each other's files, so the config is refused, naming the
+        stem, and nothing is written."""
+        monkeypatch.setenv("DMTRL_THREADS", threads)
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"'{stem}.*'" in record["message"]
         assert not out.exists()
 
     def test_train_writes_artifacts(self, tmp_path, capsys):

@@ -164,14 +164,14 @@ class TestComposeTT:
 
 
 class TestLafDecompose:
-    def test_identical_slices_rank_one(self, rng):
+    def test_identical_task_weights_rank_one(self, rng):
         sl = rng.normal(size=(4, 3))
         w = np.stack([sl] * 5, axis=-1)
         f = laf_decompose(w, 0.1)
         assert f.s.shape == (1, 5)
         assert rel_error(full_compose(f), w) <= 1e-10
 
-    def test_orthogonal_slices_full_rank(self, rng):
+    def test_orthogonal_task_weights_full_rank(self, rng):
         # orthonormal columns of a 12x4 matrix give 4 mutually orthogonal slices
         q, _ = np.linalg.qr(rng.normal(size=(12, 4)))
         w = q.reshape(4, 3, 4)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dmtrl.factorization import SCHEMES, LAFFactors, TTFactors, compose_tt, decompose
 from dmtrl.layers import conv2d_forward, fc_forward, maxpool2_forward, relu_forward
 from dmtrl.network import (
+    EVAL_BLOCK,
     FC,
     Activation,
     Conv,
@@ -22,10 +23,12 @@ from dmtrl.training import PlainRandom, RandomDecompose, TrainConfig, init_from_
 
 from conftest import (
     assert_bits_equal,
+    assert_gradients_bits_equal,
     assert_grads_close,
     central_difference,
     five_mode_spec,
     full_compose,
+    named_gradients,
     set_factors,
     spec_order_backward,
     spec_order_forward,
@@ -205,15 +208,36 @@ class TestPredictTasks:
     ``forward`` calls do, and runs shared work once per group."""
 
     @pytest.mark.parametrize("head_dims", [None, [2, 1, 3]], ids=["equal", "heterogeneous"])
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 2 * EVAL_BLOCK + 1])
     def test_bit_equal_to_predict(self, rng, head_dims, rows):
+        """Each ``EVAL_BLOCK``-row block gives the bits of ``forward`` on
+        that block."""
         net = build_network(five_mode_spec(head_dims), RandomDecompose(0.3), 2)
         x = rng.normal(size=(rows, 6))
         for tasks in ([0, 1, 2], [2, 0]):
             got = net.predict_tasks(x, tasks)
             assert len(got) == len(tasks)
             for t, out in zip(tasks, got):
-                assert np.array_equal(out, net.forward(t, x))
+                assert_bits_equal(out, np.concatenate(
+                    [net.forward(t, x[lo : lo + EVAL_BLOCK])
+                     for lo in range(0, rows, EVAL_BLOCK)]))
+
+    def test_composes_each_slice_once_per_call(self, rng, monkeypatch):
+        """However many blocks the rows make, one call composes each soft
+        slice its tasks read once."""
+        import dmtrl.network as network_module
+
+        calls, real = [], network_module.compose_task
+
+        def counting(f, task):
+            calls.append(task)
+            return real(f, task)
+
+        monkeypatch.setattr(network_module, "compose_task", counting)
+        net = build_network(conv_spec(TUK, tasks=4), RandomDecompose(0.3), 5)
+        out = net.predict_tasks(rng.normal(size=(2 * EVAL_BLOCK + 1, 8, 8, 1)), [3, 0, 2])
+        assert [len(a) for a in out] == [2 * EVAL_BLOCK + 1] * 3
+        assert sorted(calls) == [0, 0, 2, 2, 3, 3]  # two soft layers
 
     @staticmethod
     def _count_layer_calls(monkeypatch):
@@ -460,6 +484,8 @@ class TestForward:
             net.backward(0, np.ones_like(out))
 
     def test_step_composes_only_the_task_slice(self, rng, monkeypatch):
+        """A forward composes the task's slice of each soft layer once, and
+        backward and ``gradients`` compose none; each call composes anew."""
         import dmtrl.factorization as factorization_module
         import dmtrl.network as network_module
 
@@ -479,16 +505,33 @@ class TestForward:
         net = build_network(conv_spec(TUK, tasks=4), RandomDecompose(0.3), 5)
         x = rng.normal(size=(2, 8, 8, 1))
         out = net.forward(2, x)
-        net.predict_tasks(x, [2])  # served from the per-task cache
         net.backward(2, np.ones_like(out))
         net.gradients()
         assert calls == [2, 2]  # one slice per soft layer
         # every composition built one slice, never the stacked tensor
         slices = [net.layer_state(i).stacked_shape[:-1] for i in net.param_layers]
         assert composed == slices
-        net.invalidate()
+        net.predict_tasks(x, [2])
         net.forward(2, x)
-        assert calls == [2, 2, 2, 2]
+        assert calls == [2, 2] * 3
+
+    @pytest.mark.parametrize("mode", [LAF, TUK, TT])
+    def test_in_place_write_seen_by_the_next_pass(self, rng, mode):
+        """A write through ``parameters()`` is seen by the next ``forward``
+        and ``predict_tasks``, with no other call between."""
+        nets = [build_network(conv_spec(mode, tasks=3), RandomDecompose(0.3), 5)
+                for _ in range(2)]
+        x = rng.normal(size=(4, 8, 8, 1))
+        nets[0].forward(1, x)
+        nets[0].predict_tasks(x, [0, 1, 2])
+        for net in nets:  # the second network has run no pass yet
+            for name, p in net.parameters().items():
+                p *= 1.5
+                p += 0.25
+        assert_bits_equal(nets[0].forward(1, x), nets[1].forward(1, x))
+        for got, want in zip(nets[0].predict_tasks(x, [0, 1, 2]),
+                             nets[1].predict_tasks(x, [0, 1, 2])):
+            assert_bits_equal(got, want)
 
 
 class TestBackward:
@@ -497,7 +540,7 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             net.backward(0, np.zeros((1, 2)))
 
-    def test_zero_loss_gradient_gives_zero_grads(self, rng):
+    def test_zero_loss_gradient_gives_zero_gradients(self, rng):
         net = build_network(vector_spec(T, I), PlainRandom(), 0)
         out = net.forward(1, rng.normal(size=(3, 6)))
         net.backward(1, np.zeros_like(out))
@@ -511,7 +554,9 @@ class TestBackward:
             assert grads[name].shape == p.shape
             assert not grads[name].any(), name
 
-    def test_two_task_accumulation_is_sum(self, rng):
+    def test_second_backward_replaces_the_first(self, rng):
+        """``gradients`` holds the last pass only: task 0's pass leaves
+        nothing behind once task 1's has run."""
         spec = vector_spec(LAF, I, tasks=2)
         x = rng.normal(size=(3, 6))
         g_out = rng.normal(size=(3, 2))
@@ -523,9 +568,20 @@ class TestBackward:
                 net.backward(t, g_out)
             return net.gradients()
 
-        g0, g1, gboth = grads_after([0]), grads_after([1]), grads_after([0, 1])
-        for name in gboth:
-            assert_allclose(gboth[name], g0[name] + g1[name], rtol=1e-12, atol=1e-13)
+        got, want = grads_after([0, 1]), grads_after([1])
+        assert list(got) == list(want)
+        for name in want:
+            assert_bits_equal(got[name], want[name], name)
+        assert not got["layer2.fc.w0"].any() and not got["layer0.fc.b0"].any()
+
+    def test_forward_drops_the_last_pass_gradients(self, rng):
+        net = build_network(vector_spec(LAF, I, tasks=2), RandomDecompose(0.5), 11)
+        x = rng.normal(size=(3, 6))
+        net.forward(0, x)
+        net.backward(0, rng.normal(size=(3, 2)))
+        assert any(g.any() for g in net.gradients().values())
+        net.forward(0, x)
+        assert not any(g.any() for g in net.gradients().values())
 
     def test_end_to_end_soft_tucker_gradient(self, rng):
         spec = NetworkSpec(
@@ -541,7 +597,6 @@ class TestBackward:
         task = 1
 
         def loss():
-            net.invalidate()
             return float(np.sum(net.forward(task, x) * co))
 
         net.forward(task, x)
@@ -567,18 +622,19 @@ def all_conv_spec(tasks=3):
 
 
 def dense_backward(net, task, grad_out):
-    """The backward pass over every row of the batch: each layer's backward
+    """The input gradient and the named gradients (:func:`named_gradients`)
+    of the backward pass over every row of the batch: each layer's backward
     on the whole recorded cache, zero rows included."""
     tape_task, tape = net._tape
     assert tape_task == task
     net._tape = None
-    g = grad_out
+    g, grads = grad_out, {}
     for pos in reversed(range(len(tape))):
         kind, layer, cache = tape[pos]
-        g, *grads = kind.backward(g, cache, need_grad_x=pos > 0)
+        g, *param_grads = kind.backward(g, cache, need_grad_x=pos > 0)
         if layer is not None:
-            layer.accumulate(task, *grads)
-    return g
+            grads[layer.index] = param_grads
+    return g, named_gradients(net, task, grads)
 
 
 ACTIVE = {  # which of 6 samples carry gradient
@@ -695,12 +751,7 @@ class TestExecutionPlan:
         got_x = net.backward(task, g)
         want_x, want = spec_order_backward(tape, g)
         assert got_x is None and want_x is None
-        for i, layer in net.param_layers.items():
-            slot = layer.slot(task)
-            assert (slot in layer._gw) == (i in want)
-            if i in want:
-                assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
-                assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
+        assert_gradients_bits_equal(net, task, want)
 
     def test_pool_then_relu_equals_relu_then_pool_to_the_bit(self, rng):
         pool, relu = MaxPool(), Activation("relu")
@@ -743,9 +794,7 @@ class TestExecutionPlan:
         g[1] = 0.0
         net.backward(0, g)
         _, want = spec_order_backward(tape, g)
-        layer = net.param_layers[0]
-        assert_bits_equal(layer._gw[0], want[0][0])
-        assert_bits_equal(layer._gb[0], want[0][1])
+        assert_gradients_bits_equal(net, 0, want)
 
     @pytest.mark.parametrize("mode", list(SharingMode), ids=[m.value for m in SharingMode])
     def test_predict_tasks_bit_equal_to_predict(self, rng, mode):
@@ -786,19 +835,16 @@ class TestConvPoolBlock:
         x = with_zeros(rng, (batch, *shape))
         want_out, tape = spec_order_forward(net, 1, x)
         first = net.bind(x)
-        assert_bits_equal(net.predict_tasks(x, [1])[0], want_out)
+        assert_bits_equal(net.predict_tasks(x, [1])[0], np.concatenate(  # per scoring block
+            [spec_order_forward(net, 1, x[lo : lo + EVAL_BLOCK])[0]
+             for lo in range(0, batch, EVAL_BLOCK)]))
         assert_bits_equal(net.forward(1, x, first), want_out)
         g = rng.normal(size=want_out.shape)
         if backward == "restricted":
             g[::2] = 0.0
         net.backward(1, g)
         _, want = spec_order_backward(tape, g)
-        for i, layer in net.param_layers.items():
-            slot = layer.slot(1)
-            assert (slot in layer._gw) == (i in want)
-            if i in want:
-                assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
-                assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
+        assert_gradients_bits_equal(net, 1, want)
 
     @staticmethod
     def _assert_step_is_the_conv_then_the_pool(rng, conv, x, k, b):
@@ -858,19 +904,19 @@ class TestRestrictedBackward:
         out = restricted.forward(task, x)
         g = rng.normal(size=out.shape) * np.reshape(active, (-1,) + (1,) * (out.ndim - 1))
         dense.forward(task, x)
-        got_x, want_x = restricted.backward(task, g), dense_backward(dense, task, g)
+        got_x, (want_x, want) = restricted.backward(task, g), dense_backward(dense, task, g)
         if want_x is None:  # the first layer's input gradient is never formed
             assert got_x is None
         else:
             assert got_x.shape == x.shape
             assert not got_x[np.logical_not(active)].any()
             assert_allclose(got_x, want_x, rtol=1e-12, atol=1e-15)
-        got, want = restricted.gradients(), dense.gradients()
+        got = restricted.gradients(task)
+        assert list(got) == list(want)
         for name in want:
             assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-15, err_msg=name)
-        if not any(active):  # nothing accumulates; gradients() fills in the zeros
-            assert all(not layer._gw and not layer._gb
-                       for layer in restricted.param_layers.values())
+        if not any(active):  # the pass records nothing; gradients() fills in the zeros
+            assert not restricted._grads
             assert not any(a.any() for a in got.values())
 
     @pytest.mark.parametrize("active", list(ACTIVE.values()), ids=list(ACTIVE))
@@ -935,10 +981,11 @@ class TestRestrictedBackward:
         labels = rng.integers(0, 3, size=6)
         nets = [build_network(five_mode_spec([1, 3, 2]), RandomDecompose(0.3), 7)
                 for _ in range(2)]
-        for net, backward in zip(nets, (MultiTaskNetwork.backward, dense_backward)):
+        for net in nets:  # equal networks: equal outputs and loss gradients
             _, g = softmax_ce_loss(net.forward(task, x), labels)
-            backward(net, task, g / len(x))
-        got, want = nets[0].gradients(task), nets[1].gradients(task)
+        nets[0].backward(task, g / len(x))
+        got, (_, want) = nets[0].gradients(task), dense_backward(nets[1], task, g / len(x))
+        assert list(got) == list(want)
         for name in want:
             assert_array_equal(got[name], want[name], err_msg=name)
         for net, grads in zip(nets, (got, want)):
@@ -1097,8 +1144,6 @@ class TestReductionToMatrixCase:
             params, grads = net.parameters(), net.gradients()
             for name, p in params.items():
                 p -= lr * grads[name]
-            net.zero_grads()
-            net.invalidate()
 
             w_t = L @ S[:, t]
             scores = x[t] @ w_t + b[t]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dmtrl.data import LabeledImages, TaskDataset, make_suite, synth_digits, synth_heterogeneous
 from dmtrl.factorization import compose_tt
 from dmtrl.network import (
+    EVAL_BLOCK,
     FC,
     Activation,
     Conv,
@@ -18,7 +19,6 @@ from dmtrl.network import (
     build_network,
 )
 from dmtrl.training import (
-    EVAL_BLOCK,
     PlainRandom,
     RandomDecompose,
     TrainConfig,
@@ -32,7 +32,14 @@ from dmtrl.training import (
     train,
 )
 
-from conftest import assert_bits_equal, full_compose, spec_order_backward, spec_order_forward
+from conftest import (
+    assert_bits_equal,
+    assert_gradients_bits_equal,
+    full_compose,
+    named_gradients,
+    spec_order_backward,
+    spec_order_forward,
+)
 
 I, TIED, LAF, TUK, TT = (SharingMode.INDEPENDENT, SharingMode.TIED, SharingMode.SOFT_LAF,
                          SharingMode.SOFT_TUCKER, SharingMode.SOFT_TT)
@@ -410,8 +417,9 @@ class TestEvaluate:
         assert evaluate_tasks(ranker, [multi]) == [got["multiclass"]]
 
     def test_suite_scored_from_its_tasks_inputs(self, rng, monkeypatch):
-        """``evaluate_suite`` reads the array ``make_suite`` converted and
-        never converts the source pixels again."""
+        """``evaluate_suite`` reads the array ``make_suite`` converted, all
+        of it in one call for the tasks that share it, and never converts
+        the source pixels again."""
         suite = make_suite(LabeledImages(rng.integers(0, 256, (70, 4, 4), dtype=np.uint8),
                                          rng.integers(0, 3, 70), 3))
         net = build_network(NetworkSpec((4, 4, 1), [LayerSpec(FC(16, 1), I)], 3),
@@ -420,7 +428,7 @@ class TestEvaluate:
         seen = []
 
         def scoring(x, tasks, _real=type(net).predict_tasks):
-            seen.append(np.shares_memory(x, suite.tasks[0].inputs))
+            seen.append((x is suite.tasks[0].inputs, list(tasks)))
             return _real(net, x, tasks)
 
         monkeypatch.setattr(net, "predict_tasks", scoring)
@@ -428,7 +436,7 @@ class TestEvaluate:
                             lambda self: pytest.fail("source pixels converted again"))
         got = evaluate_suite(net, suite)
         assert got["per_task"] == want
-        assert seen == [True, True]  # 70 rows in two blocks
+        assert seen == [(True, [0, 1, 2])]  # 70 rows, two blocks, one call
 
     @pytest.mark.parametrize("tasks", [2, 4])
     def test_suite_task_count_must_match_the_network(self, rng, tasks):
@@ -489,11 +497,8 @@ def spec_order_train(net, datasets, config):
                 idx = streams[t].next()
                 out, tape = spec_order_forward(net, t, ds.inputs[idx])
                 loss, grad, err = task_loss(out, ds, idx)
-                for i, grads in spec_order_backward(tape, grad)[1].items():
-                    net.param_layers[i].accumulate(t, *grads)
-                opt.step(net.parameters(t), net.gradients(t))
-                net.zero_grads()
-                net.invalidate()
+                grads = named_gradients(net, t, spec_order_backward(tape, grad)[1])
+                opt.step(net.parameters(t), grads)
                 loss_sum[t] += loss
                 err_sum[t] += err
         log += [TrainRecord(epoch, t, loss_sum[t] / cycles, err_sum[t] / cycles)
@@ -599,7 +604,5 @@ class TestCycleBinding:
         assert_bits_equal(out, want_out)
         net.backward(1, g)
         assert built == {"forward": 1, "backward": 1}
-        for i, layer in net.param_layers.items():
-            slot = layer.slot(1)
-            assert_bits_equal(layer._gw[slot], want[i][0], layer.name)
-            assert_bits_equal(layer._gb[slot], want[i][1], layer.name)
+        assert want.keys() == net.param_layers.keys()
+        assert_gradients_bits_equal(net, 1, want)
