@@ -33,6 +33,7 @@ A ``data`` object's fields and defaults are its source's entry of
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 
 from .data import SOURCES
@@ -83,8 +84,10 @@ def _json_list(value, what: str) -> list:
 
 
 def _json_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+    # json reads NaN, Infinity and 1e400 (as inf); an int past the float range cannot convert
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -186,28 +189,15 @@ def expand_sharing(sharing, n_param_layers: int, heterogeneous: bool):
     raise ConfigError("field 'sharing' must be a preset name or a list of modes")
 
 
-_INIT_FIELDS = {"stl": ("pretrain_epochs", "epsilon"),
-                "random_decompose": ("epsilon",), "plain_random": ()}
+_INIT_POLICIES = {"stl": StlInit, "random_decompose": RandomDecompose,
+                  "plain_random": PlainRandom}
 
-
-def _parse_init(obj: dict):
-    policy = _tag(obj, "policy", _INIT_FIELDS, "init")
-    _require_keys(obj, "init", ("policy",), _INIT_FIELDS[policy])
-    if policy == "plain_random":
-        return PlainRandom()
-    epsilon = _json_number(obj.get("epsilon", 0.10), "field 'epsilon' in init")
-    epochs = _json_int(obj.get("pretrain_epochs", 10), "field 'pretrain_epochs' in init", 0)
-    try:
-        return StlInit(epochs, epsilon) if policy == "stl" else RandomDecompose(epsilon)
-    except ValueError as e:  # epsilon outside (0, 1)
-        raise ConfigError(f"bad init settings: {e}") from e
-
-
-# least value of each numeric field of ``train`` and ``data``: an int marks a
-# JSON integer, a float any number; the other fields are strings
+# least value of each numeric field of ``init``, ``train`` and ``data``: an
+# int marks a JSON integer, a float any number; the other fields are strings
 _LEAST = {"batch_size": 1, "epochs": 0, "seed": 0, "n_train": 1, "n_test": 1,
           "jitter": 0, "class_seed": 0, "n_train_per_task": 8, "n_test_per_task": 8,
-          "noise": 0.0, "lr": 0.0, "beta1": 0.0, "beta2": 0.0, "adam_eps": 0.0}
+          "noise": 0.0, "lr": 0.0, "beta1": 0.0, "beta2": 0.0, "adam_eps": 0.0,
+          "pretrain_epochs": 0, "epsilon": 0.0}
 
 
 def _check_values(obj: dict, where: str) -> dict:
@@ -220,6 +210,17 @@ def _check_values(obj: dict, where: str) -> dict:
         elif least is not None and _json_number(v, what) < least:
             raise ConfigError(f"{what} must be >= {least}, got {v!r}")
     return obj
+
+
+def _parse_init(obj: dict):
+    """An ``init`` object as its policy's record, whose defaults fill the unset fields."""
+    policy = _INIT_POLICIES[_tag(obj, "policy", _INIT_POLICIES, "init")]
+    _require_keys(obj, "init", ("policy",), [f.name for f in fields(policy)])
+    settings = {k: v for k, v in _check_values(obj, "init").items() if k != "policy"}
+    try:
+        return policy(**settings)
+    except ValueError as e:  # epsilon outside (0, 1)
+        raise ConfigError(f"bad init settings: {e}") from e
 
 
 def _parse_train(obj: dict) -> TrainConfig:

@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "LabeledImages", "TaskDataset", "OneVsAllSuite",
-    "IdxError", "load_idx", "write_idx",
+    "IdxError", "load_idx",
     "make_suite", "sample_fraction", "as_multiclass",
     "synth_heterogeneous", "heterogeneous_prototypes", "synth_digits",
     "Source", "SOURCES", "build_corpus",
@@ -139,17 +139,6 @@ def load_idx(images_path, labels_path) -> LabeledImages:
     n_classes = int(labels.max()) + 1 if n else 1
     return LabeledImages(images.reshape(count, rows, cols).copy(), labels.astype(np.int64),
                          max(n_classes, 2))
-
-
-def write_idx(images_path, labels_path, ds: LabeledImages):
-    """Write the corpus back out in the same container layout."""
-    n, rows, cols = ds.images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(ds.images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def make_suite(raw: LabeledImages, split: str = "train") -> OneVsAllSuite:

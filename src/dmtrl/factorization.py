@@ -216,8 +216,6 @@ def laf_decompose(w: np.ndarray, epsilon: float) -> LAFFactors:
     n_tasks = w.shape[-1]
     lead = w.shape[:-1]
     m = w.reshape(-1, n_tasks)  # prod(lead) x T
-    if not m.any():
-        return LAFFactors(np.zeros(lead + (1,)), np.zeros((1, n_tasks)))
     res = thin_svd(m)
     k = rank_for_error(res.s, epsilon)
     cut = res.truncated(k)
@@ -234,8 +232,6 @@ def tucker_decompose(w: np.ndarray, epsilon: float) -> TuckerFactors:
     """
     w = tensor(w)
     n_way = w.ndim
-    if not w.any():
-        return TuckerFactors(np.zeros((1,) * n_way), [np.zeros((d, 1)) for d in w.shape])
     us = []
     for n in range(n_way):
         res = thin_svd(_unfold(w, n))
@@ -256,10 +252,6 @@ def tt_decompose(w: np.ndarray, epsilon: float) -> TTFactors:
     if n_way < 2:
         raise ValueError("TT needs a tensor with at least 2 axes")
     shape = w.shape
-    if not w.any():
-        head = np.zeros((shape[0], 1))
-        cores = [np.zeros((1, d, 1)) for d in shape[1:-1]]
-        return TTFactors(head, cores, np.zeros((1, shape[-1])))
     step_eps = epsilon / math.sqrt(n_way - 1)
     factors = []
     bond = 1

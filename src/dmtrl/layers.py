@@ -285,16 +285,13 @@ def hinge_loss(y_hat, y):
 
 
 def softmax_ce_loss(logits: np.ndarray, labels):
-    """Cross entropy of softmax(logits) against integer class labels.
-
-    Accepts a single logit vector with a scalar label or a batch (B x C with
-    B labels).  Stabilised by max subtraction.  Returns per-sample losses and
-    the gradient with respect to the logits.
+    """Cross entropy of softmax(logits) against integer class labels, for a
+    batch: B x C logits and B labels.  Stabilised by max subtraction.
+    Returns the B per-sample losses and the gradient with respect to the
+    logits.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    z = logits[None, :] if single else logits
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    z = np.asarray(logits, dtype=np.float64)
+    lab = np.asarray(labels, dtype=np.int64)
     c = z.shape[1]
     if np.any(lab < 0) or np.any(lab >= c):
         raise ValueError(f"labels must lie in [0, {c})")
@@ -305,6 +302,4 @@ def softmax_ce_loss(logits: np.ndarray, labels):
     loss = -log_p[rows, lab]
     grad = np.exp(log_p)
     grad[rows, lab] -= 1.0
-    if single:
-        return float(loss[0]), grad[0]
     return loss, grad

@@ -71,9 +71,9 @@ def thin_svd(m: np.ndarray) -> SvdResult:
 
 
 def rank_for_error(s: np.ndarray, epsilon: float) -> int:
-    """Smallest k with sqrt(sum_{i>k} s_i^2) / sqrt(sum_i s_i^2) <= epsilon.
+    """Smallest k >= 1 with sqrt(sum_{i>k} s_i^2) <= epsilon sqrt(sum_i s_i^2).
 
-    Always returns at least 1, including for an all-zero spectrum.
+    An all-zero spectrum meets the bound at every k, so it gives 1.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
@@ -81,10 +81,7 @@ def rank_for_error(s: np.ndarray, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1); got {epsilon}")
     total = float(np.dot(s, s))
-    if total == 0.0:
-        return 1
-    # tail[k] = energy strictly after the first k values
+    # tail[k] = energy strictly after the first k + 1 values
     tail = total - np.cumsum(s * s)
     ok = np.flatnonzero(tail <= (epsilon * epsilon) * total)
-    k = int(ok[0]) + 1 if ok.size else s.size
-    return max(k, 1)
+    return int(ok[0]) + 1 if ok.size else s.size

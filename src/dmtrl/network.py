@@ -685,13 +685,13 @@ class MultiTaskNetwork:
                 tape.append((kind, layer, cache))
         out.update(dict.fromkeys(group, h))
 
-    def backward(self, task: int, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, task: int, grad_out: np.ndarray) -> None:
         """Record the parameter gradients of the last forward pass (see
-        :meth:`gradients`).
+        :meth:`gradients`).  Nothing reads the gradient with respect to the
+        network's input, so none is returned.
 
         Only the samples whose row of ``grad_out`` is not all zero run
-        backward (see the module docstring); the returned input gradient has
-        the full batch's shape, zero in the rows of the other samples.
+        backward (see the module docstring).
         """
         if self._tape is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -720,11 +720,6 @@ class MultiTaskNetwork:
         # random-decompose Tucker demo-04 network (numpy 2.4, 2 vCPUs)
         for layer, (grad_w, grad_b) in reversed(grads):
             self._grads.update(layer.grad_items(task, grad_w, grad_b))
-        if restrict and g is not None:
-            full = np.zeros((batch,) + g.shape[1:])
-            full[rows] = g
-            g = full
-        return g
 
     # -- parameter plumbing ------------------------------------------------
     def parameters(self, task=None) -> dict:

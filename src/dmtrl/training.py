@@ -112,7 +112,7 @@ def _check_epsilon(epsilon):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"      # "sgd" | "adam"
+    optimizer: str = "adam"      # the one accepted value: Adam is the only optimiser
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -122,7 +122,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size and epochs must be non-negative")
@@ -137,15 +137,6 @@ class TrainRecord:
     task: int
     loss: float
     error: float
-
-
-class _Sgd:
-    def __init__(self, cfg):
-        self.lr = cfg.lr
-
-    def step(self, params, grads):
-        for name, p in params.items():
-            p -= self.lr * grads[name]
 
 
 class _Adam:
@@ -192,7 +183,7 @@ class _Adam:
 
 
 def make_optimizer(cfg: TrainConfig):
-    return {"sgd": _Sgd, "adam": _Adam}[cfg.optimizer](cfg)
+    return _Adam(cfg)
 
 
 def _error(out: np.ndarray, labels: np.ndarray, binary: bool) -> float:

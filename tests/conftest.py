@@ -11,14 +11,16 @@ the order its spec writes them, each kind called directly, with no
 execution plan and no shared binding.  ``named_gradients`` names such a
 pass's gradients through the layers' own ``grad_items``, so a bit check
 against it compares the passes, and the finite-difference checks cover the
-naming.
+naming.  ``write_idx`` writes the IDX fixtures that ``load_idx`` reads.
 """
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
+from dmtrl.data import IMAGE_MAGIC, LABEL_MAGIC, LabeledImages
 from dmtrl.factorization import LAFFactors, TuckerFactors, compose_tt, compose_tucker
 from dmtrl.layers import conv2d_patches
 from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec, SharingMode
@@ -27,6 +29,17 @@ from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec, SharingMode
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def write_idx(images_path, labels_path, ds: LabeledImages):
+    """Write a corpus as the big-endian IDX image/label container pair."""
+    n, rows, cols = ds.images.shape
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
+        f.write(ds.images.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", LABEL_MAGIC, n))
+        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def fibre_oracle(t: np.ndarray, n: int) -> np.ndarray:
@@ -116,15 +129,13 @@ def spec_order_forward(net, task: int, x: np.ndarray):
     return h, tape
 
 
-def spec_order_backward(tape, grad_out: np.ndarray):
-    """``(input gradient or None, {layer index: (grad_w, grad_b)})`` of a
-    :func:`spec_order_forward` tape, run only through the samples whose row
-    of ``grad_out`` is not all zero, each cache restricted by ``take``; the
-    input gradient has the full batch's shape."""
+def spec_order_backward(tape, grad_out: np.ndarray) -> dict:
+    """``{layer index: (grad_w, grad_b)}`` of a :func:`spec_order_forward`
+    tape, run only through the samples whose row of ``grad_out`` is not all
+    zero, each cache restricted by ``take``."""
     g = np.asarray(grad_out, dtype=np.float64)
-    batch = len(g)
-    rows = np.flatnonzero(g.reshape(batch, -1).any(axis=1))
-    restrict = len(rows) < batch
+    rows = np.flatnonzero(g.reshape(len(g), -1).any(axis=1))
+    restrict = len(rows) < len(g)
     if restrict:
         g = g[rows]
     grads = {}
@@ -135,11 +146,7 @@ def spec_order_backward(tape, grad_out: np.ndarray):
         g, *param_grads = kind.backward(g, cache, need_grad_x=pos > 0)
         if layer is not None and len(rows):
             grads[layer.index] = param_grads
-    if restrict and g is not None:
-        full = np.zeros((batch,) + g.shape[1:])
-        full[rows] = g
-        g = full
-    return g, grads
+    return grads
 
 
 def named_gradients(net, task: int, layer_grads: dict) -> dict:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import struct
 import sys
@@ -21,9 +22,9 @@ from dmtrl.checkpoint import (
 from dmtrl.cli import main, write_csv
 from dmtrl.config import ConfigError, load_config, parse_config, spec_to_json
 from dmtrl.network import SharingMode, build_network
-from dmtrl.training import RandomDecompose
+from dmtrl.training import PlainRandom, RandomDecompose, StlInit
 
-from conftest import five_mode_spec, set_factors
+from conftest import five_mode_spec, set_factors, write_idx
 
 
 class TestCheckpointFormat:
@@ -147,7 +148,6 @@ class TestLoadNetworkValidation:
 
     def save_pair(self, tmp_path, mode):
         from dmtrl.network import FC, Activation, LayerSpec, NetworkSpec
-        from dmtrl.training import PlainRandom
 
         spec = NetworkSpec(
             (6,),
@@ -540,6 +540,53 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"bad train settings: Adam needs .*{value}"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("train", "lr", math.nan), ("train", "lr", math.inf), ("data", "noise", math.nan),
+        ("train", "adam_eps", math.inf), ("init", "epsilon", -math.inf),
+        ("train", "beta1", 10 ** 400),
+    ])
+    def test_non_finite_numbers_rejected(self, section, field, value):
+        """``json`` reads NaN, Infinity and 1e400 (as inf): each is refused,
+        naming its field, as is an integer past the float range, rather than
+        met as a non-finite loss or an Adam step that updates nothing."""
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[section][field] = value
+        with pytest.raises(ConfigError, match=f"'{field}' in {section} must be a finite number"):
+            parse_config(cfg)
+
+    def test_only_adam_is_accepted(self):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["train"]["optimizer"] = "sgd"
+        with pytest.raises(ConfigError, match="unknown optimizer 'sgd'"):
+            parse_config(cfg)
+        cfg["train"]["optimizer"] = "adam"
+        parse_config(cfg)
+
+    @pytest.mark.parametrize("init, want", [
+        ({"policy": "stl"}, StlInit()),
+        ({"policy": "stl", "pretrain_epochs": 0, "epsilon": 0.25}, StlInit(0, 0.25)),
+        ({"policy": "random_decompose"}, RandomDecompose()),
+        ({"policy": "plain_random"}, PlainRandom()),
+    ])
+    def test_init_defaults_come_from_the_policy_record(self, init, want):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update(sharing="stl", init=init)
+        assert parse_config(cfg).init == want
+
+    @pytest.mark.parametrize("init, field", [
+        ({"policy": "stl", "pretrain_epochs": -1}, "pretrain_epochs"),
+        ({"policy": "stl", "pretrain_epochs": 2.0}, "pretrain_epochs"),
+        ({"policy": "stl", "epsilon": 1.0}, "epsilon"),
+        ({"policy": "random_decompose", "pretrain_epochs": 1}, "pretrain_epochs"),
+        ({"policy": "plain_random", "epsilon": 0.1}, "epsilon"),
+        ({"policy": "sgd"}, "policy"),
+    ])
+    def test_init_fields_checked(self, init, field):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update(sharing="stl", init=init)
+        with pytest.raises(ConfigError, match=field):
+            parse_config(cfg)
+
     def test_idx_paths_must_be_strings(self):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["data"] = {"source": "idx", "train_images": "a", "train_labels": "b",
@@ -675,6 +722,21 @@ class TestCliCommands:
         assert "architecture" in record["message"] and shape in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, literal", [
+        ("lr", "NaN"), ("lr", "Infinity"), ("lr", "1e400"), ("adam_eps", "Infinity"),
+    ])
+    def test_non_finite_number_refused_before_anything_is_written(self, tmp_path, capsys,
+                                                                 field, literal):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BASE_CONFIG).replace('"lr": 0.01', f'"{field}": {literal}'))
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert self.run("train", "--config", str(cfg), "--out", str(out)) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"'{field}' in train must be a finite number" in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("threads", ["two", "0"])
     def test_thread_count_that_is_not_a_positive_integer_rejected(
@@ -778,8 +840,7 @@ class TestCliCommands:
         ConfigError naming both values before any layer runs; a sweep
         writes no checkpoint."""
         import dmtrl.layers as layers_module
-        from dmtrl.data import LabeledImages, write_idx
-        from dmtrl.training import PlainRandom
+        from dmtrl.data import LabeledImages
 
         overrides, named = MISFITS[case]
         if case == "idx":
@@ -814,7 +875,7 @@ class TestCliCommands:
     def test_sweep_fits_the_test_split_before_any_cell_trains(self, tmp_path, capsys):
         """28x28 train and 16x16 test images: the sweep refuses the test
         split before its first cell trains, so it writes nothing."""
-        from dmtrl.data import LabeledImages, write_idx
+        from dmtrl.data import LabeledImages
 
         rng = np.random.default_rng(0)
         paths = {}
@@ -839,8 +900,6 @@ class TestCliCommands:
     def test_unreadable_json_file_raises_config_error(self, tmp_path, capsys, command, fault):
         """A config or an ``eval --data`` file that is not UTF-8 JSON fails
         with a ConfigError naming the file."""
-        from dmtrl.training import PlainRandom
-
         bad = tmp_path / "bad.json"
         bad.write_bytes(fault)
         if command == "eval":

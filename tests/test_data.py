@@ -17,8 +17,9 @@ from dmtrl.data import (
     sample_fraction,
     synth_digits,
     synth_heterogeneous,
-    write_idx,
 )
+
+from conftest import write_idx
 
 
 def canonical_digits() -> np.ndarray:

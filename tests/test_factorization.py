@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dmtrl.factorization import SCHEMES as SCHEME_TABLE
 from dmtrl.factorization import (
     LAFFactors,
     TTFactors,
@@ -15,6 +16,7 @@ from dmtrl.factorization import (
     compose_task,
     compose_tt,
     compose_tucker,
+    decompose,
     laf_decompose,
     tt_decompose,
     tucker_decompose,
@@ -255,6 +257,16 @@ class TestComposeBackward:
         g = compose_backward(f, np.zeros((3, 2)), task=1)
         assert_array_equal(g.l, np.zeros_like(f.l))
         assert_array_equal(g.s, np.zeros_like(f.s))
+
+    @pytest.mark.parametrize("tag", list(SCHEME_TABLE))
+    def test_zero_stack_factors_can_learn(self, rng, tag):
+        """A zero stack factorises through the SVD at rank 1: the factors
+        compose to exact zeros, and task 0's slice gradient reaches them."""
+        f = decompose(tag, np.zeros((3, 2, 4)), 0.1)
+        assert set(SCHEME_TABLE[tag].ranks(f)) == {1}
+        assert_array_equal(full_compose(f), np.zeros((3, 2, 4)))
+        g = compose_backward(f, rng.normal(size=(3, 2)), task=0)
+        assert any(a.any() for a in SCHEME_TABLE[tag].pack(g))
 
     def test_laf_identity_mixing_passes_gradient_through(self, rng):
         f = LAFFactors(rng.normal(size=(3, 2, 4)), np.eye(4))

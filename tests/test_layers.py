@@ -374,17 +374,17 @@ class TestHingeLoss:
 
 class TestSoftmaxCE:
     def test_uniform_logits(self):
-        loss, _ = softmax_ce_loss(np.zeros(8), 3)
-        assert loss == pytest.approx(np.log(8.0), rel=1e-12)
+        loss, _ = softmax_ce_loss(np.zeros((1, 8)), [3])
+        assert loss[0] == pytest.approx(np.log(8.0), rel=1e-12)
 
     def test_saturated_true_class(self):
-        loss, _ = softmax_ce_loss(np.array([1000.0, 0.0, 0.0]), 0)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        loss, _ = softmax_ce_loss(np.array([[1000.0, 0.0, 0.0]]), [0])
+        assert loss[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient(self, rng):
-        z = rng.normal(size=5)
-        loss = lambda: softmax_ce_loss(z, 2)[0]
-        _, grad = softmax_ce_loss(z, 2)
+        z = rng.normal(size=(1, 5))
+        loss = lambda: softmax_ce_loss(z, [2])[0][0]
+        _, grad = softmax_ce_loss(z, [2])
         assert_grads_close(grad, central_difference(loss, z), rtol=1e-8, atol=1e-10)
 
     def test_batch_matches_per_row(self, rng):
@@ -392,9 +392,9 @@ class TestSoftmaxCE:
         labels = np.array([0, 5, 2, 2])
         losses, grads = softmax_ce_loss(z, labels)
         for i in range(4):
-            li, gi = softmax_ce_loss(z[i], labels[i])
-            assert losses[i] == pytest.approx(li, rel=1e-14)
-            assert_allclose(grads[i], gi, rtol=1e-14)
+            li, gi = softmax_ce_loss(z[i : i + 1], labels[i : i + 1])
+            assert losses[i] == pytest.approx(li[0], rel=1e-14)
+            assert_allclose(grads[i], gi[0], rtol=1e-14)
 
     def test_loss_non_negative(self, rng):
         losses, _ = softmax_ce_loss(rng.normal(size=(10, 4)), rng.integers(0, 4, 10))
@@ -402,4 +402,4 @@ class TestSoftmaxCE:
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_ce_loss(np.zeros(3), 3)
+            softmax_ce_loss(np.zeros((1, 3)), [3])

@@ -202,8 +202,7 @@ class TestTrainLoop:
         datasets = [two_blob_task(t, rng) for t in range(2)]
         net = build_network(mlp_spec(I, I, 2), PlainRandom(), 9)
         before = {k: v.copy() for k, v in net.parameters().items()}
-        train(net, datasets, TrainConfig(epochs=2, lr=0.0, batch_size=16, seed=9,
-                                         optimizer="sgd"))
+        train(net, datasets, TrainConfig(epochs=2, lr=0.0, batch_size=16, seed=9))
         for k, v in net.parameters().items():
             assert_array_equal(v, before[k])
 
@@ -274,22 +273,6 @@ class TestTrainLoop:
             for name in names:
                 assert_array_equal(opt.m[name], m[name])
                 assert_array_equal(opt.v[name], v[name])
-
-    def test_sgd_matches_textbook_update_bit_for_bit(self, rng):
-        cfg = TrainConfig(optimizer="sgd", lr=0.05)
-        shapes = {"small": (3,), "large": (4, 5, 2), "late": (2, 3)}
-        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        want = {name: p.copy() for name, p in params.items()}
-        opt = make_optimizer(cfg)
-        for step in range(6):
-            # a task's step updates only the parameters on its path
-            names = [["small", "large"], ["large"], ["small", "late"]][step % 3]
-            grads = {name: rng.normal(size=shapes[name]) for name in names}
-            opt.step({name: params[name] for name in names}, grads)
-            for name in names:
-                want[name] -= cfg.lr * grads[name]
-            for name in shapes:
-                assert_array_equal(params[name], want[name], err_msg=f"{name} at step {step}")
 
     def test_dataset_count_mismatch(self, rng):
         net = build_network(mlp_spec(I, I, 2), PlainRandom(), 0)
@@ -497,7 +480,7 @@ def spec_order_train(net, datasets, config):
                 idx = streams[t].next()
                 out, tape = spec_order_forward(net, t, ds.inputs[idx])
                 loss, grad, err = task_loss(out, ds, idx)
-                grads = named_gradients(net, t, spec_order_backward(tape, grad)[1])
+                grads = named_gradients(net, t, spec_order_backward(tape, grad))
                 opt.step(net.parameters(t), grads)
                 loss_sum[t] += loss
                 err_sum[t] += err
@@ -596,7 +579,7 @@ class TestCycleBinding:
         x = tasks[1].inputs[:12]
         want_out, tape = spec_order_forward(net, 1, x)
         g = rng.normal(size=want_out.shape)  # every row carries gradient
-        _, want = spec_order_backward(tape, g)
+        want = spec_order_backward(tape, g)
         built = self._count_first_conv_patches(monkeypatch)
         first = net.bind(x)
         net.forward(0, x, first)  # another task on the same binding
